@@ -6,6 +6,14 @@ classic PI controller (safety 0.9, beta 0.04, step-change factors clamped to
 [1/5, 10]); the continuous extension is the standard quartic interpolant of
 the pair, so sampled values carry the same order of accuracy as the steps.
 
+The step runs on lists of Python floats, not on numpy arrays: the systems
+here have 5 or 15 components, and at that size numpy's per-call overhead
+costs more than the arithmetic.  Each component is computed with the
+operations numpy applied to whole vectors, in the same order (left-to-right
+stage sums, then the product with h, then the sum with y), and the error
+norm sums its squares in numpy's pairwise order, so the floats are those of
+an array implementation bit for bit.  Dense output is still kept as arrays.
+
 The driver integrates forward only and clamps the final step onto t_end
 exactly.  A SingularityError raised by the right-hand side is treated as a
 collision inside the step: the step is retried smaller until the step size
@@ -183,6 +191,28 @@ def _error_norm(v: np.ndarray, sc: np.ndarray) -> float:
     return float(np.sqrt(np.mean((v / sc) ** 2)))
 
 
+def _pairwise_sum(v: list[float]) -> float:
+    """Sum v in the order of numpy's pairwise summation, as np.sum does."""
+    n = len(v)
+    if n < 8:
+        s = 0.0
+        for x in v:
+            s += x
+        return s
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    m = n - n % 8
+    p = v[:8]
+    for i in range(8, m, 8):
+        p = [a + b for a, b in zip(p, v[i : i + 8])]
+    s = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    for x in v[m:]:
+        s += x
+    return s
+
+
 def _initial_step(rhs, t0, y0, f0, span, atol, rtol, h_max):
     # Deterministic two-probe heuristic for the first trial step.
     sc = atol + rtol * np.abs(y0)
@@ -192,7 +222,7 @@ def _initial_step(rhs, t0, y0, f0, span, atol, rtol, h_max):
     h0 = min(h0, span, h_max)
     try:
         f1 = rhs(t0 + h0, y0 + h0 * f0)
-        d2 = _error_norm(f1 - f0, sc) / h0
+        d2 = _error_norm(np.asarray(f1) - f0, sc) / h0
     except SingularityError:
         return max(h0 * 1e-3, 1e-12 * span)
     dmax = max(d1, d2)
@@ -206,27 +236,32 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
     Returns a FlowResult; callers that need a completed flow should chain
     `.require_ok()`.  With config.dense the result carries a DenseOutput
     whose values at accepted step times equal the stored states exactly.
+    rhs receives the state as a list of floats and returns a sequence of
+    the same length.
     """
     config = config or IntegratorConfig()
-    y = np.asarray(y0, dtype=float).copy()
+    t0, t_end = float(t0), float(t_end)
+    y = np.asarray(y0, dtype=float).tolist()
     span = t_end - t0
     if span < 0:
         raise ValueError("flow integrates forward only (t_end < t0)")
     grid = [t0]
-    states = [y.copy()]
+    states = [np.array(y)] if config.dense else []
     rcont: list[np.ndarray] = []
     if span == 0:
         dense = DenseOutput(np.array(grid), states, rcont) if config.dense else None
-        return FlowResult(OK, t_end, y.copy(), 0, 0, np.array(grid), dense)
+        return FlowResult(OK, t_end, np.array(y), 0, 0, np.array(grid), dense)
 
-    atol, rtol = config.abs_tol, config.rel_tol
-    h_max = config.h_max if config.h_max is not None else span / 16.0
+    atol, rtol = float(config.abs_tol), float(config.rel_tol)
+    h_max = float(config.h_max) if config.h_max is not None else span / 16.0
     h_max = min(h_max, span)
     h_floor = 1e-14 * max(abs(t0), abs(t_end), 1.0)
+    n = len(y)
 
     t = t0
     k1 = rhs(t, y)  # an invalid initial state is the caller's error: let it raise
-    h = config.h_init if config.h_init is not None else _initial_step(rhs, t, y, k1, span, atol, rtol, h_max)
+    h = config.h_init
+    h = float(h) if h is not None else _initial_step(rhs, t, np.array(y), np.array(k1), span, atol, rtol, h_max)
     h = min(h, h_max)
 
     n_steps = 0
@@ -236,7 +271,7 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
 
     def finish(status, bracket=None):
         dense = DenseOutput(np.array(grid), states, rcont) if config.dense else None
-        return FlowResult(status, t, y.copy(), n_steps, n_rejected, np.array(grid), dense, bracket)
+        return FlowResult(status, t, np.array(y), n_steps, n_rejected, np.array(grid), dense, bracket)
 
     while True:
         if n_steps + n_rejected >= config.max_steps:
@@ -246,17 +281,25 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
         if last:
             h = t_end - t
         try:
-            k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
-            k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-            k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-            k6 = rhs(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-            ynew = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+            k2 = rhs(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
+            k3 = rhs(t + _C3 * h, [u + h * (_A31 * a + _A32 * b) for u, a, b in zip(y, k1, k2)])
+            k4 = rhs(t + _C4 * h, [u + h * (_A41 * a + _A42 * b + _A43 * c) for u, a, b, c in zip(y, k1, k2, k3)])
+            k5 = rhs(t + _C5 * h, [u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                                   for u, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + h, [u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                             for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            ynew = [u + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * f)
+                    for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
             k7 = rhs(t + h, ynew)
-            err_vec = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-            sc = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-            err = _error_norm(err_vec, sc)
-            if not np.isfinite(err) or not np.all(np.isfinite(ynew)):
+            # Squared scaled error per component, with the floats of
+            # (err_vec / (atol + rtol * max(|y|, |ynew|))) ** 2 on arrays.
+            sq = [
+                (x := h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+                 / (atol + rtol * (p if (p := abs(u)) >= (q := abs(v)) else q))) * x
+                for u, v, a, c, d, e, f, g in zip(y, ynew, k1, k3, k4, k5, k6, k7)
+            ]
+            err = math.sqrt(_pairwise_sum(sq) / n)
+            if not math.isfinite(err) or not all(map(math.isfinite, ynew)):
                 err = math.inf
         except SingularityError as exc:
             n_rejected += 1
@@ -270,24 +313,18 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
         if err <= 1.0:
             n_steps += 1
             if config.dense:
-                ydiff = ynew - y
-                bspl = h * k1 - ydiff
-                rcont.append(
-                    np.array(
-                        [
-                            y,
-                            ydiff,
-                            bspl,
-                            ydiff - h * k7 - bspl,
-                            h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7),
-                        ]
-                    )
-                )
+                ya = states[-1]
+                yb = np.array(ynew)
+                k1a, k3a, k4a, k5a, k6a, k7a = np.array((k1, k3, k4, k5, k6, k7))
+                ydiff = yb - ya
+                bspl = h * k1a - ydiff
+                dk = h * (_D1 * k1a + _D3 * k3a + _D4 * k4a + _D5 * k5a + _D6 * k6a + _D7 * k7a)
+                rcont.append(np.array([ya, ydiff, bspl, ydiff - h * k7a - bspl, dk]))
+                states.append(yb)
             t = t_end if last else t + h
             y = ynew
             k1 = k7
             grid.append(t)
-            states.append(y.copy())
             if last:
                 return finish(OK)
             if err == 0.0:

@@ -22,7 +22,6 @@ __all__ = [
     "lambda_n",
     "SystemParams",
     "ReducedState",
-    "AugmentedState",
     "CartesianState",
     "reduced_initial",
     "augmented_initial",
@@ -167,48 +166,6 @@ class ReducedState:
         return cls(t=t, f=f, fdot=fdot, r=r, rdot=rdot, theta=theta)
 
 
-@dataclass(frozen=True)
-class AugmentedState:
-    """Reduced state plus first-order sensitivities w.r.t. a and b.
-
-    The sensitivity columns propagate the derivative of the flow with
-    respect to the angular parameter a and the initial axial velocity b.
-    """
-
-    t: float
-    f: float
-    fdot: float
-    r: float
-    rdot: float
-    theta: float
-    dfa: float
-    dfdota: float
-    dra: float
-    drdota: float
-    dtha: float
-    dfb: float
-    dfdotb: float
-    drb: float
-    drdotb: float
-    dthb: float
-
-    @classmethod
-    def from_array(cls, t: float, y) -> "AugmentedState":
-        vals = [float(v) for v in y]
-        if len(vals) != 15:
-            raise ValueError(f"augmented state needs 15 components, got {len(vals)}")
-        return cls(t, *vals)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.f, self.fdot, self.r, self.rdot, self.theta,
-                self.dfa, self.dfdota, self.dra, self.drdota, self.dtha,
-                self.dfb, self.dfdotb, self.drb, self.drdotb, self.dthb,
-            ]
-        )
-
-
 def reduced_initial(b: float, params: SystemParams) -> np.ndarray:
     """Symmetric initial condition: on the x-axis crossing with f = 0."""
     return np.array([0.0, float(b), params.r0, 0.0, 0.0])
@@ -226,13 +183,16 @@ def make_reduced_rhs(params: SystemParams, C: float):
 
     C is the angular momentum r^2 * thetadot = r0 * a.  Raises
     SingularityError when the ring radius falls below the collision floor.
+    The derivative comes back as a tuple of Python floats: every closure
+    constant is a float, so no numpy scalar enters the integrator's loop.
     """
-    lam_m = params.lam * params.m
-    mu = params.M + params.m * params.n
-    kap2 = params.kappa**2
-    M = params.M
+    lam_m = float(params.lam * params.m)
+    mu = float(params.M + params.m * params.n)
+    kap2 = float(params.kappa**2)
+    M = float(params.M)
+    C = float(C)
     C2 = C * C
-    r_floor = R_FLOOR_FRACTION * params.r0
+    r_floor = float(R_FLOOR_FRACTION * params.r0)
     sqrt = math.sqrt
 
     def rhs(t, y):
@@ -242,15 +202,7 @@ def make_reduced_rhs(params: SystemParams, C: float):
         h2 = r * r + kap2 * f * f
         h3 = h2 * sqrt(h2)
         r2 = r * r
-        return np.array(
-            [
-                fdot,
-                -mu * f / h3,
-                rdot,
-                C2 / (r2 * r) - lam_m / r2 - M * r / h3,
-                C / r2,
-            ]
-        )
+        return (fdot, -mu * f / h3, rdot, C2 / (r2 * r) - lam_m / r2 - M * r / h3, C / r2)
 
     return rhs
 
@@ -260,15 +212,17 @@ def make_variational_rhs(params: SystemParams, C: float):
 
     Layout: base reduced state (5), then the a-sensitivity column (5), then
     the b-sensitivity column (5).  The a-column carries the explicit
-    dependence of the equations on a through C = r0*a.
+    dependence of the equations on a through C = r0*a.  Returns a tuple of
+    floats, as `make_reduced_rhs` does.
     """
-    lam_m = params.lam * params.m
-    mu = params.M + params.m * params.n
-    kap2 = params.kappa**2
-    M = params.M
-    r0 = params.r0
+    lam_m = float(params.lam * params.m)
+    mu = float(params.M + params.m * params.n)
+    kap2 = float(params.kappa**2)
+    M = float(params.M)
+    r0 = float(params.r0)
+    C = float(C)
     C2 = C * C
-    r_floor = R_FLOOR_FRACTION * params.r0
+    r_floor = float(R_FLOOR_FRACTION * params.r0)
     sqrt = math.sqrt
 
     def rhs(t, y):
@@ -293,35 +247,33 @@ def make_variational_rhs(params: SystemParams, C: float):
         Sa = 2.0 * r0 * C / r3
         Qr = -2.0 * C / r3
         Qa = r0 / r2
-        return np.array(
-            [
-                fdot,
-                -mu * f / h3,
-                rdot,
-                C2 / r3 - lam_m / r2 - M * r / h3,
-                C / r2,
-                ga,
-                Gf * fa + Gr * ra,
-                sa,
-                Sf * fa + Sr * ra + Sa,
-                Qr * ra + Qa,
-                gb,
-                Gf * fb + Gr * rb,
-                sb,
-                Sf * fb + Sr * rb,
-                Qr * rb,
-            ]
+        return (
+            fdot,
+            -mu * f / h3,
+            rdot,
+            C2 / r3 - lam_m / r2 - M * r / h3,
+            C / r2,
+            ga,
+            Gf * fa + Gr * ra,
+            sa,
+            Sf * fa + Sr * ra + Sa,
+            Qr * ra + Qa,
+            gb,
+            Gf * fb + Gr * rb,
+            sb,
+            Sf * fb + Sr * rb,
+            Qr * rb,
         )
 
     return rhs
 
 
-def reduced_rhs(t: float, y, params: SystemParams, C: float) -> np.ndarray:
+def reduced_rhs(t: float, y, params: SystemParams, C: float) -> tuple[float, ...]:
     """Single evaluation of the reduced vector field (convenience wrapper)."""
     return make_reduced_rhs(params, C)(t, np.asarray(y, dtype=float))
 
 
-def variational_rhs(t: float, y, params: SystemParams, C: float) -> np.ndarray:
+def variational_rhs(t: float, y, params: SystemParams, C: float) -> tuple[float, ...]:
     return make_variational_rhs(params, C)(t, np.asarray(y, dtype=float))
 
 

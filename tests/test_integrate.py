@@ -11,10 +11,16 @@ from ringorbits.integrate import (
     FlowError,
     IntegratorConfig,
     dump_reduced_csv,
+    _pairwise_sum,
     eval_at,
     flow,
 )
-from ringorbits.model import make_reduced_rhs, reduced_initial
+from ringorbits.model import (
+    augmented_initial,
+    make_reduced_rhs,
+    make_variational_rhs,
+    reduced_initial,
+)
 
 
 def harmonic(t, y):
@@ -146,6 +152,43 @@ class TestDenseOutput:
     def test_absent_without_flag(self):
         res = flow(harmonic, np.array([1.0, 0.0]), 1.0, IntegratorConfig())
         assert res.dense is None
+
+
+class TestBitExact:
+    """Pinned floats of the light system at the bifurcation seed (a0, 0.05, T0).
+
+    The values were recorded with the earlier numpy-array form of the step on
+    the same build; they guard reruns within one build, where every bit must
+    repeat.  They are not portable: another platform, compiler or numpy build
+    may round differently.
+    """
+
+    @pytest.mark.parametrize(
+        "augmented, n_steps, F, Rt, Fb",
+        [
+            (False, 143, "0x1.01f271fc46275p-7", "0x1.4af01e0554e5ep-9", None),
+            (True, 216, "0x1.01f271fc58b57p-7", "0x1.4af01e057c464p-9", "0x1.e384845554acep-2"),
+        ],
+    )
+    def test_seed_point_bits(self, params_p, augmented, n_steps, F, Rt, Fb):
+        a, b, T = params_p.a0, 0.05, params_p.T0
+        pt = eval_at(a, b, T, params_p, IntegratorConfig(), augmented=augmented)
+        if augmented:
+            rhs, y0 = make_variational_rhs(params_p, params_p.r0 * a), augmented_initial(b, params_p)
+        else:
+            rhs, y0 = make_reduced_rhs(params_p, params_p.r0 * a), reduced_initial(b, params_p)
+        res = flow(rhs, y0, T, IntegratorConfig()).require_ok()
+        assert res.n_steps == n_steps
+        assert res.y[0] == pt.F
+        assert (pt.F.hex(), pt.Rt.hex()) == (F, Rt)
+        assert (pt.Fb.hex() if augmented else None) == Fb
+
+    def test_error_norm_sums_in_numpy_order(self):
+        # the step's norm must add its squares exactly as np.sum does
+        rng = np.random.default_rng(7)
+        for n in range(1, 300):
+            v = rng.uniform(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+            assert _pairwise_sum(v.tolist()) == np.sum(v)
 
 
 class TestEvalAt:

@@ -140,6 +140,17 @@ class TestReducedRhs:
             variational_rhs(0.0, y15, params_p, C), make_variational_rhs(params_p, C)(0.0, y15)
         )
 
+    @pytest.mark.parametrize(
+        "make, initial", [(make_reduced_rhs, reduced_initial), (make_variational_rhs, augmented_initial)]
+    )
+    def test_factories_return_python_floats(self, make, initial):
+        # numpy scalars in the parameters or in C must not reach the step loop
+        p = SystemParams(n=3, m=np.float64(3.0), M=np.float64(7.0), r0=np.float64(11.0))
+        rhs = make(p, np.float64(11.0) * np.float64(0.9))
+        y = initial(0.3, p)
+        for d in (rhs(0.0, y), rhs(0.0, y.tolist())):
+            assert all(type(v) is float for v in d)
+
     def test_trivial_family_axial_component_stays_zero(self, params_p):
         # F(a, 0, t) = 0 for every a: launching with b = 0 never excites f
         a = 1.2 * params_p.a0
