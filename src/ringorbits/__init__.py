@@ -28,8 +28,6 @@ from .model import (
     full_rhs,
     lambda_n,
     reduced_energy,
-    reduced_rhs,
-    variational_rhs,
 )
 from .orbits import (
     ResonanceTarget,
@@ -39,7 +37,7 @@ from .orbits import (
     find_resonance,
     reconstruct,
 )
-from .shoot import SeedPoint, SymmetryKind, newton_correct, residual, residual_desing
+from .shoot import SeedPoint, SymmetryKind, newton_correct, residual
 
 __version__ = "0.1.0"
 
@@ -76,12 +74,9 @@ __all__ = [
     "nondegeneracy",
     "reconstruct",
     "reduced_energy",
-    "reduced_rhs",
     "residual",
-    "residual_desing",
     "resonance_ratio",
     "tangent",
     "theta_curvature_numeric",
-    "variational_rhs",
     "xi_second_derivative",
 ]

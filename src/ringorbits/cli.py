@@ -295,6 +295,10 @@ def _cmd_resonance(args) -> int:
         branch = cont.branch_from_json(args.branch)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read branch file {args.branch}: {exc}")
+    if branch.params != params:
+        raise ConfigError(
+            f"system {params.to_dict()} differs from the branch file's {branch.params.to_dict()}"
+        )
     point = find_resonance(branch, target, config)
     k_strict, k_relabel = closure_order(target, params.n)
     periods = k_strict if args.strict_closure else k_relabel

@@ -29,6 +29,7 @@ from .shoot import (
     SeedPoint,
     SymmetryKind,
     desing_eval,
+    hyperplane,
     newton_correct,
     newton_correct_full,
 )
@@ -253,7 +254,7 @@ def continue_branch(
             guess = SeedPoint(a=float(pred[0]), b=float(pred[1]), T=float(pred[2]), kind=kind)
             corrected, dcorr = newton_correct_full(
                 guess, params, config, tol=corrector_tol,
-                hyperplane=(pred, prev_bp.tangent),
+                constraint=hyperplane(pred, prev_bp.tangent),
             )
             unit, xn = _tangent_from(
                 dcorr, (corrected.a, corrected.b, corrected.T), prev_bp.tangent

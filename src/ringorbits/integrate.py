@@ -45,7 +45,6 @@ __all__ = [
     "flow",
     "EvalPoint",
     "eval_at",
-    "dump_reduced_csv",
     "OK",
     "SINGULAR",
     "BUDGET",
@@ -428,14 +427,3 @@ def eval_at(
         )
     return EvalPoint(**base)
 
-
-def dump_reduced_csv(result: FlowResult, path, n_samples: int = 200) -> None:
-    """Write uniform samples of a dense flow as CSV rows t,f,fdot,r,rdot,theta."""
-    if result.dense is None:
-        raise ValueError("flow was run without dense output")
-    ts = np.linspace(result.dense.t_min, result.dense.t_max, n_samples)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,f,fdot,r,rdot,theta\n")
-        for t in ts:
-            y = result.dense.at(float(t))
-            fh.write(",".join(repr(float(v)) for v in (t, *y[:5])) + "\n")

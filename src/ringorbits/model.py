@@ -27,8 +27,6 @@ __all__ = [
     "augmented_initial",
     "make_reduced_rhs",
     "make_variational_rhs",
-    "reduced_rhs",
-    "variational_rhs",
     "reduced_energy",
     "cartesian_lift",
     "full_rhs",
@@ -266,15 +264,6 @@ def make_variational_rhs(params: SystemParams, C: float):
         )
 
     return rhs
-
-
-def reduced_rhs(t: float, y, params: SystemParams, C: float) -> tuple[float, ...]:
-    """Single evaluation of the reduced vector field (convenience wrapper)."""
-    return make_reduced_rhs(params, C)(t, np.asarray(y, dtype=float))
-
-
-def variational_rhs(t: float, y, params: SystemParams, C: float) -> tuple[float, ...]:
-    return make_variational_rhs(params, C)(t, np.asarray(y, dtype=float))
 
 
 def reduced_energy(state, params: SystemParams, C: float) -> float:

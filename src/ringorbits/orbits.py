@@ -30,7 +30,7 @@ from .model import (
     total_angular_momentum,
     total_momentum,
 )
-from .shoot import ConvergenceError, SeedPoint, newton_correct
+from .shoot import ConvergenceError, SeedPoint, newton_correct, phase
 
 __all__ = [
     "ResonanceNotFound",
@@ -93,14 +93,19 @@ def find_resonance(
     config: IntegratorConfig | None = None,
     theta_tol: float = 1e-8,
     corrector_tol: float = 1e-10,
-    max_iter: int = 80,
 ) -> SeedPoint:
-    """Locate the branch point whose phase equals the target angle.
+    """Locate the branch member whose phase equals the target angle.
 
-    Scans the stored points for a bracket, then closes in with an
-    Illinois-damped regula falsi on the chord between the bracketing
-    points; every trial is corrected back onto the family in the
-    hyperplane orthogonal to the chord before its phase is read off.
+    A stored point within theta_tol of the angle is returned as it is.
+    Otherwise the first pair of stored points whose phases bracket the
+    angle gives the start: the point of their chord interpolated linearly
+    in the phase gaps.  One Newton solve with the phase row
+    (`shoot.phase`) then lands on the member, with |theta - angle| and the
+    residuals within corrector_tol.
+
+    Raises ResonanceNotFound when no pair brackets the angle, and
+    ConvergenceError when the corrector fails or lands on a member whose
+    projection onto the bracketing chord falls outside it.
     """
     params = branch.params
     angle = target.angle
@@ -124,36 +129,16 @@ def find_resonance(
         )
 
     x_lo = pts[idx].point.vector()
-    x_hi = pts[idx + 1].point.vector()
-    g_lo = gap[idx]
-    g_hi = gap[idx + 1]
-    chord = x_hi - x_lo
-    normal = chord / np.linalg.norm(chord)
-    kind = branch.kind
-
-    w_lo, w_hi = 0.0, 1.0
-    side = 0
-    for _ in range(max_iter):
-        w = (w_lo * g_hi - w_hi * g_lo) / (g_hi - g_lo)
-        if not (w_lo < w < w_hi):
-            w = 0.5 * (w_lo + w_hi)
-        x_t = x_lo + w * chord
-        guess = SeedPoint(a=float(x_t[0]), b=float(x_t[1]), T=float(x_t[2]), kind=kind)
-        pt = newton_correct(guess, params, config, tol=corrector_tol, hyperplane=(x_t, normal))
-        g_t = pt.theta - angle
-        if abs(g_t) <= theta_tol:
-            return pt
-        if g_t * g_lo < 0.0:
-            w_hi, g_hi = w, g_t
-            if side == -1:
-                g_lo *= 0.5  # Illinois: stop the stale end from sticking
-            side = -1
-        else:
-            w_lo, g_lo = w, g_t
-            if side == +1:
-                g_hi *= 0.5
-            side = +1
-    raise ConvergenceError(f"resonance refinement did not reach {theta_tol!r} in {max_iter} iterations")
+    chord = pts[idx + 1].point.vector() - x_lo
+    x0 = x_lo + gap[idx] / (gap[idx] - gap[idx + 1]) * chord
+    guess = SeedPoint(a=float(x0[0]), b=float(x0[1]), T=float(x0[2]), kind=branch.kind)
+    pt = newton_correct(guess, params, config, tol=corrector_tol, constraint=phase(angle))
+    w = float(np.dot(pt.vector() - x_lo, chord) / np.dot(chord, chord))
+    if not 0.0 <= w <= 1.0:
+        raise ConvergenceError(
+            f"phase {angle!r} solved at chord position {w:.3f}, outside its bracket [0, 1]"
+        )
+    return pt
 
 
 @dataclass

@@ -13,6 +13,13 @@ smoothly across b = 0, where they become the b-sensitivities F_b and F_tb
 of the flow; parity in b removes their b-derivative there, and the explicit
 step _FD_DB recovers the remaining mixed derivative by one-sided
 differencing.
+
+One damped Newton corrector serves every caller.  The residual pair fixes
+a curve in (a, b, T); a third row c(a, b, T) = 0 picks one point of it, and
+Newton solves the bordered 3x3 system [grad value; grad R_t; grad c]
+(Allgower & Georg, ch. 2).  The third row is built by `fixed_b` (b held),
+`hyperplane` (pseudo-arclength continuation) or `phase` (the member whose
+ring phase is a given angle).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,9 +40,11 @@ __all__ = [
     "SeedPoint",
     "ConvergenceError",
     "residual",
-    "residual_desing",
     "desing_eval",
     "DesingPoint",
+    "fixed_b",
+    "hyperplane",
+    "phase",
     "newton_correct",
     "newton_correct_full",
 ]
@@ -138,8 +148,8 @@ class DesingPoint:
     """Desingularized residual data at (a, b, T).
 
     value is F/b (odd) or F_t/b (odd/even), continued across b = 0 by the
-    flow sensitivities; rt is R_t.  Gradients are w.r.t. (a, b, T) and are
-    None unless requested.
+    flow sensitivities; rt is R_t; theta is the ring phase.  Gradients are
+    w.r.t. (a, b, T) and are None unless requested.
     """
 
     value: float
@@ -147,6 +157,7 @@ class DesingPoint:
     theta: float
     grad_value: np.ndarray | None = None
     grad_rt: np.ndarray | None = None
+    grad_theta: np.ndarray | None = None
 
 
 def desing_eval(
@@ -178,6 +189,7 @@ def desing_eval(
             e.Theta,
             grad_value=np.array([va, vb, vt]),
             grad_rt=np.array([e.Rta, e.Rtb, e.Rtt]),
+            grad_theta=np.array([e.Tha, e.Thb, e.Thetat]),
         )
     e = eval_at(a, b, T, params, config, augmented=grad)
     ftil = e.F / b
@@ -195,13 +207,8 @@ def desing_eval(
         e.Theta,
         grad_value=np.array([va, vb, vt]),
         grad_rt=np.array([e.Rta, e.Rtb, e.Rtt]),
+        grad_theta=np.array([e.Tha, e.Thb, e.Thetat]),
     )
-
-
-def residual_desing(point: SeedPoint, params: SystemParams, config: IntegratorConfig | None = None):
-    """Desingularized residual pair; smooth across the circular family b = 0."""
-    d = desing_eval(point.a, point.b, point.T, point.kind, params, config)
-    return d.value, d.rt
 
 
 def _too_ill_conditioned(J: np.ndarray) -> bool:
@@ -211,6 +218,28 @@ def _too_ill_conditioned(J: np.ndarray) -> bool:
         return True
 
 
+# A constraint maps (x, d), the point (a, b, T) and its residual data, to
+# the value of the third residual row and its gradient in (a, b, T).
+Constraint = Callable[[np.ndarray, DesingPoint], tuple[float, np.ndarray]]
+
+
+def fixed_b(b: float) -> Constraint:
+    """Hold b at the given value: the row b - b_fixed with gradient e_b."""
+    row = np.array([0.0, 1.0, 0.0])
+    return lambda x, d: (float(x[1] - b), row)
+
+
+def hyperplane(x_ref: np.ndarray, normal: np.ndarray) -> Constraint:
+    """Stay in the plane <x - x_ref, normal> = 0 (arclength continuation)."""
+    normal = np.asarray(normal, dtype=float)
+    return lambda x, d: (float(np.dot(x - x_ref, normal)), normal)
+
+
+def phase(angle: float) -> Constraint:
+    """Land on the family member whose ring phase theta equals angle."""
+    return lambda x, d: (d.theta - angle, d.grad_theta)
+
+
 def newton_correct(
     guess: SeedPoint,
     params: SystemParams,
@@ -218,24 +247,25 @@ def newton_correct(
     *,
     tol: float = 1e-10,
     max_iter: int = 25,
-    hyperplane: tuple[np.ndarray, np.ndarray] | None = None,
+    constraint: Constraint | None = None,
 ) -> SeedPoint:
-    """Newton-correct a seed onto the symmetric-periodicity conditions.
+    """Newton-correct a seed onto the family and one extra condition.
 
-    Without a hyperplane, b stays fixed and (a, T) are corrected.  With
-    hyperplane=(x_ref, normal) all of (a, b, T) move subject to
-    <x - x_ref, normal> = 0, the constraint used by arclength continuation.
+    All of (a, b, T) solve the bordered system (value, R_t, c) = 0, where
+    c is the constraint row: `fixed_b(guess.b)` by default, `hyperplane`
+    for arclength continuation, or `phase` for a resonant member.
 
-    Each update is damped by a line search on the residual max-norm (at
-    most 8 halvings).  A guess that already meets `tol` is returned after
-    the initial evaluation, so max_iter=0 asserts convergence.
+    Each update is damped by a line search on the max-norm of the three
+    residuals (at most 8 halvings).  A guess that already meets `tol` is
+    returned after the initial evaluation, so max_iter=0 asserts
+    convergence.
 
     Raises ConvergenceError when the iteration stalls, the Jacobian is
     numerically singular, or max_iter is exhausted; integration failures
     (e.g. a trial driven into collision) propagate as FlowError.
     """
     point, _ = newton_correct_full(
-        guess, params, config, tol=tol, max_iter=max_iter, hyperplane=hyperplane
+        guess, params, config, tol=tol, max_iter=max_iter, constraint=constraint
     )
     return point
 
@@ -247,22 +277,21 @@ def newton_correct_full(
     *,
     tol: float = 1e-10,
     max_iter: int = 25,
-    hyperplane: tuple[np.ndarray, np.ndarray] | None = None,
+    constraint: Constraint | None = None,
 ) -> tuple[SeedPoint, DesingPoint]:
     """Like `newton_correct` but also returns the residual data (with
     gradients) at the corrected point, so callers can reuse them."""
     kind = guess.kind
+    if constraint is None:
+        constraint = fixed_b(guess.b)
+
+    def evaluate(xv):
+        dv = desing_eval(xv[0], xv[1], xv[2], kind, params, config, grad=True)
+        c, row = constraint(xv, dv)
+        return dv, np.array([dv.value, dv.rt, c]), row
+
     x = np.array([guess.a, guess.b, guess.T])
-
-    def with_constraint(d, xv):
-        res = [d.value, d.rt]
-        if hyperplane is not None:
-            x_ref, normal = hyperplane
-            res.append(float(np.dot(xv - x_ref, normal)))
-        return np.array(res)
-
-    d = desing_eval(x[0], x[1], x[2], kind, params, config, grad=True)
-    res = with_constraint(d, x)
+    d, res, row = evaluate(x)
     it = 0
     while float(np.max(np.abs(res))) > tol:
         if it >= max_iter:
@@ -270,22 +299,10 @@ def newton_correct_full(
                 f"no convergence after {max_iter} iterations; residual {float(np.max(np.abs(res))):.3e}"
             )
         it += 1
-        if hyperplane is None:
-            J = np.array(
-                [
-                    [d.grad_value[0], d.grad_value[2]],
-                    [d.grad_rt[0], d.grad_rt[2]],
-                ]
-            )
-            rhs = -np.array([d.value, d.rt])
-        else:
-            _, normal = hyperplane
-            J = np.array([d.grad_value, d.grad_rt, np.asarray(normal, dtype=float)])
-            rhs = -res
+        J = np.array([d.grad_value, d.grad_rt, row])
         if _too_ill_conditioned(J):
             raise ConvergenceError("corrector Jacobian is numerically singular")
-        step_red = np.linalg.solve(J, rhs)
-        step = np.array([step_red[0], 0.0, step_red[1]]) if hyperplane is None else step_red
+        step = np.linalg.solve(J, -res)
 
         old = float(np.max(np.abs(res)))
         lam = 1.0
@@ -294,14 +311,13 @@ def newton_correct_full(
             trial = x + lam * step
             if trial[0] > 0 and trial[2] > 0:
                 try:
-                    d_new = desing_eval(trial[0], trial[1], trial[2], kind, params, config, grad=True)
+                    d_new, res_new, row_new = evaluate(trial)
                 except FlowError:
                     pass  # trial stepped into a collision: damp further
                 else:
-                    res_new = with_constraint(d_new, trial)
                     new = float(np.max(np.abs(res_new)))
                     if new < old or new <= tol:
-                        x, d, res = trial, d_new, res_new
+                        x, d, res, row = trial, d_new, res_new, row_new
                         accepted = True
                         break
             lam *= 0.5

@@ -4,7 +4,8 @@ Run with -s to see the verdict lines as they happen; each test asserts its
 criterion exactly as stated, so a genuine discrepancy shows up red rather
 than silently relaxed.  Criterion 7 is expected to fail: the closed-form
 phase curvature disagrees with the numeric value by far more than its
-stated 1% band, and the gap is documented in the project notes.
+stated 1% band; ROADMAP item 5 sets out the findings and the open
+derivation.
 """
 import math
 import time
@@ -145,7 +146,7 @@ def test_criterion_07_phase_curvature(params_p, cfg):
         7,
         ok,
         f"xi'(0) = {xi1:.1e} (bound 1e-6); xi''(0) closed form {closed:.6f} vs numeric {xi2:.6f}"
-        + ("" if ok_second else "  [known discrepancy, see project notes]"),
+        + ("" if ok_second else "  [known discrepancy, see ROADMAP item 5]"),
     )
     assert ok_first
     assert ok_second

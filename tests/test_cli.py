@@ -249,6 +249,18 @@ class TestResonance:
         code, _, _ = run(capsys, argv)
         assert code == EXIT_CONFIG
 
+    def test_system_differs_from_the_branch_file(self, capsys, tmp_path, p_branch_file):
+        flags = ["--n", "3", "--m", "4", "--M", "7", "--r0", "11"]
+        argv = [
+            "resonance", *flags,
+            "--branch", str(p_branch_file), "--n1", "3", "--n2", "4",
+            "--out", str(tmp_path),
+        ]
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert "differs from the branch file" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_branch_file(self, capsys, tmp_path):
         argv = [
             "resonance", *P_FLAGS,

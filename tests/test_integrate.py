@@ -10,7 +10,6 @@ from ringorbits.integrate import (
     SINGULAR,
     FlowError,
     IntegratorConfig,
-    dump_reduced_csv,
     _pairwise_sum,
     eval_at,
     flow,
@@ -226,24 +225,3 @@ class TestEvalAt:
         with pytest.raises(ValueError):
             eval_at(params_p.a0, 0.0, -1.0, params_p)
 
-
-class TestDump:
-    def test_csv_samples_reproduce_dense_values(self, params_q, tmp_path):
-        rhs = make_reduced_rhs(params_q, params_q.r0 * 1.84153)
-        res = flow(rhs, reduced_initial(3.79392, params_q), 7.31715, IntegratorConfig(dense=True))
-        res.require_ok()
-        out = tmp_path / "run.csv"
-        dump_reduced_csv(res, out, n_samples=9)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,f,fdot,r,rdot,theta"
-        assert len(lines) == 10
-        for line in lines[1:]:
-            vals = [float(v) for v in line.split(",")]
-            y = res.dense.at(vals[0])
-            assert vals[1:] == [float(v) for v in y[:5]]  # repr round-trips exactly
-
-    def test_requires_dense(self, params_q, tmp_path):
-        rhs = make_reduced_rhs(params_q, params_q.r0 * 1.84153)
-        res = flow(rhs, reduced_initial(3.79392, params_q), 1.0, IntegratorConfig())
-        with pytest.raises(ValueError):
-            dump_reduced_csv(res, tmp_path / "no.csv")

@@ -127,19 +127,6 @@ class TestReducedRhs:
             rhs(3.25, np.array([0.0, 0.0, 1e-12, 0.0, 0.0]))
         assert err.value.t == 3.25
 
-    def test_single_shot_wrappers_match_the_factories(self, params_p):
-        from ringorbits.model import reduced_rhs, variational_rhs
-
-        y5 = np.array([0.2, -0.1, 10.4, 0.3, 0.9])
-        C = 8.5
-        assert np.array_equal(
-            reduced_rhs(1.2, y5, params_p, C), make_reduced_rhs(params_p, C)(1.2, y5)
-        )
-        y15 = augmented_initial(0.3, params_p)
-        assert np.array_equal(
-            variational_rhs(0.0, y15, params_p, C), make_variational_rhs(params_p, C)(0.0, y15)
-        )
-
     @pytest.mark.parametrize(
         "make, initial", [(make_reduced_rhs, reduced_initial), (make_variational_rhs, augmented_initial)]
     )

@@ -1,6 +1,7 @@
 """Resonant members, lifted reconstruction, closure counts, and export."""
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ringorbits.orbits import (
     reconstruct,
     trajectory_filename,
 )
-from ringorbits.shoot import SeedPoint
+from ringorbits.shoot import ConvergenceError, SeedPoint
 
 
 def brute_force_orders(n1, n2, n, k_max=1000):
@@ -74,6 +75,28 @@ class TestFindResonance:
         assert pt.residual <= 1e-9
         printed = np.array([0.866953, 0.187583, 29.4405])
         assert np.max(np.abs(pt.vector() - printed)) < 1e-2
+
+    @pytest.mark.parametrize("n1,n2", [(3, 4), (9, 10)])
+    def test_phase_meets_the_corrector_tolerance(self, p_branch, cfg, n1, n2):
+        target = ResonanceTarget(n1, n2)
+        pt = find_resonance(p_branch, target, cfg, corrector_tol=1e-10)
+        assert abs(pt.theta - target.angle) <= 1e-10
+        assert pt.residual <= 1e-10
+
+    def test_member_outside_its_bracket_is_a_convergence_error(self, p_branch, cfg):
+        # Two stored points near theta = 0.87*pi relabeled so that their
+        # phases bracket 4*pi/5: the real member lies far outside their chord.
+        target = ResonanceTarget(4, 5)
+        near = [bp for bp in p_branch.points if 0.86 * math.pi < bp.point.theta < 0.9 * math.pi]
+        shift = 0.5 * (near[0].point.theta + near[1].point.theta) - target.angle
+        stub = Branch(
+            kind=p_branch.kind,
+            params=p_branch.params,
+            points=[replace(bp, point=replace(bp.point, theta=bp.point.theta - shift)) for bp in near[:2]],
+            termination="budget",
+        )
+        with pytest.raises(ConvergenceError):
+            find_resonance(stub, target, cfg)
 
     def test_angle_outside_branch(self, p_branch, cfg):
         with pytest.raises(ResonanceNotFound):

@@ -11,10 +11,10 @@ from ringorbits.shoot import (
     SeedPoint,
     SymmetryKind,
     desing_eval,
+    hyperplane,
     newton_correct,
     newton_correct_full,
     residual,
-    residual_desing,
 )
 
 
@@ -128,7 +128,7 @@ class TestDesing:
 
         def val(aa, bb, tt):
             dd = desing_eval(aa, bb, tt, SymmetryKind.ODD, params_p, cfg)
-            return np.array([dd.value, dd.rt])
+            return np.array([dd.value, dd.rt, dd.theta])
 
         for i, (lo, hi) in enumerate(
             [
@@ -140,16 +140,11 @@ class TestDesing:
             fd = (hi - lo) / (2.0 * step)
             assert abs(fd[0] - d.grad_value[i]) < 1e-4 * max(1.0, abs(fd[0]))
             assert abs(fd[1] - d.grad_rt[i]) < 1e-4 * max(1.0, abs(fd[1]))
+            assert abs(fd[2] - d.grad_theta[i]) < 1e-4 * max(1.0, abs(fd[2]))
 
     def test_gradients_none_unless_requested(self, params_p, cfg):
         d = desing_eval(params_p.a0, 0.1, 5.0, SymmetryKind.ODD, params_p, cfg)
-        assert d.grad_value is None and d.grad_rt is None
-
-    def test_residual_desing_wrapper(self, params_p, cfg):
-        pt = SeedPoint(a=0.9 * params_p.a0, b=0.25, T=9.0)
-        v, rt = residual_desing(pt, params_p, cfg)
-        d = desing_eval(pt.a, pt.b, pt.T, pt.kind, params_p, cfg)
-        assert (v, rt) == (d.value, d.rt)
+        assert d.grad_value is None and d.grad_rt is None and d.grad_theta is None
 
 
 class TestNewton:
@@ -198,16 +193,36 @@ class TestNewton:
         normal /= np.linalg.norm(normal)
         shifted = x_ref + 0.01 * normal + np.array([0.0, 0.004, -0.01])
         guess = SeedPoint(a=shifted[0], b=shifted[1], T=shifted[2])
-        out = newton_correct(guess, params_p, cfg, tol=1e-10, hyperplane=(shifted, normal))
+        out = newton_correct(guess, params_p, cfg, tol=1e-10, constraint=hyperplane(shifted, normal))
         assert out.residual < 1e-10
         assert abs(float(np.dot(out.vector() - shifted, normal))) < 1e-10
         assert out.b != p1_corrected.b  # b participates in the correction
+
+    def test_fixed_b_bits_are_pinned(self, p1_corrected, q0_corrected):
+        # Recorded with the 2x2 fixed-b solve that the bordered row replaced,
+        # on x86-64 with numpy 2.4: not portable across platforms.
+        assert (p1_corrected.a.hex(), p1_corrected.T.hex()) == (
+            "0x1.c74fd8f7e58efp-1", "0x1.cb53e23fbd9a9p+4"
+        )
+        assert (q0_corrected.a.hex(), q0_corrected.T.hex()) == (
+            "0x1.d76cacbf11a0bp+0", "0x1.d44b395579bf9p+2"
+        )
+        assert q0_corrected.b == 3.79392
+
+    @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.ODD_EVEN])
+    def test_circular_family_keeps_b_exactly_zero(self, params_p, cfg, kind):
+        T = params_p.T0 if kind is SymmetryKind.ODD else 0.5 * params_p.T0
+        seed = SeedPoint(a=1.01 * params_p.a0, b=0.0, T=0.99 * T, kind=kind)
+        out = newton_correct(seed, params_p, cfg, tol=1e-11)
+        assert out.b == 0.0
+        assert out.residual <= 1e-11
 
     def test_full_variant_returns_gradients(self, params_q, cfg):
         seed = SeedPoint(a=1.84153, b=3.79392, T=7.31715)
         point, data = newton_correct_full(seed, params_q, cfg, tol=1e-10)
         assert point.residual < 1e-10
         assert data.grad_value is not None and data.grad_rt is not None
+        assert data.grad_theta is not None
         assert abs(data.value) <= 1e-10 and abs(data.rt) <= 1e-10
 
 
