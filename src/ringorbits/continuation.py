@@ -4,7 +4,10 @@ A family is the zero set of the desingularized residual pair in the
 three parameters (a, b, T).  Its tangent direction is the cross product
 of the two residual gradients; the tracer takes an Euler predictor step
 along the (sign-continuous) unit tangent and corrects in the hyperplane
-orthogonal to it, adapting the step length to corrector failures.
+orthogonal to it, adapting the step length to corrector failures.  Each
+corrector call may spend at most _CORRECTOR_MAX_FLOWS residual
+evaluations: a correction that needs more is crawling, and halving the
+step is cheaper than letting it finish or fail late.
 
 Tracing stops at a crossing of b = 0 (the circular family: the endpoint
 is refined by a fixed-b correction and classified as a trivial limit),
@@ -60,6 +63,13 @@ TERM_COLLISION = "collision"
 TERM_BOUND = "bound"
 TERM_BUDGET = "budget"
 TERM_STEP = "step-failure"
+
+
+# Every corrector call that converges on the reference branches needs at
+# most 12 evaluations ((3, 3, 7, 11): 9; (3, 92, 242, 11): 7 towards the
+# circular family, 12 towards collision); the one stalled call of the
+# (3, 3, 7, 11) trace to T = 42 spent 114 before failing.
+_CORRECTOR_MAX_FLOWS = 12
 
 
 class SingularPointError(RuntimeError):
@@ -195,17 +205,32 @@ def _evaluate_seed(x: np.ndarray, kind: SymmetryKind, params, config) -> SeedPoi
     )
 
 
-def _refine_b_zero(lo: SeedPoint, hi: SeedPoint, params, config, tol) -> SeedPoint | None:
-    """Correct the interpolated b = 0 crossing between two branch points."""
+def _failure_reason(exc: Exception) -> str:
+    """Label of a failed step: the ConvergenceError reason, the FlowError
+    status, or "singular-point" / "value-error"."""
+    if isinstance(exc, ConvergenceError):
+        return exc.reason
+    if isinstance(exc, FlowError):
+        return exc.status
+    if isinstance(exc, SingularPointError):
+        return "singular-point"
+    return "value-error"
+
+
+def _refine_b_zero(lo: SeedPoint, hi: SeedPoint, params, config, tol) -> tuple[SeedPoint | None, str]:
+    """Correct the interpolated b = 0 crossing between two branch points.
+
+    Returns the corrected point and "ok", or None and the failure reason.
+    """
     db = hi.b - lo.b
     w = 0.5 if db == 0.0 else min(max(-lo.b / db, 0.0), 1.0)
     a = lo.a + w * (hi.a - lo.a)
     T = lo.T + w * (hi.T - lo.T)
     try:
         guess = SeedPoint(a=a, b=0.0, T=T, kind=lo.kind)
-        return newton_correct(guess, params, config, tol=tol)
-    except (ConvergenceError, FlowError, ValueError):
-        return None
+        return newton_correct(guess, params, config, tol=tol), "ok"
+    except (ConvergenceError, FlowError, ValueError) as exc:
+        return None, _failure_reason(exc)
 
 
 def continue_branch(
@@ -222,6 +247,15 @@ def continue_branch(
     direction (+1 or -1) orients the first step along or against the raw
     tangent; afterwards the orientation follows by continuity.  The start
     must already satisfy the residuals (correct it first if unsure).
+
+    Each corrector call gets a budget of _CORRECTOR_MAX_FLOWS residual
+    evaluations.  A failed step (corrector failure, flow failure, singular
+    point, tangent turn or a predictor outside a > 0, T > 0) halves ds and
+    is retried; ds below ds_min ends the trace.  `Branch.stats` holds
+    `failed_predictor_steps` (their total), `failures` (their count per
+    reason: a ConvergenceError reason, a FlowError status, "singular-point"
+    or "value-error"), `ds_final`, and, after a b = 0 crossing,
+    `b_zero_refine` ("ok" or the reason the endpoint correction failed).
     """
     if direction not in (-1, 1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
@@ -237,8 +271,8 @@ def continue_branch(
 
     ds = step.ds0
     streak = 0
-    n_failed = 0
-    last_failure_singular = False
+    failures: dict[str, int] = {}
+    stats: dict = {}
     termination = None
 
     while termination is None:
@@ -250,32 +284,25 @@ def continue_branch(
         pred = x_prev + ds * prev_bp.tangent
         try:
             if pred[0] <= 0 or pred[2] <= 0:
-                raise ConvergenceError("predictor left the parameter domain")
+                raise ConvergenceError("predictor left the parameter domain", "domain")
             guess = SeedPoint(a=float(pred[0]), b=float(pred[1]), T=float(pred[2]), kind=kind)
             corrected, dcorr = newton_correct_full(
                 guess, params, config, tol=corrector_tol,
                 constraint=hyperplane(pred, prev_bp.tangent),
+                max_flows=_CORRECTOR_MAX_FLOWS,
             )
             unit, xn = _tangent_from(
                 dcorr, (corrected.a, corrected.b, corrected.T), prev_bp.tangent
             )
             if float(np.dot(unit, prev_bp.tangent)) < step.cos_min:
-                raise ConvergenceError("tangent turned too sharply: likely branch hop")
-        except (ConvergenceError, SingularPointError, ValueError):
-            n_failed += 1
-            last_failure_singular = False
+                raise ConvergenceError("tangent turned too sharply: likely branch hop", "tangent-turn")
+        except (ConvergenceError, SingularPointError, ValueError, FlowError) as exc:
+            reason = _failure_reason(exc)
+            failures[reason] = failures.get(reason, 0) + 1
             ds *= 0.5
             streak = 0
             if ds < step.ds_min:
-                termination = TERM_STEP
-            continue
-        except FlowError as exc:
-            n_failed += 1
-            last_failure_singular = exc.status == SINGULAR
-            ds *= 0.5
-            streak = 0
-            if ds < step.ds_min:
-                termination = TERM_COLLISION if last_failure_singular else TERM_STEP
+                termination = TERM_COLLISION if reason == SINGULAR else TERM_STEP
             continue
 
         arc = prev_bp.arc + float(np.linalg.norm(corrected.vector() - x_prev))
@@ -286,7 +313,9 @@ def continue_branch(
         approaching_zero = abs(corrected.b) <= stop.b_tol and abs(corrected.b) < abs(prev_b)
         if crossed or approaching_zero:
             points.append(new_bp)
-            refined = _refine_b_zero(prev_bp.point, corrected, params, config, corrector_tol)
+            refined, stats["b_zero_refine"] = _refine_b_zero(
+                prev_bp.point, corrected, params, config, corrector_tol
+            )
             if refined is not None:
                 arc2 = arc + float(np.linalg.norm(refined.vector() - corrected.vector()))
                 points.append(BranchPoint(point=refined, tangent=unit, x_norm=xn, arc=arc2))
@@ -312,7 +341,12 @@ def continue_branch(
         params=params,
         points=points,
         termination=termination,
-        stats={"failed_predictor_steps": n_failed, "ds_final": ds},
+        stats={
+            "failed_predictor_steps": sum(failures.values()),
+            "failures": failures,
+            "ds_final": ds,
+            **stats,
+        },
     )
 
 

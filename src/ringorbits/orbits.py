@@ -136,7 +136,8 @@ def find_resonance(
     w = float(np.dot(pt.vector() - x_lo, chord) / np.dot(chord, chord))
     if not 0.0 <= w <= 1.0:
         raise ConvergenceError(
-            f"phase {angle!r} solved at chord position {w:.3f}, outside its bracket [0, 1]"
+            f"phase {angle!r} solved at chord position {w:.3f}, outside its bracket [0, 1]",
+            "off-bracket",
         )
     return pt
 
@@ -263,14 +264,12 @@ def export(traj: Trajectory, fmt: str, path) -> None:
     Floats are written with repr, so a JSON export re-imports bit for bit.
     """
     if fmt == "csv":
+        rows = zip(traj.times.tolist(), traj.positions.tolist(), traj.velocities.tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,body,x,y,z,vx,vy,vz\n")
-            for i, t in enumerate(traj.times):
-                for body in range(traj.positions.shape[1]):
-                    p = traj.positions[i, body]
-                    v = traj.velocities[i, body]
-                    row = (float(t), *map(float, p), *map(float, v))
-                    fh.write(f"{row[0]!r},{body}," + ",".join(repr(x) for x in row[1:]) + "\n")
+            for t, bodies_p, bodies_v in rows:
+                for body, ((x, y, z), (vx, vy, vz)) in enumerate(zip(bodies_p, bodies_v)):
+                    fh.write(f"{t!r},{body},{x!r},{y!r},{z!r},{vx!r},{vy!r},{vz!r}\n")
     elif fmt == "json":
         payload = {
             "params": traj.params.to_dict(),

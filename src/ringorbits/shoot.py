@@ -20,6 +20,14 @@ Newton solves the bordered 3x3 system [grad value; grad R_t; grad c]
 (Allgower & Georg, ch. 2).  The third row is built by `fixed_b` (b held),
 `hyperplane` (pseudo-arclength continuation) or `phase` (the member whose
 ring phase is a given angle).
+
+The corrector's work is bounded: at most max_iter Newton steps of at most
+nine line-search trials each, and, when the caller passes max_flows, at
+most that many residual evaluations (one flow each away from b = 0, two
+at b = 0).  Continuation passes a small max_flows so that a crawling
+correction fails fast and the step is retried shorter.  Every failure
+raises ConvergenceError with a `reason` that names the bound or condition
+that stopped it.
 """
 
 from __future__ import annotations
@@ -57,7 +65,21 @@ _MAX_HALVINGS = 8
 
 
 class ConvergenceError(RuntimeError):
-    """The Newton corrector failed to reach the requested tolerance."""
+    """A corrector, or a continuation step built on it, did not converge.
+
+    `reason` classifies the failure:
+      budget             the max_flows residual evaluations were spent
+      max-iter           max_iter Newton steps were taken
+      line-search        no damped trial decreased the residual
+      singular-jacobian  the bordered Jacobian is numerically singular
+      domain             a continuation predictor left a > 0, T > 0
+      tangent-turn       a continuation step turned the tangent too sharply
+      off-bracket        a resonance was solved outside its bracket
+    """
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class SymmetryKind(enum.Enum):
@@ -248,6 +270,7 @@ def newton_correct(
     tol: float = 1e-10,
     max_iter: int = 25,
     constraint: Constraint | None = None,
+    max_flows: int | None = None,
 ) -> SeedPoint:
     """Newton-correct a seed onto the family and one extra condition.
 
@@ -260,12 +283,19 @@ def newton_correct(
     returned after the initial evaluation, so max_iter=0 asserts
     convergence.
 
-    Raises ConvergenceError when the iteration stalls, the Jacobian is
-    numerically singular, or max_iter is exhausted; integration failures
-    (e.g. a trial driven into collision) propagate as FlowError.
+    max_flows bounds the calls of `desing_eval`, the initial evaluation
+    and rejected trials included; None leaves only the max_iter bound.
+    The call that would exceed it raises instead.
+
+    Raises ConvergenceError, with `reason` "line-search", "singular-jacobian",
+    "max-iter" or "budget", when the line search stalls, the Jacobian is
+    numerically singular, max_iter is exhausted or max_flows is spent;
+    integration failures (e.g. a trial driven into collision) propagate as
+    FlowError.
     """
     point, _ = newton_correct_full(
-        guess, params, config, tol=tol, max_iter=max_iter, constraint=constraint
+        guess, params, config, tol=tol, max_iter=max_iter, constraint=constraint,
+        max_flows=max_flows,
     )
     return point
 
@@ -278,14 +308,23 @@ def newton_correct_full(
     tol: float = 1e-10,
     max_iter: int = 25,
     constraint: Constraint | None = None,
+    max_flows: int | None = None,
 ) -> tuple[SeedPoint, DesingPoint]:
     """Like `newton_correct` but also returns the residual data (with
     gradients) at the corrected point, so callers can reuse them."""
     kind = guess.kind
     if constraint is None:
         constraint = fixed_b(guess.b)
+    n_evals = 0
 
     def evaluate(xv):
+        nonlocal n_evals
+        if max_flows is not None and n_evals >= max_flows:
+            raise ConvergenceError(
+                f"flow budget spent: {max_flows} residual evaluations without reaching {tol:.1e}",
+                "budget",
+            )
+        n_evals += 1
         dv = desing_eval(xv[0], xv[1], xv[2], kind, params, config, grad=True)
         c, row = constraint(xv, dv)
         return dv, np.array([dv.value, dv.rt, c]), row
@@ -296,12 +335,13 @@ def newton_correct_full(
     while float(np.max(np.abs(res))) > tol:
         if it >= max_iter:
             raise ConvergenceError(
-                f"no convergence after {max_iter} iterations; residual {float(np.max(np.abs(res))):.3e}"
+                f"no convergence after {max_iter} iterations; residual {float(np.max(np.abs(res))):.3e}",
+                "max-iter",
             )
         it += 1
         J = np.array([d.grad_value, d.grad_rt, row])
         if _too_ill_conditioned(J):
-            raise ConvergenceError("corrector Jacobian is numerically singular")
+            raise ConvergenceError("corrector Jacobian is numerically singular", "singular-jacobian")
         step = np.linalg.solve(J, -res)
 
         old = float(np.max(np.abs(res)))
@@ -323,7 +363,8 @@ def newton_correct_full(
             lam *= 0.5
         if not accepted:
             raise ConvergenceError(
-                f"line search stalled after {_MAX_HALVINGS} halvings; residual {old:.3e}"
+                f"line search stalled after {_MAX_HALVINGS} halvings; residual {old:.3e}",
+                "line-search",
             )
     point = SeedPoint(
         a=float(x[0]),

@@ -1,6 +1,7 @@
 """Shared fixtures: the two reference systems and expensive session artifacts."""
 import pytest
 
+from ringorbits import continuation, shoot
 from ringorbits.continuation import StepControl, StopRules, continue_branch, tangent
 from ringorbits.integrate import IntegratorConfig
 from ringorbits.model import SystemParams
@@ -41,10 +42,37 @@ def direction_of_increasing_b(point, params, cfg):
 
 
 @pytest.fixture(scope="session")
-def p_branch(params_p, cfg, p1_corrected):
-    """The odd family away from the trivial line, far enough to pass theta = pi."""
+def p_branch_traced(params_p, cfg, p1_corrected):
+    """The odd family away from the trivial line, far enough to pass theta = pi,
+    with the flows each continuation corrector call spent."""
+    flows, per_call = [0], []
+
+    def count_flows(inner):
+        def counted(*args, **kwargs):
+            flows[0] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    def record_calls(inner):
+        def recorded(*args, **kwargs):
+            before = flows[0]
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                per_call.append(flows[0] - before)
+        return recorded
+
     direction = direction_of_increasing_b(p1_corrected, params_p, cfg)
-    return continue_branch(
-        p1_corrected, direction, params_p, cfg,
-        step=StepControl(), stop=StopRules(T_max=42.0),
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shoot, "eval_at", count_flows(shoot.eval_at))
+        mp.setattr(continuation, "newton_correct_full", record_calls(continuation.newton_correct_full))
+        branch = continue_branch(
+            p1_corrected, direction, params_p, cfg,
+            step=StepControl(), stop=StopRules(T_max=42.0),
+        )
+    return branch, per_call
+
+
+@pytest.fixture(scope="session")
+def p_branch(p_branch_traced):
+    return p_branch_traced[0]

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ringorbits import cli
 from ringorbits.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERIC, EXIT_OK, main
 from ringorbits.continuation import branch_to_json
 
@@ -306,6 +307,22 @@ class TestVerify:
         assert code == EXIT_NUMERIC
         assert "verdict       FAIL" in out
         assert "residual" in out
+
+
+    def test_config_file_is_read_once(self, capsys, tmp_path, monkeypatch, q0_corrected):
+        cfgfile = tmp_path / "sys.json"
+        cfgfile.write_text(json.dumps({"n": 3, "m": 92, "M": 242, "r0": 11}))
+        reads = []
+        inner = cli._load_config_file
+        monkeypatch.setattr(cli, "_load_config_file", lambda path: reads.append(path) or inner(path))
+        argv = [
+            "verify", "--config", str(cfgfile),
+            "--a", repr(q0_corrected.a), "--b", repr(q0_corrected.b), "--T", repr(q0_corrected.T),
+        ]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert reads == [str(cfgfile)]
+        assert "theta(T)" in out
 
 
 class TestPlumbing:

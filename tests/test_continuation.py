@@ -12,6 +12,7 @@ from ringorbits.continuation import (
     TERM_BOUND,
     TERM_BUDGET,
     TERM_COLLISION,
+    _refine_b_zero,
     branch_from_json,
     branch_summary,
     branch_to_csv,
@@ -125,6 +126,7 @@ class TestContinueBranch:
         report = classify_endpoint(br)
         assert report.label == "trivial-limit"
         assert br.end.b == 0.0  # the crossing is refined at exactly b = 0
+        assert br.stats["b_zero_refine"] == "ok"
         assert report.detail["delta_a"] < 1e-6
         assert report.detail["delta_T"] < 1e-6
 
@@ -165,6 +167,38 @@ class TestContinueBranch:
         report = classify_endpoint(br)
         assert report.label == "collision"
         assert report.endpoint.a < 1e-3 * params_q.a0
+        # every rejected step predicted a <= 0 as a shrinks towards collision
+        assert br.stats["failures"] == {"domain": 6}
+        assert br.stats["failed_predictor_steps"] == 6
+
+
+class TestCorrectorBudget:
+    def test_no_corrector_call_exceeds_twelve_flows(self, p_branch_traced):
+        branch, flows = p_branch_traced
+        assert len(flows) == 22
+        assert max(flows) <= 12
+        # one call crawls at residuals near 1.7e-4; it fails at its budget
+        # and the step is retried at half the length
+        assert branch.stats["failures"] == {"budget": 1}
+        assert branch.stats["failed_predictor_steps"] == 1
+        assert "b_zero_refine" not in branch.stats
+
+    def test_light_branch_bits_are_pinned(self, p_branch):
+        # Recorded with an unbudgeted corrector on x86-64 (not portable): the
+        # budget ends only the call that failed anyway, so the accepted
+        # points are unchanged.
+        assert len(p_branch) == 22
+        end = p_branch.end
+        assert (end.a.hex(), end.b.hex(), end.T.hex()) == (
+            "0x1.0439167dfa10bp-1",
+            "0x1.50ae4dc5de5dap-1",
+            "0x1.52711cc621e5cp+5",
+        )
+
+    def test_refine_b_zero_reports_why_it_failed(self, params_p, cfg):
+        far = {"a": 3.0 * params_p.a0, "T": 0.3 * params_p.T0}
+        lo, hi = SeedPoint(b=0.01, **far), SeedPoint(b=-0.01, **far)
+        assert _refine_b_zero(lo, hi, params_p, cfg, 1e-10) == (None, "max-iter")
 
 
 class TestStepAndStopDefaults:

@@ -95,8 +95,9 @@ class TestFindResonance:
             points=[replace(bp, point=replace(bp.point, theta=bp.point.theta - shift)) for bp in near[:2]],
             termination="budget",
         )
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as info:
             find_resonance(stub, target, cfg)
+        assert info.value.reason == "off-bracket"
 
     def test_angle_outside_branch(self, p_branch, cfg):
         with pytest.raises(ResonanceNotFound):

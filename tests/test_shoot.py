@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ringorbits import shoot
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.model import make_reduced_rhs, reduced_initial
 from ringorbits.shoot import (
@@ -147,6 +148,19 @@ class TestDesing:
         assert d.grad_value is None and d.grad_rt is None and d.grad_theta is None
 
 
+def _count_desing_evals(monkeypatch) -> list:
+    """Record every residual evaluation the corrector makes."""
+    calls = []
+    inner = shoot.desing_eval
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(shoot, "desing_eval", counted)
+    return calls
+
+
 class TestNewton:
     def test_fixed_b_correction_from_family_seed(self, p1_corrected):
         # validated against the printed member at b = 0.05
@@ -184,8 +198,38 @@ class TestNewton:
 
     def test_unconverged_budget_raises(self, params_p, cfg):
         seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as info:
             newton_correct(seed, params_p, cfg, tol=1e-12, max_iter=0)
+        assert info.value.reason == "max-iter"
+
+    def test_flow_budget_counts_every_evaluation(self, p1_corrected, params_p, cfg, monkeypatch):
+        evals = _count_desing_evals(monkeypatch)
+        seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        assert newton_correct(seed, params_p, cfg, tol=1e-12) == p1_corrected
+        assert len(evals) == 4  # the first evaluation and three accepted steps
+        # a budget the converging evaluation just fits in changes nothing
+        assert newton_correct(seed, params_p, cfg, tol=1e-12, max_flows=4) == p1_corrected
+        evals.clear()
+        with pytest.raises(ConvergenceError) as info:
+            newton_correct(seed, params_p, cfg, tol=1e-12, max_flows=3)
+        assert info.value.reason == "budget"
+        assert len(evals) == 3
+
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_flow_budget_stops_a_stalled_call(self, params_p, cfg, monkeypatch, k):
+        # Predictor and tangent of the corrector call on the (3, 3, 7, 11)
+        # trace to T = 42 that crawls at residuals near 1.7e-4; without a
+        # budget it spends 114 flows and ends at max_iter.
+        x = np.array([float.fromhex(h) for h in (
+            "0x1.f2dfeb74bf037p-2", "0x1.5764cb2b50a1fp-1", "0x1.57c1f1bb77496p+5")])
+        normal = np.array([float.fromhex(h) for h in (
+            "-0x1.185999dfda261p-5", "0x1.46cc1be6895efp-6", "0x1.ff9921daf431cp-1")])
+        evals = _count_desing_evals(monkeypatch)
+        guess = SeedPoint(a=x[0], b=x[1], T=x[2])
+        with pytest.raises(ConvergenceError) as info:
+            newton_correct(guess, params_p, cfg, constraint=hyperplane(x, normal), max_flows=k)
+        assert info.value.reason == "budget"
+        assert len(evals) == k
 
     def test_hyperplane_constraint_enforced(self, p1_corrected, params_p, cfg):
         x_ref = p1_corrected.vector()
