@@ -30,7 +30,7 @@ from .orbits import (
     reconstruct,
     trajectory_filename,
 )
-from .shoot import ConvergenceError, SeedPoint, SymmetryKind, newton_correct, residual
+from .shoot import ConvergenceError, SeedPoint, SymmetryKind, newton_correct, residual_of
 
 OUT_ENV = "RINGORBITS_OUT"
 
@@ -331,7 +331,8 @@ def _cmd_orbit(args) -> int:
 def _cmd_verify(args) -> int:
     params, config = _system_from(args)
     point = _seed_from_args(args)
-    r1, r2 = residual(point, params, config)
+    e = eval_at(point.a, point.b, point.T, params, config)
+    r1, r2 = residual_of(e, point.kind)
     traj = reconstruct(point, params, periods=1, samples_per_period=256, config=config)
     d = traj.diagnostics
     checks = [
@@ -347,8 +348,7 @@ def _cmd_verify(args) -> int:
         good = value <= bound
         ok = ok and good
         print(f"{name:14s} {_g(value):>12s}  (<= {_g(bound)})  {'pass' if good else 'FAIL'}")
-    # The phase is reported, not checked; `residual` returns only the pair.
-    print(f"theta(T)      {_g(eval_at(point.a, point.b, point.T, params, config).Theta)}")
+    print(f"theta(T)      {_g(e.Theta)}")
     print("verdict       " + ("pass" if ok else "FAIL"))
     return EXIT_OK if ok else EXIT_NUMERIC
 

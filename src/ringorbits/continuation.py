@@ -5,9 +5,9 @@ three parameters (a, b, T).  Its tangent direction is the cross product
 of the two residual gradients; the tracer takes an Euler predictor step
 along the (sign-continuous) unit tangent and corrects in the hyperplane
 orthogonal to it, adapting the step length to corrector failures.  Each
-corrector call may spend at most _CORRECTOR_MAX_FLOWS residual
-evaluations: a correction that needs more is crawling, and halving the
-step is cheaper than letting it finish or fail late.
+corrector call may run at most _CORRECTOR_MAX_FLOWS flows: a correction
+that needs more is crawling, and halving the step is cheaper than letting
+it finish or fail late.
 
 Tracing stops at a crossing of b = 0 (the circular family: the endpoint
 is refined by a fixed-b correction and classified as a trivial limit),
@@ -65,10 +65,13 @@ TERM_BUDGET = "budget"
 TERM_STEP = "step-failure"
 
 
-# Every corrector call that converges on the reference branches needs at
-# most 12 evaluations ((3, 3, 7, 11): 9; (3, 92, 242, 11): 7 towards the
-# circular family, 12 towards collision); the one stalled call of the
-# (3, 3, 7, 11) trace to T = 42 spent 114 before failing.
+# The observed maximum, with no margin: every corrector call that converges
+# on the three reference branches runs at most 12 flows ((3, 3, 7, 11): 9;
+# (3, 92, 242, 11): 7 towards the circular family, 12 towards collision),
+# and the one stalled call of the (3, 3, 7, 11) trace to T = 42 ran 114
+# before failing.  On other systems or tolerances a call that would
+# converge in 13 or more flows is rejected too, and its step is retried
+# at half the length.
 _CORRECTOR_MAX_FLOWS = 12
 
 
@@ -248,10 +251,10 @@ def continue_branch(
     tangent; afterwards the orientation follows by continuity.  The start
     must already satisfy the residuals (correct it first if unsure).
 
-    Each corrector call gets a budget of _CORRECTOR_MAX_FLOWS residual
-    evaluations.  A failed step (corrector failure, flow failure, singular
-    point, tangent turn or a predictor outside a > 0, T > 0) halves ds and
-    is retried; ds below ds_min ends the trace.  `Branch.stats` holds
+    Each corrector call gets a budget of _CORRECTOR_MAX_FLOWS flows.  A
+    failed step (corrector failure, flow failure, singular point, tangent
+    turn or a predictor outside a > 0, T > 0) halves ds and is retried;
+    ds below ds_min ends the trace.  `Branch.stats` holds
     `failed_predictor_steps` (their total), `failures` (their count per
     reason: a ConvergenceError reason, a FlowError status, "singular-point"
     or "value-error"), `ds_final`, and, after a b = 0 crossing,
@@ -272,7 +275,7 @@ def continue_branch(
     ds = step.ds0
     streak = 0
     failures: dict[str, int] = {}
-    stats: dict = {}
+    b_zero_refine = None
     termination = None
 
     while termination is None:
@@ -313,7 +316,7 @@ def continue_branch(
         approaching_zero = abs(corrected.b) <= stop.b_tol and abs(corrected.b) < abs(prev_b)
         if crossed or approaching_zero:
             points.append(new_bp)
-            refined, stats["b_zero_refine"] = _refine_b_zero(
+            refined, b_zero_refine = _refine_b_zero(
                 prev_bp.point, corrected, params, config, corrector_tol
             )
             if refined is not None:
@@ -336,18 +339,10 @@ def continue_branch(
             ds = min(ds * step.grow, step.ds_max)
             streak = 0
 
-    return Branch(
-        kind=kind,
-        params=params,
-        points=points,
-        termination=termination,
-        stats={
-            "failed_predictor_steps": sum(failures.values()),
-            "failures": failures,
-            "ds_final": ds,
-            **stats,
-        },
-    )
+    stats = {"failed_predictor_steps": sum(failures.values()), "failures": failures, "ds_final": ds}
+    if b_zero_refine is not None:
+        stats["b_zero_refine"] = b_zero_refine
+    return Branch(kind=kind, params=params, points=points, termination=termination, stats=stats)
 
 
 @dataclass(frozen=True)

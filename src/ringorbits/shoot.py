@@ -22,12 +22,12 @@ Newton solves the bordered 3x3 system [grad value; grad R_t; grad c]
 ring phase is a given angle).
 
 The corrector's work is bounded: at most max_iter Newton steps of at most
-nine line-search trials each, and, when the caller passes max_flows, at
-most that many residual evaluations (one flow each away from b = 0, two
-at b = 0).  Continuation passes a small max_flows so that a crawling
-correction fails fast and the step is retried shorter.  Every failure
-raises ConvergenceError with a `reason` that names the bound or condition
-that stopped it.
+nine line-search trials each, and, when the caller of
+`newton_correct_full` passes max_flows, at most that many flows (one per
+residual evaluation away from b = 0, two at b = 0).  Continuation passes
+a small max_flows so that a crawling correction fails fast and the step
+is retried shorter.  Every failure raises ConvergenceError with a
+`reason` that names the bound or condition that stopped it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrate import FlowError, IntegratorConfig, eval_at
+from .integrate import EvalPoint, FlowError, IntegratorConfig, eval_at
 from .model import SystemParams
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "SeedPoint",
     "ConvergenceError",
     "residual",
+    "residual_of",
     "desing_eval",
     "DesingPoint",
     "fixed_b",
@@ -68,7 +69,7 @@ class ConvergenceError(RuntimeError):
     """A corrector, or a continuation step built on it, did not converge.
 
     `reason` classifies the failure:
-      budget             the max_flows residual evaluations were spent
+      budget             the max_flows flows were spent
       max-iter           max_iter Newton steps were taken
       line-search        no damped trial decreased the residual
       singular-jacobian  the bordered Jacobian is numerically singular
@@ -160,9 +161,12 @@ class SeedPoint:
 
 def residual(point: SeedPoint, params: SystemParams, config: IntegratorConfig | None = None):
     """Raw residual pair: (F, R_t) for odd, (F_t, R_t) for odd/even."""
-    e = eval_at(point.a, point.b, point.T, params, config)
-    first = e.F if point.kind is SymmetryKind.ODD else e.Ft
-    return first, e.Rt
+    return residual_of(eval_at(point.a, point.b, point.T, params, config), point.kind)
+
+
+def residual_of(e: EvalPoint, kind: SymmetryKind) -> tuple[float, float]:
+    """The raw residual pair read off a flow already evaluated at the point."""
+    return (e.F if kind is SymmetryKind.ODD else e.Ft), e.Rt
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,6 @@ def newton_correct(
     tol: float = 1e-10,
     max_iter: int = 25,
     constraint: Constraint | None = None,
-    max_flows: int | None = None,
 ) -> SeedPoint:
     """Newton-correct a seed onto the family and one extra condition.
 
@@ -281,21 +284,15 @@ def newton_correct(
     Each update is damped by a line search on the max-norm of the three
     residuals (at most 8 halvings).  A guess that already meets `tol` is
     returned after the initial evaluation, so max_iter=0 asserts
-    convergence.
+    convergence.  No flow budget applies; `newton_correct_full` takes one.
 
-    max_flows bounds the calls of `desing_eval`, the initial evaluation
-    and rejected trials included; None leaves only the max_iter bound.
-    The call that would exceed it raises instead.
-
-    Raises ConvergenceError, with `reason` "line-search", "singular-jacobian",
-    "max-iter" or "budget", when the line search stalls, the Jacobian is
-    numerically singular, max_iter is exhausted or max_flows is spent;
-    integration failures (e.g. a trial driven into collision) propagate as
-    FlowError.
+    Raises ConvergenceError, with `reason` "line-search", "singular-jacobian"
+    or "max-iter", when the line search stalls, the Jacobian is numerically
+    singular or max_iter is exhausted; integration failures (e.g. a trial
+    driven into collision) propagate as FlowError.
     """
     point, _ = newton_correct_full(
-        guess, params, config, tol=tol, max_iter=max_iter, constraint=constraint,
-        max_flows=max_flows,
+        guess, params, config, tol=tol, max_iter=max_iter, constraint=constraint
     )
     return point
 
@@ -311,20 +308,27 @@ def newton_correct_full(
     max_flows: int | None = None,
 ) -> tuple[SeedPoint, DesingPoint]:
     """Like `newton_correct` but also returns the residual data (with
-    gradients) at the corrected point, so callers can reuse them."""
+    gradients) at the corrected point, so callers can reuse them.
+
+    max_flows bounds the flows the call runs, the initial evaluation and
+    rejected line-search trials included; None leaves only the max_iter
+    bound.  An evaluation that would exceed it raises ConvergenceError
+    with `reason` "budget" instead of running.
+    """
     kind = guess.kind
     if constraint is None:
         constraint = fixed_b(guess.b)
-    n_evals = 0
+    n_flows = 0
 
     def evaluate(xv):
-        nonlocal n_evals
-        if max_flows is not None and n_evals >= max_flows:
+        nonlocal n_flows
+        # desing_eval with gradients flows twice at b = 0, once elsewhere
+        n_flows += 2 if xv[1] == 0.0 else 1
+        if max_flows is not None and n_flows > max_flows:
             raise ConvergenceError(
-                f"flow budget spent: {max_flows} residual evaluations without reaching {tol:.1e}",
+                f"flow budget spent: {max_flows} flows without reaching {tol:.1e}",
                 "budget",
             )
-        n_evals += 1
         dv = desing_eval(xv[0], xv[1], xv[2], kind, params, config, grad=True)
         c, row = constraint(xv, dv)
         return dv, np.array([dv.value, dv.rt, c]), row

@@ -308,6 +308,18 @@ class TestVerify:
         assert "verdict       FAIL" in out
         assert "residual" in out
 
+    def test_checked_pair_and_phase_share_one_flow(self, capsys, monkeypatch, q0_corrected):
+        flows = []
+        inner = cli.eval_at
+        monkeypatch.setattr(cli, "eval_at", lambda *a, **k: flows.append(a) or inner(*a, **k))
+        argv = [
+            "verify", *Q_FLAGS,
+            "--a", repr(q0_corrected.a), "--b", repr(q0_corrected.b), "--T", repr(q0_corrected.T),
+        ]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert len(flows) == 1
+        assert "theta(T)" in out
 
     def test_config_file_is_read_once(self, capsys, tmp_path, monkeypatch, q0_corrected):
         cfgfile = tmp_path / "sys.json"

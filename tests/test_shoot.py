@@ -148,16 +148,16 @@ class TestDesing:
         assert d.grad_value is None and d.grad_rt is None and d.grad_theta is None
 
 
-def _count_desing_evals(monkeypatch) -> list:
-    """Record every residual evaluation the corrector makes."""
+def _count_flows(monkeypatch) -> list:
+    """Record every flow the corrector runs (the unit of max_flows)."""
     calls = []
-    inner = shoot.desing_eval
+    inner = shoot.eval_at
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(shoot, "desing_eval", counted)
+    monkeypatch.setattr(shoot, "eval_at", counted)
     return calls
 
 
@@ -203,17 +203,29 @@ class TestNewton:
         assert info.value.reason == "max-iter"
 
     def test_flow_budget_counts_every_evaluation(self, p1_corrected, params_p, cfg, monkeypatch):
-        evals = _count_desing_evals(monkeypatch)
+        flows = _count_flows(monkeypatch)
         seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
-        assert newton_correct(seed, params_p, cfg, tol=1e-12) == p1_corrected
-        assert len(evals) == 4  # the first evaluation and three accepted steps
+        assert newton_correct_full(seed, params_p, cfg, tol=1e-12)[0] == p1_corrected
+        assert len(flows) == 4  # the first evaluation and three accepted steps
         # a budget the converging evaluation just fits in changes nothing
-        assert newton_correct(seed, params_p, cfg, tol=1e-12, max_flows=4) == p1_corrected
-        evals.clear()
+        assert newton_correct_full(seed, params_p, cfg, tol=1e-12, max_flows=4)[0] == p1_corrected
+        flows.clear()
         with pytest.raises(ConvergenceError) as info:
-            newton_correct(seed, params_p, cfg, tol=1e-12, max_flows=3)
+            newton_correct_full(seed, params_p, cfg, tol=1e-12, max_flows=3)
         assert info.value.reason == "budget"
-        assert len(evals) == 3
+        assert len(flows) == 3
+
+    def test_flow_budget_counts_two_flows_per_evaluation_at_b_zero(self, params_p, cfg, monkeypatch):
+        # the bifurcation point already solves the b = 0 correction, but its
+        # desingularized gradient needs a second, augmented flow
+        flows = _count_flows(monkeypatch)
+        seed = SeedPoint(a=params_p.a0, b=0.0, T=params_p.T0)
+        with pytest.raises(ConvergenceError) as info:
+            newton_correct_full(seed, params_p, cfg, max_flows=1)
+        assert info.value.reason == "budget"
+        assert flows == []
+        assert newton_correct_full(seed, params_p, cfg, max_flows=2)[0].b == 0.0
+        assert len(flows) == 2
 
     @pytest.mark.parametrize("k", [1, 12])
     def test_flow_budget_stops_a_stalled_call(self, params_p, cfg, monkeypatch, k):
@@ -224,12 +236,12 @@ class TestNewton:
             "0x1.f2dfeb74bf037p-2", "0x1.5764cb2b50a1fp-1", "0x1.57c1f1bb77496p+5")])
         normal = np.array([float.fromhex(h) for h in (
             "-0x1.185999dfda261p-5", "0x1.46cc1be6895efp-6", "0x1.ff9921daf431cp-1")])
-        evals = _count_desing_evals(monkeypatch)
+        flows = _count_flows(monkeypatch)
         guess = SeedPoint(a=x[0], b=x[1], T=x[2])
         with pytest.raises(ConvergenceError) as info:
-            newton_correct(guess, params_p, cfg, constraint=hyperplane(x, normal), max_flows=k)
+            newton_correct_full(guess, params_p, cfg, constraint=hyperplane(x, normal), max_flows=k)
         assert info.value.reason == "budget"
-        assert len(evals) == k
+        assert len(flows) == k
 
     def test_hyperplane_constraint_enforced(self, p1_corrected, params_p, cfg):
         x_ref = p1_corrected.vector()
