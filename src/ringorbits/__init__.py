@@ -22,7 +22,6 @@ from .continuation import (
 from .integrate import EvalPoint, FlowResult, IntegratorConfig, eval_at, flow
 from .model import (
     CartesianState,
-    ReducedState,
     SystemParams,
     cartesian_lift,
     full_rhs,
@@ -50,7 +49,6 @@ __all__ = [
     "EvalPoint",
     "FlowResult",
     "IntegratorConfig",
-    "ReducedState",
     "ResonanceTarget",
     "SeedPoint",
     "StepControl",

@@ -242,6 +242,7 @@ def _cmd_trace(args) -> int:
     params, config = _system_from(args)
     if (args.seed_file is None) == (args.seed_b is None):
         raise ConfigError("trace needs exactly one of --seed-file or --seed-b")
+    step = cont.StepControl(ds_max=args.ds_max, ds_min=args.ds_min)
     if args.seed_file:
         try:
             with open(args.seed_file, "r", encoding="utf-8") as fh:
@@ -253,7 +254,6 @@ def _cmd_trace(args) -> int:
         rep = bifurcation_point(params, kind)
         guess = SeedPoint(a=rep.a0, b=args.seed_b, T=rep.T_star, kind=kind)
         start = newton_correct(guess, params, config)
-    step = cont.StepControl(ds_max=args.ds_max, ds_min=args.ds_min)
     stop = cont.StopRules(max_points=args.max_points, b_tol=args.b_tol)
     direction = 1 if args.direction == "+" else -1
     branch = cont.continue_branch(start, direction, params, config, step=step, stop=stop)

@@ -98,6 +98,12 @@ class StepControl:
     grow_after: int = 4
     cos_min: float = 0.5
 
+    def __post_init__(self):
+        for name in ("ds0", "ds_min", "ds_max"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
     def resolved(self, params: SystemParams) -> "StepControl":
         ds_max = self.ds_max if self.ds_max is not None else 0.05 * max(1.0, params.T0)
         ds0 = self.ds0 if self.ds0 is not None else ds_max / 4.0

@@ -12,7 +12,9 @@ costs more than the arithmetic.  Each component is computed with the
 operations numpy applied to whole vectors, in the same order (left-to-right
 stage sums, then the product with h, then the sum with y), and the error
 norm sums its squares in numpy's pairwise order, so the floats are those of
-an array implementation bit for bit.  Dense output is still kept as arrays.
+an array implementation bit for bit.  Dense output keeps each accepted
+state, step size and stage as raw doubles and computes the interpolants of
+all steps as arrays when the flow finishes.
 
 The driver integrates forward only and clamps the final step onto t_end
 exactly.  A SingularityError raised by the right-hand side is treated as a
@@ -24,6 +26,7 @@ bracket around the failure time.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,12 +121,14 @@ class IntegratorConfig:
 class DenseOutput:
     """Per-step quartic interpolants of an accepted integration.
 
-    Evaluation at a stored step boundary returns the accepted state
+    states holds the state at every grid time, shape (steps + 1, dim), and
+    rcont the five quartic coefficients of every step, shape (steps, 5,
+    dim).  Evaluation at a stored step boundary returns the accepted state
     bit-for-bit; interior times use the continuous extension of the step
     that contains them.
     """
 
-    def __init__(self, t_grid: np.ndarray, states: list[np.ndarray], rcont: list[np.ndarray]):
+    def __init__(self, t_grid: np.ndarray, states: np.ndarray, rcont: np.ndarray):
         self._t = np.asarray(t_grid, dtype=float)
         self._states = states
         self._rcont = rcont
@@ -137,22 +142,25 @@ class DenseOutput:
         return float(self._t[-1])
 
     def at(self, t: float) -> np.ndarray:
-        grid = self._t
-        if not (grid[0] <= t <= grid[-1]):
-            raise ValueError(f"time {t!r} outside the integrated range [{grid[0]!r}, {grid[-1]!r}]")
-        i = int(np.searchsorted(grid, t, side="right")) - 1
-        if i >= 0 and t == grid[i]:
-            return self._states[i].copy()
-        if i + 1 < len(grid) and t == grid[i + 1]:
-            return self._states[i + 1].copy()
-        i = min(max(i, 0), len(self._rcont) - 1)
-        h = grid[i + 1] - grid[i]
-        th = (t - grid[i]) / h
-        r1, r2, r3, r4, r5 = self._rcont[i]
-        return r1 + th * (r2 + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
+        return self.sample([t])[0]
 
     def sample(self, ts) -> np.ndarray:
-        return np.array([self.at(float(t)) for t in np.asarray(ts, dtype=float)])
+        """States at the times ts, shape (len(ts), dim)."""
+        grid = self._t
+        ts = np.asarray(ts, dtype=float)
+        outside = ~((grid[0] <= ts) & (ts <= grid[-1]))
+        if outside.any():
+            t = float(ts[outside][0])
+            raise ValueError(f"time {t!r} outside the integrated range [{grid[0]!r}, {grid[-1]!r}]")
+        i = np.searchsorted(grid, ts, side="right") - 1
+        hit = ts == grid[i]
+        out = np.empty((len(ts), self._states.shape[1]))
+        out[hit] = self._states[i[hit]]
+        i, t = i[~hit], ts[~hit]
+        th = ((t - grid[i]) / (grid[i + 1] - grid[i]))[:, None]
+        r1, r2, r3, r4, r5 = self._rcont[i].transpose(1, 0, 2)
+        out[~hit] = r1 + th * (r2 + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
+        return out
 
 
 @dataclass
@@ -212,6 +220,18 @@ def _pairwise_sum(v: list[float]) -> float:
     return s
 
 
+def _dense_output(grid, states, steps, stages) -> DenseOutput:
+    """Quartic coefficients of every accepted step, computed as arrays once."""
+    y = np.array(states).reshape(len(grid), -1)
+    h = np.array(steps).reshape(-1, 1)
+    k1, k3, k4, k5, k6, k7 = np.array(stages).reshape(-1, 6, y.shape[1]).transpose(1, 0, 2)
+    ydiff = y[1:] - y[:-1]
+    bspl = h * k1 - ydiff
+    dk = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+    rcont = np.stack([y[:-1], ydiff, bspl, ydiff - h * k7 - bspl, dk], axis=1)
+    return DenseOutput(np.array(grid), y, rcont)
+
+
 def _initial_step(rhs, t0, y0, f0, span, atol, rtol, h_max):
     # Deterministic two-probe heuristic for the first trial step.
     sc = atol + rtol * np.abs(y0)
@@ -245,10 +265,9 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
     if span < 0:
         raise ValueError("flow integrates forward only (t_end < t0)")
     grid = [t0]
-    states = [np.array(y)] if config.dense else []
-    rcont: list[np.ndarray] = []
+    states, steps, stages = array("d", y), array("d"), array("d")  # for dense output
     if span == 0:
-        dense = DenseOutput(np.array(grid), states, rcont) if config.dense else None
+        dense = _dense_output(grid, states, steps, stages) if config.dense else None
         return FlowResult(OK, t_end, np.array(y), 0, 0, np.array(grid), dense)
 
     atol, rtol = float(config.abs_tol), float(config.rel_tol)
@@ -269,7 +288,7 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
     rejected = False
 
     def finish(status, bracket=None):
-        dense = DenseOutput(np.array(grid), states, rcont) if config.dense else None
+        dense = _dense_output(grid, states, steps, stages) if config.dense else None
         return FlowResult(status, t, np.array(y), n_steps, n_rejected, np.array(grid), dense, bracket)
 
     while True:
@@ -312,14 +331,10 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
         if err <= 1.0:
             n_steps += 1
             if config.dense:
-                ya = states[-1]
-                yb = np.array(ynew)
-                k1a, k3a, k4a, k5a, k6a, k7a = np.array((k1, k3, k4, k5, k6, k7))
-                ydiff = yb - ya
-                bspl = h * k1a - ydiff
-                dk = h * (_D1 * k1a + _D3 * k3a + _D4 * k4a + _D5 * k5a + _D6 * k6a + _D7 * k7a)
-                rcont.append(np.array([ya, ydiff, bspl, ydiff - h * k7a - bspl, dk]))
-                states.append(yb)
+                states.extend(ynew)
+                steps.append(h)
+                for k in (k1, k3, k4, k5, k6, k7):
+                    stages.extend(k)
             t = t_end if last else t + h
             y = ynew
             k1 = k7

@@ -21,7 +21,6 @@ __all__ = [
     "CollisionError",
     "lambda_n",
     "SystemParams",
-    "ReducedState",
     "CartesianState",
     "reduced_initial",
     "augmented_initial",
@@ -144,26 +143,6 @@ class SystemParams:
         return cls(n=int(d["n"]), m=float(d["m"]), M=float(d["M"]), r0=float(d["r0"]))
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Point of the reduced phase space at a given time."""
-
-    t: float
-    f: float
-    fdot: float
-    r: float
-    rdot: float
-    theta: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.f, self.fdot, self.r, self.rdot, self.theta])
-
-    @classmethod
-    def from_array(cls, t: float, y) -> "ReducedState":
-        f, fdot, r, rdot, theta = (float(v) for v in y)
-        return cls(t=t, f=f, fdot=fdot, r=r, rdot=rdot, theta=theta)
-
-
 def reduced_initial(b: float, params: SystemParams) -> np.ndarray:
     """Symmetric initial condition: on the x-axis crossing with f = 0."""
     return np.array([0.0, float(b), params.r0, 0.0, 0.0])
@@ -266,13 +245,12 @@ def make_variational_rhs(params: SystemParams, C: float):
     return rhs
 
 
-def reduced_energy(state, params: SystemParams, C: float) -> float:
-    """Total mechanical energy of the configuration, expressed in reduced variables.
+def reduced_energy(y, params: SystemParams, C: float) -> float:
+    """Total mechanical energy of the reduced state y = (f, fdot, r, rdot, theta).
 
     Constant along solutions of the reduced equations for any fixed C.
     """
-    y = state.to_array() if isinstance(state, ReducedState) else np.asarray(state, dtype=float)
-    f, fdot, r, rdot = (float(v) for v in y[:4])
+    f, fdot, r, rdot = (float(v) for v in np.asarray(y, dtype=float)[:4])
     if r <= 0:
         raise SingularityError(f"ring radius {r!r} is not positive")
     n, m, M = params.n, params.m, params.M
@@ -284,27 +262,33 @@ def reduced_energy(state, params: SystemParams, C: float) -> float:
 
 @dataclass(frozen=True)
 class CartesianState:
-    """Positions and velocities of all n+1 bodies; the axial body comes first."""
+    """Positions and velocities of all n+1 bodies; the axial body comes first.
+
+    positions and velocities may carry leading axes, one entry per state.
+    """
 
     masses: np.ndarray      # (n+1,)
-    positions: np.ndarray   # (n+1, 3)
-    velocities: np.ndarray  # (n+1, 3)
+    positions: np.ndarray   # (..., n+1, 3)
+    velocities: np.ndarray  # (..., n+1, 3)
 
     @property
     def n_bodies(self) -> int:
         return len(self.masses)
 
 
-def cartesian_lift(state: ReducedState, params: SystemParams, C: float) -> CartesianState:
-    """Rebuild the full (n+1)-body configuration from a reduced state.
+def cartesian_lift(y, params: SystemParams, C: float) -> CartesianState:
+    """Rebuild the full (n+1)-body configuration from reduced states.
 
-    The axial body sits at (0, 0, f); ring body k sits at phase
+    y holds states (f, fdot, r, rdot, theta) along its last axis, shape
+    (..., 5); positions and velocities come back as (..., n+1, 3).  The
+    axial body sits at (0, 0, f); ring body k sits at phase
     theta + 2*pi*k/n in the plane z = -(M/(m*n))*f, so the center of mass
     stays at the origin.  Velocities follow by the chain rule with
     thetadot = C/r^2.
     """
     n, m, M = params.n, params.m, params.M
-    f, fdot, r, rdot, theta = state.f, state.fdot, state.r, state.rdot, state.theta
+    y = np.asarray(y, dtype=float)
+    f, fdot, r, rdot, theta = (y[..., k, None] for k in range(5))
     thetadot = C / (r * r)
     zf = params.z_factor
 
@@ -312,16 +296,16 @@ def cartesian_lift(state: ReducedState, params: SystemParams, C: float) -> Carte
     cos_p = np.cos(phases)
     sin_p = np.sin(phases)
 
-    positions = np.empty((n + 1, 3))
-    velocities = np.empty((n + 1, 3))
-    positions[0] = (0.0, 0.0, f)
-    velocities[0] = (0.0, 0.0, fdot)
-    positions[1:, 0] = r * cos_p
-    positions[1:, 1] = r * sin_p
-    positions[1:, 2] = -zf * f
-    velocities[1:, 0] = rdot * cos_p - r * thetadot * sin_p
-    velocities[1:, 1] = rdot * sin_p + r * thetadot * cos_p
-    velocities[1:, 2] = -zf * fdot
+    positions = np.zeros(y.shape[:-1] + (n + 1, 3))
+    velocities = np.zeros(y.shape[:-1] + (n + 1, 3))
+    positions[..., 0, 2] = f[..., 0]
+    velocities[..., 0, 2] = fdot[..., 0]
+    positions[..., 1:, 0] = r * cos_p
+    positions[..., 1:, 1] = r * sin_p
+    positions[..., 1:, 2] = -zf * f
+    velocities[..., 1:, 0] = rdot * cos_p - r * thetadot * sin_p
+    velocities[..., 1:, 1] = rdot * sin_p + r * thetadot * cos_p
+    velocities[..., 1:, 2] = -zf * fdot
 
     masses = np.concatenate(([M], np.full(n, m)))
     return CartesianState(masses=masses, positions=positions, velocities=velocities)
@@ -350,18 +334,30 @@ def full_rhs(state: CartesianState):
     return state.velocities, acc
 
 
-def cartesian_energy(state: CartesianState) -> float:
-    """Kinetic plus pairwise gravitational potential energy."""
-    kinetic = 0.5 * float(np.sum(state.masses * np.sum(state.velocities**2, axis=1)))
-    potential = 0.0
-    pos = state.positions
+# Pairs whose separations `cartesian_energy` holds at once: 6 MB of them.
+_PAIR_BLOCK = 1 << 18
+
+
+def cartesian_energy(state: CartesianState):
+    """Kinetic plus pairwise gravitational potential energy, one per state.
+
+    The states are taken in blocks of about _PAIR_BLOCK pairs, at least one
+    state each, so that memory stays bounded for rings of hundreds of bodies.
+    """
     mass = state.masses
-    nb = len(mass)
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            d = pos[j] - pos[i]
-            potential -= mass[i] * mass[j] / math.sqrt(float(d @ d))
-    return kinetic + potential
+    kinetic = 0.5 * np.sum(mass * np.sum(state.velocities**2, axis=-1), axis=-1)
+    i, j = np.triu_indices(len(mass), 1)
+    mm = mass[i] * mass[j]
+    pos = state.positions.reshape(-1, len(mass), 3)
+    rows = max(1, _PAIR_BLOCK // len(mm))
+    potential = np.empty(len(pos))
+    for lo in range(0, len(pos), rows):
+        d = pos[lo : lo + rows, j] - pos[lo : lo + rows, i]
+        dist2 = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        # A running total in pair order, as a pair loop sums: np.sum changes
+        # its order with the array's shape, and a state's energy with it.
+        potential[lo : lo + rows] = -np.cumsum(mm / np.sqrt(dist2), axis=-1)[:, -1]
+    return kinetic + potential.reshape(kinetic.shape)
 
 
 def center_of_mass(state: CartesianState) -> np.ndarray:
@@ -373,4 +369,4 @@ def total_momentum(state: CartesianState) -> np.ndarray:
 
 
 def total_angular_momentum(state: CartesianState) -> np.ndarray:
-    return np.sum(state.masses[:, None] * np.cross(state.positions, state.velocities), axis=0)
+    return np.sum(state.masses[:, None] * np.cross(state.positions, state.velocities), axis=-2)

@@ -20,7 +20,6 @@ import numpy as np
 from .continuation import Branch
 from .integrate import IntegratorConfig, flow
 from .model import (
-    ReducedState,
     SystemParams,
     cartesian_energy,
     cartesian_lift,
@@ -214,34 +213,19 @@ def reconstruct(
     n_samples = periods * samples_per_period + 1
     times = np.linspace(0.0, t_end, n_samples)
     times[-1] = t_end  # exact endpoint, bit for bit
-    reduced = res.dense.sample(times)
-
-    n = params.n
-    positions = np.empty((n_samples, n + 1, 3))
-    velocities = np.empty((n_samples, n + 1, 3))
-    masses = None
-    energies = np.empty(n_samples)
-    momenta = np.empty((n_samples, 3))
-    coms = np.empty((n_samples, 3))
-    lzs = np.empty(n_samples)
-    for i, (t, y) in enumerate(zip(times, reduced)):
-        state = cartesian_lift(ReducedState.from_array(float(t), y), params, C)
-        positions[i] = state.positions
-        velocities[i] = state.velocities
-        if masses is None:
-            masses = state.masses
-        energies[i] = cartesian_energy(state)
-        momenta[i] = total_momentum(state)
-        coms[i] = center_of_mass(state)
-        lzs[i] = total_angular_momentum(state)[2]
+    state = cartesian_lift(res.dense.sample(times), params, C)
+    energies = cartesian_energy(state)
+    momenta = total_momentum(state)
+    coms = center_of_mass(state)
+    lzs = total_angular_momentum(state)[:, 2]
 
     e_scale = max(abs(float(np.max(energies))), abs(float(np.min(energies))), 1e-300)
     lz_scale = max(float(np.max(np.abs(lzs))), 1e-300)
     traj = Trajectory(
         times=times,
-        positions=positions,
-        velocities=velocities,
-        masses=masses,
+        positions=state.positions,
+        velocities=state.velocities,
+        masses=state.masses,
         params=params,
         source=point,
         periods=periods,
@@ -253,7 +237,7 @@ def reconstruct(
         "com_max": float(np.max(np.linalg.norm(coms, axis=1)) / params.r0),
         "lz_drift": float((np.max(lzs) - np.min(lzs)) / lz_scale),
         "closure_error": _closure_error(traj),
-        "closure_error_relabel": _closure_error_relabel(traj, n),
+        "closure_error_relabel": _closure_error_relabel(traj, params.n),
     }
     return traj
 
@@ -275,8 +259,8 @@ def export(traj: Trajectory, fmt: str, path) -> None:
             "params": traj.params.to_dict(),
             "source": traj.source.to_dict(),
             "periods": traj.periods,
-            "masses": [float(v) for v in traj.masses],
-            "times": [float(v) for v in traj.times],
+            "masses": traj.masses.tolist(),
+            "times": traj.times.tolist(),
             "positions": traj.positions.tolist(),
             "velocities": traj.velocities.tolist(),
             "diagnostics": traj.diagnostics,

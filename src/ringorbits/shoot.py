@@ -201,32 +201,25 @@ def desing_eval(
         e = eval_at(a, 0.0, T, params, config, augmented=True)
         ftil = e.Fb
         value = ftil if odd else e.Ftb
-        if not grad:
-            return DesingPoint(value, e.Rt, e.Theta)
-        # d(value)/da at b = 0 from a one-sided quotient; the numerator is
-        # odd in b, so the O(step) term cancels.
-        e2 = eval_at(a, _FD_DB, T, params, config, augmented=True)
-        va = (e2.Fa if odd else e2.Fta) / _FD_DB
-        vb = 0.0  # parity: the desingularized residual is even in b
-        vt = e.Ftb if odd else -mu * ftil / params.h(e.F, e.R) ** 3
-        return DesingPoint(
-            value,
-            e.Rt,
-            e.Theta,
-            grad_value=np.array([va, vb, vt]),
-            grad_rt=np.array([e.Rta, e.Rtb, e.Rtt]),
-            grad_theta=np.array([e.Tha, e.Thb, e.Thetat]),
-        )
-    e = eval_at(a, b, T, params, config, augmented=grad)
-    ftil = e.F / b
-    value = ftil if odd else e.Ft / b
+        if grad:
+            # d(value)/da at b = 0 from a one-sided quotient; the numerator is
+            # odd in b, so the O(step) term cancels.
+            e2 = eval_at(a, _FD_DB, T, params, config, augmented=True)
+            va = (e2.Fa if odd else e2.Fta) / _FD_DB
+            vb = 0.0  # parity: the desingularized residual is even in b
+            vt = e.Ftb if odd else -mu * ftil / params.h(e.F, e.R) ** 3
+    else:
+        e = eval_at(a, b, T, params, config, augmented=grad)
+        ftil = e.F / b
+        value = ftil if odd else e.Ft / b
+        if grad:
+            va = (e.Fa if odd else e.Fta) / b
+            vb = ((e.Fb if odd else e.Ftb) - value) / b
+            # For odd/even the T-derivative of F_t/b is F_tt/b, which the axial
+            # equation turns into -mu*(F/b)/h^3: stable as b -> 0.
+            vt = e.Ft / b if odd else -mu * ftil / params.h(e.F, e.R) ** 3
     if not grad:
         return DesingPoint(value, e.Rt, e.Theta)
-    va = (e.Fa if odd else e.Fta) / b
-    vb = ((e.Fb if odd else e.Ftb) - value) / b
-    # For odd/even the T-derivative of F_t/b is F_tt/b, which the axial
-    # equation turns into -mu*(F/b)/h^3: stable as b -> 0.
-    vt = e.Ft / b if odd else -mu * ftil / params.h(e.F, e.R) ** 3
     return DesingPoint(
         value,
         e.Rt,

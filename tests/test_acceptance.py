@@ -24,7 +24,6 @@ from ringorbits.continuation import (
 )
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.model import (
-    ReducedState,
     SystemParams,
     lambda_n,
     make_reduced_rhs,
@@ -174,8 +173,8 @@ def test_criterion_08_random_trajectory_sweep():
             continue  # a draw that collides is redrawn
         count += 1
 
-        e0 = reduced_energy(ReducedState.from_array(0.0, reduced_initial(b, params)), params, C)
-        e1 = reduced_energy(ReducedState.from_array(T, res.y), params, C)
+        e0 = reduced_energy(reduced_initial(b, params), params, C)
+        e1 = reduced_energy(res.y, params, C)
         worst_e = max(worst_e, abs(e1 - e0) / max(abs(e0), 1.0))
 
         dense = flow(rhs, reduced_initial(b, params), T, IntegratorConfig(dense=True)).require_ok()

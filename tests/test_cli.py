@@ -1,12 +1,14 @@
 """End-to-end checks of the command line, run in process via main(argv)."""
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ringorbits import cli
+from ringorbits import cli, integrate
 from ringorbits.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERIC, EXIT_OK, main
 from ringorbits.continuation import branch_to_json
 
@@ -195,6 +197,21 @@ class TestTrace:
         code, _, err = run(capsys, ["trace", *P_FLAGS])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", [["--ds-max", "0"], ["--ds-max=-0.1"], ["--ds-min", "nan"]])
+    def test_bad_step_length_exits_before_any_flow(self, capsys, tmp_path, monkeypatch, flag):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the step flags were checked")
+
+        monkeypatch.setattr(integrate, "flow", no_flow)
+        argv = [
+            "trace", *P_FLAGS, "--seed-b", "0.05", *flag,
+            "--max-points", "6", "--out", str(tmp_path), "--prefix", "bad",
+        ]
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert "must be finite and positive" in err
+        assert not (tmp_path / "bad.json").exists()
+
 
 class TestResonance:
     def test_three_quarter_pi_end_to_end(self, capsys, tmp_path, p_branch_file):
@@ -350,9 +367,12 @@ class TestPlumbing:
         assert exc.value.code == 2
 
     def test_module_entry_point(self):
+        # the child imports the package these tests import, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ringorbits.cli", "lambda", "--n", "2"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "lambda_2 = 0.25"

@@ -208,6 +208,12 @@ class TestStepAndStopDefaults:
         assert resolved.ds0 == resolved.ds_max / 4.0
         assert resolved.cos_min == 0.5
 
+    @pytest.mark.parametrize("field", ["ds0", "ds_min", "ds_max"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+    def test_step_lengths_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StepControl(**{field: value})
+
     def test_stop_rules_resolution(self, params_p):
         resolved = StopRules().resolved(params_p)
         assert resolved.a_min == 1e-3 * params_p.a0

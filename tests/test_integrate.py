@@ -141,12 +141,26 @@ class TestDenseOutput:
         for row, t in zip(block, ts):
             assert np.array_equal(row, res.dense.at(float(t)))
 
+    def test_sample_at_step_times_returns_stored_states(self, q_flow):
+        res, y0 = q_flow
+        block = res.dense.sample(res.step_times)
+        assert np.array_equal(block, res.dense._states)
+        assert np.array_equal(block[0], y0)
+        assert np.array_equal(block[-1], res.y)
+
     def test_out_of_range_rejected(self, q_flow):
         res, _ = q_flow
         with pytest.raises(ValueError):
             res.dense.at(-1e-9)
         with pytest.raises(ValueError):
             res.dense.at(res.t + 1e-9)
+
+    def test_sample_rejects_one_time_out_of_range(self, q_flow):
+        res, _ = q_flow
+        ts = np.linspace(0.0, res.t, 9)
+        for bad in (-1e-9, res.t + 1e-9):
+            with pytest.raises(ValueError, match="outside the integrated range"):
+                res.dense.sample(np.append(ts, bad))
 
     def test_absent_without_flag(self):
         res = flow(harmonic, np.array([1.0, 0.0]), 1.0, IntegratorConfig())

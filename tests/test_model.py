@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringorbits import model
 from ringorbits.integrate import IntegratorConfig, flow
 from ringorbits.model import (
     CollisionError,
-    ReducedState,
     SingularityError,
     SystemParams,
     augmented_initial,
@@ -203,17 +203,22 @@ class TestVariationalRhs:
         assert np.max(np.abs(fd_b - exact_b) / np.maximum(1.0, np.abs(exact_b))) < 1e-5
 
 
+# Reduced states are arrays (f, fdot, r, rdot, theta).  The lift checks run
+# on the light system and on a ring of 473 bodies with the same masses.
+RING_473 = SystemParams(n=473, m=3.0, M=7.0, r0=11.0)
+
+
 class TestReducedEnergy:
     def test_f_zero_closed_form(self, params_p):
         p = params_p
         C = 7.3
-        state = ReducedState(t=0.0, f=0.0, fdot=0.0, r=8.2, rdot=-0.4, theta=1.1)
+        r, rdot = 8.2, -0.4
         expected = (
-            p.n * p.m / 2.0 * (state.rdot ** 2 + (C / state.r) ** 2)
-            - p.n * p.m ** 2 * p.lam / state.r
-            - p.n * p.m * p.M / state.r
+            p.n * p.m / 2.0 * (rdot ** 2 + (C / r) ** 2)
+            - p.n * p.m ** 2 * p.lam / r
+            - p.n * p.m * p.M / r
         )
-        assert abs(reduced_energy(state, p, C) - expected) < 1e-12
+        assert abs(reduced_energy(np.array([0.0, 0.0, r, rdot, 1.1]), p, C) - expected) < 1e-12
 
     def test_conserved_along_reference_trajectory(self, params_q):
         # the printed-seed trajectory of the heavy system over one full period
@@ -223,23 +228,19 @@ class TestReducedEnergy:
         cfg = IntegratorConfig(dense=True)
         res = flow(rhs, reduced_initial(b, params_q), 2.0 * T, cfg)
         res.require_ok()
-        e0 = reduced_energy(ReducedState.from_array(0.0, reduced_initial(b, params_q)), params_q, C)
+        e0 = reduced_energy(reduced_initial(b, params_q), params_q, C)
         ts = np.linspace(0.0, 2.0 * T, 97)
-        drift = max(
-            abs(reduced_energy(ReducedState.from_array(float(t), res.dense.at(float(t))), params_q, C) - e0)
-            for t in ts
-        )
+        drift = max(abs(reduced_energy(y, params_q, C) - e0) for y in res.dense.sample(ts))
         assert drift / abs(e0) < 1e-9
 
     def test_singularity_on_nonpositive_radius(self, params_p):
-        state = ReducedState(t=0.0, f=0.0, fdot=0.0, r=0.0, rdot=0.0, theta=0.0)
         with pytest.raises(SingularityError):
-            reduced_energy(state, params_p, 1.0)
+            reduced_energy(np.zeros(5), params_p, 1.0)
 
 
 class TestCartesianLift:
     def test_flat_ring_geometry(self, params_p):
-        state = ReducedState(t=0.0, f=0.0, fdot=0.0, r=11.0, rdot=0.0, theta=0.0)
+        state = np.array([0.0, 0.0, 11.0, 0.0, 0.0])
         cs = cartesian_lift(state, params_p, params_p.r0 * params_p.a0)
         assert np.allclose(cs.positions[0], 0.0, atol=1e-15)
         angles = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
@@ -247,23 +248,49 @@ class TestCartesianLift:
         assert np.allclose(cs.positions[1:], expected, atol=1e-12)
 
     def test_central_to_ring_distance_is_h(self, params_p):
-        state = ReducedState(t=0.0, f=0.53, fdot=0.1, r=9.4, rdot=-0.2, theta=0.8)
-        cs = cartesian_lift(state, params_p, 8.0)
+        f, r = 0.53, 9.4
+        cs = cartesian_lift(np.array([f, 0.1, r, -0.2, 0.8]), params_p, 8.0)
         dists = np.linalg.norm(cs.positions[1:] - cs.positions[0], axis=1)
-        assert np.allclose(dists, params_p.h(state.f, state.r), rtol=1e-14)
+        assert np.allclose(dists, params_p.h(f, r), rtol=1e-14)
 
     def test_momentum_and_center_of_mass_vanish(self, params_p):
-        state = ReducedState(t=0.0, f=-0.3, fdot=0.7, r=10.2, rdot=0.5, theta=2.4)
-        cs = cartesian_lift(state, params_p, 9.1)
-        assert np.max(np.abs(total_momentum(cs))) < 1e-12
-        assert np.max(np.abs(center_of_mass(cs))) < 1e-13
+        for p in (params_p, RING_473):
+            cs = cartesian_lift(np.array([-0.3, 0.7, 10.2, 0.5, 2.4]), p, 9.1)
+            assert np.max(np.abs(total_momentum(cs))) < 1e-12
+            assert np.max(np.abs(center_of_mass(cs))) < 1e-13
 
     def test_angular_momentum_axial_with_value_n_m_C(self, params_p):
         C = 9.77
-        state = ReducedState(t=0.0, f=0.21, fdot=-0.4, r=8.8, rdot=0.3, theta=1.9)
-        L = total_angular_momentum(cartesian_lift(state, params_p, C))
-        assert abs(L[0]) < 1e-12 and abs(L[1]) < 1e-12
-        assert abs(L[2] - params_p.n * params_p.m * C) < 1e-12 * abs(L[2])
+        for p in (params_p, RING_473):
+            L = total_angular_momentum(cartesian_lift(np.array([0.21, -0.4, 8.8, 0.3, 1.9]), p, C))
+            assert abs(L[0]) < 1e-12 and abs(L[1]) < 1e-12
+            assert abs(L[2] - p.n * p.m * C) < 1e-12 * abs(L[2])
+
+    def test_rows_equal_single_lifts(self, monkeypatch):
+        p = SystemParams(n=8, m=3.0, M=7.0, r0=11.0)  # 36 pairs: summation order shows
+        rng = np.random.default_rng(7)
+        Y = np.column_stack([
+            rng.uniform(-1.0, 1.0, 40), rng.uniform(-1.0, 1.0, 40), rng.uniform(8.0, 12.0, 40),
+            rng.uniform(-1.0, 1.0, 40), rng.uniform(0.0, 6.3, 40),
+        ])
+        batch = cartesian_lift(Y, p, 9.1)
+        assert batch.positions.shape == (40, p.n + 1, 3)
+        assert np.array_equal(batch.masses, cartesian_lift(Y[0], p, 9.1).masses)
+        monkeypatch.setattr(model, "_PAIR_BLOCK", 72)  # two states per block
+        energies = cartesian_energy(batch)
+        for i, y in enumerate(Y):
+            one = cartesian_lift(y, p, 9.1)
+            assert np.array_equal(batch.positions[i], one.positions)
+            assert np.array_equal(batch.velocities[i], one.velocities)
+            # reference: the pair loop, summed in the same order
+            pos, mass = one.positions, one.masses
+            potential = 0.0
+            for j in range(len(mass)):
+                for k in range(j + 1, len(mass)):
+                    d = pos[k] - pos[j]
+                    potential -= mass[j] * mass[k] / math.sqrt(float(d @ d))
+            kinetic = 0.5 * float(np.sum(mass * np.sum(one.velocities**2, axis=1)))
+            assert energies[i] == cartesian_energy(one) == kinetic + potential
 
 
 class TestFullRhs:
@@ -279,8 +306,7 @@ class TestFullRhs:
         assert np.allclose(acc[0], -acc[1], atol=1e-15)
 
     def test_total_force_vanishes(self, params_q):
-        state = ReducedState(t=0.0, f=1.2, fdot=0.8, r=12.5, rdot=-1.1, theta=0.6)
-        cs = cartesian_lift(state, params_q, 40.0)
+        cs = cartesian_lift(np.array([1.2, 0.8, 12.5, -1.1, 0.6]), params_q, 40.0)
         _, acc = full_rhs(cs)
         assert np.max(np.abs(cs.masses @ acc)) < 1e-11
 
@@ -298,8 +324,8 @@ class TestFullRhs:
     @pytest.mark.parametrize(
         "state",
         [
-            ReducedState(t=0.0, f=0.0, fdot=0.0, r=11.0, rdot=0.0, theta=0.0),
-            ReducedState(t=0.0, f=0.4, fdot=0.2, r=10.5, rdot=-0.3, theta=0.7),
+            np.array([0.0, 0.0, 11.0, 0.0, 0.0]),
+            np.array([0.4, 0.2, 10.5, -0.3, 0.7]),
         ],
     )
     def test_lifted_accelerations_match_reduced_equations(self, params_p, state):
@@ -315,28 +341,30 @@ class TestFullRhs:
         cs = cartesian_lift(state, p, C)
         _, acc = full_rhs(cs)
 
-        h3 = p.h(state.f, state.r) ** 3
-        fddot = -(p.M + p.m * p.n) * state.f / h3
-        rddot = C ** 2 / state.r ** 3 - p.m * p.lam / state.r ** 2 - p.M * state.r / h3
-        radial = rddot - C ** 2 / state.r ** 3
+        f, _, r, _, theta = state
+        h3 = p.h(f, r) ** 3
+        fddot = -(p.M + p.m * p.n) * f / h3
+        rddot = C ** 2 / r ** 3 - p.m * p.lam / r ** 2 - p.M * r / h3
+        radial = rddot - C ** 2 / r ** 3
 
         assert np.allclose(acc[0], [0.0, 0.0, fddot], rtol=1e-12, atol=1e-14)
-        thetadot = C / state.r ** 2
+        thetadot = C / r ** 2
         for k in range(p.n):
-            phase = state.theta + 2.0 * math.pi * k / p.n
+            phase = theta + 2.0 * math.pi * k / p.n
             e_r = np.array([math.cos(phase), math.sin(phase), 0.0])
             expected = radial * e_r + np.array([0.0, 0.0, -p.z_factor * fddot])
             # sanity on the derivation itself, not just the code
-            assert abs(state.r * thetadot ** 2 - C ** 2 / state.r ** 3) < 1e-12
+            assert abs(r * thetadot ** 2 - C ** 2 / r ** 3) < 1e-12
             assert np.allclose(acc[1 + k], expected, rtol=1e-12, atol=1e-12)
 
     def test_energy_split_is_exact(self, params_p):
         # reduced energy counts each pair once: E_full = E_reduced exactly
-        state = ReducedState(t=0.0, f=0.4, fdot=0.2, r=10.5, rdot=-0.3, theta=0.7)
-        C = params_p.r0 * params_p.a0
-        e_reduced = reduced_energy(state, params_p, C)
-        e_full = cartesian_energy(cartesian_lift(state, params_p, C))
-        assert abs(e_full - e_reduced) / max(abs(e_full), 1.0) < 1e-12
+        state = np.array([0.4, 0.2, 10.5, -0.3, 0.7])
+        for p in (params_p, RING_473):
+            C = p.r0 * p.a0
+            e_reduced = reduced_energy(state, p, C)
+            e_full = cartesian_energy(cartesian_lift(state, p, C))
+            assert abs(e_full - e_reduced) / max(abs(e_full), 1.0) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -349,6 +377,5 @@ class TestFullRhs:
 def test_axial_momentum_identity_any_state(f, fdot, rdot, theta):
     # M*fdot + n*m*(-M/(mn))*fdot = 0 for every state, by construction
     p = SystemParams(n=5, m=1.7, M=23.0, r0=4.0)
-    state = ReducedState(t=0.0, f=f, fdot=fdot, r=6.0, rdot=rdot, theta=theta)
-    cs = cartesian_lift(state, p, 3.3)
+    cs = cartesian_lift(np.array([f, fdot, 6.0, rdot, theta]), p, 3.3)
     assert abs(total_momentum(cs)[2]) < 1e-12
