@@ -103,9 +103,16 @@ class StepControl:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        if self.ds_max is not None:
+            self._check_range(self.ds_max)
+
+    def _check_range(self, ds_max: float) -> None:
+        if self.ds_min > ds_max:
+            raise ValueError(f"ds_min {self.ds_min!r} exceeds ds_max {ds_max!r}")
 
     def resolved(self, params: SystemParams) -> "StepControl":
         ds_max = self.ds_max if self.ds_max is not None else 0.05 * max(1.0, params.T0)
+        self._check_range(ds_max)
         ds0 = self.ds0 if self.ds0 is not None else ds_max / 4.0
         return replace(self, ds0=min(ds0, ds_max), ds_max=ds_max)
 

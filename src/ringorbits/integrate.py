@@ -6,15 +6,21 @@ classic PI controller (safety 0.9, beta 0.04, step-change factors clamped to
 [1/5, 10]); the continuous extension is the standard quartic interpolant of
 the pair, so sampled values carry the same order of accuracy as the steps.
 
-The step runs on lists of Python floats, not on numpy arrays: the systems
-here have 5 or 15 components, and at that size numpy's per-call overhead
-costs more than the arithmetic.  Each component is computed with the
-operations numpy applied to whole vectors, in the same order (left-to-right
-stage sums, then the product with h, then the sum with y), and the error
-norm sums its squares in numpy's pairwise order, so the floats are those of
-an array implementation bit for bit.  Dense output keeps each accepted
-state, step size and stage as raw doubles and computes the interpolants of
-all steps as arrays when the flow finishes.
+The step runs on Python floats, not on numpy arrays: the systems here have
+5 or 15 components, and at that size numpy's per-call overhead costs more
+than the arithmetic.  The trial step is generated as source once per state
+dimension, the first time a flow of that dimension runs (`_step_function`):
+every component of every stage is written out on local variables, which
+costs a third less per step than looping over lists of components.  Each
+component is computed with the operations numpy applies to whole vectors,
+in the same order (left-to-right stage sums, then the product with h, then
+the sum with y), and the error norm adds its squares in numpy's pairwise
+order, written out by running `_pairwise_sum` itself on the terms as
+source; so the floats are those of an array implementation bit for bit.
+The generated source is registered in linecache, so tracebacks and inspect
+show its lines.  Dense output keeps each accepted state, step size and
+stage as raw doubles and computes the interpolants of all steps as arrays
+when the flow finishes.
 
 The driver integrates forward only and clamps the final step onto t_end
 exactly.  A SingularityError raised by the right-hand side is treated as a
@@ -25,6 +31,8 @@ bracket around the failure time.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -199,7 +207,10 @@ def _error_norm(v: np.ndarray, sc: np.ndarray) -> float:
 
 
 def _pairwise_sum(v: list[float]) -> float:
-    """Sum v in the order of numpy's pairwise summation, as np.sum does."""
+    """Sum v in the order of numpy's pairwise summation, as np.sum does.
+
+    On `_Term`s it writes that sum as source, for the generated step.
+    """
     n = len(v)
     if n < 8:
         s = 0.0
@@ -218,6 +229,78 @@ def _pairwise_sum(v: list[float]) -> float:
     for x in v[m:]:
         s += x
     return s
+
+
+class _Term(str):
+    """A summand written as source: adding terms writes the sum's expression."""
+
+    def __add__(self, other):
+        return _Term(f"({self} + {other})")
+
+    def __radd__(self, other):
+        return _Term(f"({other!r} + {self})")
+
+
+# Rows of the tableau as (time coefficient, ((stage, coefficient), ...)); a
+# time coefficient of None stands for t + h.
+_STAGE_ROWS = (
+    (_C2, ((1, _A21),)),
+    (_C3, ((1, _A31), (2, _A32))),
+    (_C4, ((1, _A41), (2, _A42), (3, _A43))),
+    (_C5, ((1, _A51), (2, _A52), (3, _A53), (4, _A54))),
+    (None, ((1, _A61), (2, _A62), (3, _A63), (4, _A64), (5, _A65))),
+)
+_SOLUTION_ROW = ((1, _A71), (3, _A73), (4, _A74), (5, _A75), (6, _A76))
+_ERROR_ROW = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
+
+
+def _step_source(n: int) -> str:
+    """Source of one DP5(4) trial step on n components, written out per component.
+
+    Every stage sum runs left to right, then takes the product with h and
+    the sum with y, as the array expressions y + h * (a1 * k1 + ...) do;
+    the squared scaled errors are added in numpy's pairwise order.
+    """
+
+    def combo(row, i):
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in row)
+
+    def unpack(name, source):
+        return f"    {''.join(f'{name}{i}, ' for i in range(n))}= {source}"
+
+    lines = ["def step(rhs, t, h, y, k1, atol, rtol):", unpack("y", "y"), unpack("k1_", "k1")]
+    for s, (c, row) in enumerate(_STAGE_ROWS, start=2):
+        lines.append(f"    k{s} = rhs(t + {'h' if c is None else f'{c!r} * h'}, [")
+        lines += [f"        y{i} + h * ({combo(row, i)})," for i in range(n)]
+        lines += ["    ])", unpack(f"k{s}_", f"k{s}")]
+    lines += [f"    z{i} = y{i} + h * ({combo(_SOLUTION_ROW, i)})" for i in range(n)]
+    lines += [f"    ynew = [{', '.join(f'z{i}' for i in range(n))}]", "    k7 = rhs(t + h, ynew)"]
+    lines.append(unpack("k7_", "k7"))
+    # (err_vec / (atol + rtol * max(|y|, |ynew|))) per component
+    lines += [
+        f"    x{i} = h * ({combo(_ERROR_ROW, i)})"
+        f" / (atol + rtol * (p if (p := abs(y{i})) >= (q := abs(z{i})) else q))"
+        for i in range(n)
+    ]
+    total = _pairwise_sum([_Term(f"x{i} * x{i}") for i in range(n)])
+    lines += [f"    err = sqrt({total} / {n})", "    return ynew, k3, k4, k5, k6, k7, err"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _step_function(n: int):
+    """The generated trial step for n components, compiled on first use.
+
+    step(rhs, t, h, y, k1, atol, rtol) returns (ynew, k3, k4, k5, k6, k7,
+    err) and lets an exception of rhs propagate.  Its source is registered
+    in linecache, so tracebacks and inspect.getsource show it.
+    """
+    source = _step_source(n)
+    filename = f"<ringorbits.integrate step n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(keepends=True), filename)
+    namespace = {"__name__": __name__, "sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["step"]
 
 
 def _dense_output(grid, states, steps, stages) -> DenseOutput:
@@ -274,7 +357,7 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
     h_max = float(config.h_max) if config.h_max is not None else span / 16.0
     h_max = min(h_max, span)
     h_floor = 1e-14 * max(abs(t0), abs(t_end), 1.0)
-    n = len(y)
+    step = _step_function(len(y))
 
     t = t0
     k1 = rhs(t, y)  # an invalid initial state is the caller's error: let it raise
@@ -299,24 +382,7 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
         if last:
             h = t_end - t
         try:
-            k2 = rhs(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
-            k3 = rhs(t + _C3 * h, [u + h * (_A31 * a + _A32 * b) for u, a, b in zip(y, k1, k2)])
-            k4 = rhs(t + _C4 * h, [u + h * (_A41 * a + _A42 * b + _A43 * c) for u, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs(t + _C5 * h, [u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                                   for u, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + h, [u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                             for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            ynew = [u + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * f)
-                    for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(t + h, ynew)
-            # Squared scaled error per component, with the floats of
-            # (err_vec / (atol + rtol * max(|y|, |ynew|))) ** 2 on arrays.
-            sq = [
-                (x := h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-                 / (atol + rtol * (p if (p := abs(u)) >= (q := abs(v)) else q))) * x
-                for u, v, a, c, d, e, f, g in zip(y, ynew, k1, k3, k4, k5, k6, k7)
-            ]
-            err = math.sqrt(_pairwise_sum(sq) / n)
+            ynew, k3, k4, k5, k6, k7, err = step(rhs, t, h, y, k1, atol, rtol)
             if not math.isfinite(err) or not all(map(math.isfinite, ynew)):
                 err = math.inf
         except SingularityError as exc:

@@ -197,7 +197,10 @@ class TestTrace:
         code, _, err = run(capsys, ["trace", *P_FLAGS])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("flag", [["--ds-max", "0"], ["--ds-max=-0.1"], ["--ds-min", "nan"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--ds-max", "0"], ["--ds-max=-0.1"], ["--ds-min", "nan"], ["--ds-min", "1", "--ds-max", "0.1"]],
+    )
     def test_bad_step_length_exits_before_any_flow(self, capsys, tmp_path, monkeypatch, flag):
         def no_flow(*args, **kwargs):
             raise AssertionError("a flow ran before the step flags were checked")
@@ -209,7 +212,8 @@ class TestTrace:
         ]
         code, _, err = run(capsys, argv)
         assert code == EXIT_CONFIG
-        assert "must be finite and positive" in err
+        ordered = "--ds-min" in flag and "--ds-max" in flag
+        assert ("ds_min 1.0 exceeds ds_max 0.1" if ordered else "must be finite and positive") in err
         assert not (tmp_path / "bad.json").exists()
 
 

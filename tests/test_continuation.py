@@ -214,6 +214,14 @@ class TestStepAndStopDefaults:
         with pytest.raises(ValueError, match=field):
             StepControl(**{field: value})
 
+    def test_ds_min_above_ds_max_rejected(self, params_p):
+        with pytest.raises(ValueError, match="ds_min 1.0 exceeds ds_max 0.1"):
+            StepControl(ds_min=1.0, ds_max=0.1)
+        default_max = 0.05 * max(1.0, params_p.T0)
+        with pytest.raises(ValueError, match="exceeds ds_max"):
+            StepControl(ds_min=2.0 * default_max).resolved(params_p)
+        assert StepControl(ds_min=0.1, ds_max=0.1).resolved(params_p).ds_max == 0.1
+
     def test_stop_rules_resolution(self, params_p):
         resolved = StopRules().resolved(params_p)
         assert resolved.a_min == 1e-3 * params_p.a0

@@ -1,9 +1,13 @@
 """Stepper accuracy, dense output, determinism, and failure statuses."""
+import inspect
+import itertools
 import math
+import traceback
 
 import numpy as np
 import pytest
 
+from ringorbits import integrate as ig
 from ringorbits.integrate import (
     BUDGET,
     OK,
@@ -11,10 +15,12 @@ from ringorbits.integrate import (
     FlowError,
     IntegratorConfig,
     _pairwise_sum,
+    _step_function,
     eval_at,
     flow,
 )
 from ringorbits.model import (
+    SingularityError,
     augmented_initial,
     make_reduced_rhs,
     make_variational_rhs,
@@ -202,6 +208,96 @@ class TestBitExact:
         for n in range(1, 300):
             v = rng.uniform(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
             assert _pairwise_sum(v.tolist()) == np.sum(v)
+
+
+def reference_step(rhs, t, h, y, k1, atol, rtol):
+    """One DP5(4) trial written on numpy arrays, the order the generated step follows."""
+    y, k1 = np.asarray(y), np.asarray(k1)
+
+    def stage(c, arg):
+        return np.asarray(rhs(t + c * h, arg.tolist()), dtype=float)
+
+    k2 = stage(ig._C2, y + h * (ig._A21 * k1))
+    k3 = stage(ig._C3, y + h * (ig._A31 * k1 + ig._A32 * k2))
+    k4 = stage(ig._C4, y + h * (ig._A41 * k1 + ig._A42 * k2 + ig._A43 * k3))
+    k5 = stage(ig._C5, y + h * (ig._A51 * k1 + ig._A52 * k2 + ig._A53 * k3 + ig._A54 * k4))
+    k6 = stage(1.0, y + h * (ig._A61 * k1 + ig._A62 * k2 + ig._A63 * k3 + ig._A64 * k4 + ig._A65 * k5))
+    ynew = y + h * (ig._A71 * k1 + ig._A73 * k3 + ig._A74 * k4 + ig._A75 * k5 + ig._A76 * k6)
+    k7 = stage(1.0, ynew)
+    err_vec = h * (ig._E1 * k1 + ig._E3 * k3 + ig._E4 * k4 + ig._E5 * k5 + ig._E6 * k6 + ig._E7 * k7)
+    sc = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
+    err = np.sqrt(np.mean((err_vec / sc) ** 2))
+    return ynew, k3, k4, k5, k6, k7, err
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestGeneratedStep:
+    """The step written out per component against the array form, bit for bit."""
+
+    # below 8; 8 to 128 with and without a remainder; split above 128
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 130])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_trial_step_matches_arrays_bitwise(self, n, as_array):
+        rng = np.random.default_rng(1000 + n)
+        # rows over six decades, so that the order of the error sum shows
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 3, size=(n, 1)) / math.sqrt(n)
+        b = rng.standard_normal(n)
+
+        def linear(t, y):
+            f = A @ np.asarray(y) + t * b
+            return f if as_array else f.tolist()
+
+        y = rng.standard_normal(n).tolist()
+        t, h = 0.3, 0.05
+        k1 = linear(t, y)
+        got = _step_function(n)(linear, t, h, y, k1, 1e-9, 1e-8)
+        want = reference_step(linear, t, h, y, k1, 1e-9, 1e-8)
+        assert [bits(g) for g in got[:6]] == [bits(w) for w in want[:6]]
+        assert got[6] == want[6] and 0.0 < got[6] < math.inf
+
+    def test_singularity_in_a_middle_stage_is_retried(self):
+        # with h_init given, call 10 is the k4 stage of the second trial
+        calls = itertools.count(1)
+
+        def once(t, y):
+            if next(calls) == 10:
+                raise SingularityError("stage k4 of the second trial")
+            return harmonic(t, y)
+
+        res = flow(once, [1.0, 0.0], 2.0, IntegratorConfig(h_init=0.1))
+        assert (res.status, res.n_steps, res.n_rejected) == (OK, 126, 2)
+        assert [v.hex() for v in res.y] == ["-0x1.aa226575361f9p-2", "-0x1.d18f6ead1a15bp-1"]
+
+    def test_singular_wall_ends_with_the_same_bracket(self):
+        def wall(t, y):
+            if t > 1.0:
+                raise SingularityError("wall", t)
+            return harmonic(t, y)
+
+        res = flow(wall, [1.0, 0.0], 2.0, IntegratorConfig(h_init=0.1))
+        assert (res.status, res.n_steps, res.n_rejected) == (SINGULAR, 79, 42)
+        assert res.t.hex() == "0x1.fffffffffffe5p-1"
+        assert [v.hex() for v in res.singular_bracket] == ["0x1.fffffffffffe5p-1", "0x1.000000000000ep+0"]
+
+    def test_generated_source_is_shown(self):
+        calls = itertools.count(1)
+
+        def fails_in_k4(t, y):
+            if next(calls) == 4:
+                raise KeyError("k4")
+            return [y[1], -y[0]]
+
+        with pytest.raises(KeyError) as info:
+            flow(fails_in_k4, [1.0, 0.0], 1.0, IntegratorConfig(h_init=0.1))
+        frames = traceback.extract_tb(info.value.__traceback__)
+        step_frame = next(f for f in frames if f.filename == "<ringorbits.integrate step n=2>")
+        assert step_frame.line.startswith("k4 = rhs(t + 0.8 * h, [")
+        source = inspect.getsource(_step_function(5))
+        assert source.startswith("def step(rhs, t, h, y, k1, atol, rtol):")
+        assert "    y0, y1, y2, y3, y4, = y\n" in source
 
 
 class TestEvalAt:
