@@ -20,7 +20,7 @@ from pathlib import Path
 from . import continuation as cont
 from .bifurcate import bifurcation_point
 from .integrate import FlowError, IntegratorConfig, eval_at
-from .model import SingularityError, SystemParams, lambda_n
+from .model import SingularityError, SystemParams, lambda_n, write_json
 from .orbits import (
     ResonanceNotFound,
     ResonanceTarget,
@@ -30,7 +30,8 @@ from .orbits import (
     reconstruct,
     trajectory_filename,
 )
-from .shoot import ConvergenceError, SeedPoint, SymmetryKind, newton_correct, residual_of
+from .shoot import CORRECTOR_MAX_ITER, CORRECTOR_TOL, ConvergenceError, SeedPoint, SymmetryKind
+from .shoot import newton_correct, residual_of
 
 OUT_ENV = "RINGORBITS_OUT"
 
@@ -93,8 +94,7 @@ def _out_dir(args) -> Path:
 
 def _write_json(obj, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(obj, fh)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shoot", help="Newton-correct a seed point at fixed b")
     _add_param_flags(p)
     _add_seed_flags(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=25)
+    p.add_argument("--tol", type=float, default=CORRECTOR_TOL)
+    p.add_argument("--max-iter", type=int, default=CORRECTOR_MAX_ITER)
     p.add_argument("--json-out", help="write the corrected point as JSON to this file")
 
     p = sub.add_parser("trace", help="continue a family by pseudo-arclength")
@@ -141,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-b", type=float, help="auto-seed: correct (a0, b, T*) at this b")
     p.add_argument("--kind", default="odd", help="odd or odd_even (auto-seed only)")
     p.add_argument("--direction", choices=["+", "-"], default="+")
-    p.add_argument("--max-points", type=int, default=20000)
+    p.add_argument("--max-points", type=int, default=cont.StopRules.max_points)
     p.add_argument("--ds-max", type=float, help="max arclength step")
-    p.add_argument("--ds-min", type=float, default=1e-8)
-    p.add_argument("--b-tol", type=float, default=1e-3, help="stop threshold near b = 0")
+    p.add_argument("--ds-min", type=float, default=cont.StepControl.ds_min)
+    p.add_argument("--b-tol", type=float, default=cont.StopRules.b_tol, help="stop threshold near b = 0")
     p.add_argument("--prefix", default="branch", help="output file prefix")
 
     p = sub.add_parser("resonance", help="pick a rational-phase point off a traced branch")
@@ -230,11 +230,10 @@ def _cmd_shoot(args) -> int:
     print(f"theta(T)   {_g(point.theta)}")
     if args.json_out:
         path = _out_dir(args) / args.json_out
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(point.to_json())
+        _write_json(point.to_dict(), path)
         print(f"wrote {path}")
     else:
-        print(point.to_json(), end="")
+        write_json(point.to_dict(), sys.stdout)
     return EXIT_OK
 
 
@@ -243,6 +242,7 @@ def _cmd_trace(args) -> int:
     if (args.seed_file is None) == (args.seed_b is None):
         raise ConfigError("trace needs exactly one of --seed-file or --seed-b")
     step = cont.StepControl(ds_max=args.ds_max, ds_min=args.ds_min)
+    stop = cont.StopRules(max_points=args.max_points, b_tol=args.b_tol)
     if args.seed_file:
         try:
             with open(args.seed_file, "r", encoding="utf-8") as fh:
@@ -254,7 +254,6 @@ def _cmd_trace(args) -> int:
         rep = bifurcation_point(params, kind)
         guess = SeedPoint(a=rep.a0, b=args.seed_b, T=rep.T_star, kind=kind)
         start = newton_correct(guess, params, config)
-    stop = cont.StopRules(max_points=args.max_points, b_tol=args.b_tol)
     direction = 1 if args.direction == "+" else -1
     branch = cont.continue_branch(start, direction, params, config, step=step, stop=stop)
     report = cont.classify_endpoint(branch)
@@ -298,8 +297,7 @@ def _cmd_resonance(args) -> int:
     seed_name = trajectory_filename(point, target, "seed.json")
     export(traj, "csv", out / csv_name)
     export(traj, "json", out / json_name)
-    with open(out / seed_name, "w", encoding="utf-8") as fh:
-        fh.write(point.to_json())
+    _write_json(point.to_dict(), out / seed_name)
     print(f"theta      {_g(point.theta)}  (target {args.n1}*pi/{args.n2} = {_g(target.angle)})")
     print(f"point      a={_g(point.a)} b={_g(point.b)} T={_g(point.T)}")
     print(f"closure    strict {k_strict} periods, relabeling {k_relabel} periods")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bifurcate import bifurcation_point
 from .integrate import SINGULAR, FlowError, IntegratorConfig
-from .model import SystemParams
+from .model import SystemParams, write_json
 from .shoot import (
     ConvergenceError,
     DesingPoint,
@@ -74,6 +74,19 @@ TERM_STEP = "step-failure"
 # at half the length.
 _CORRECTOR_MAX_FLOWS = 12
 
+# Step policy: the first step is ds_max/4, and ds grows by _GROW after
+# _GROW_AFTER accepted steps in a row.  A step across which the unit tangent
+# turns by more than about 60 degrees (cosine below _COS_MIN) is rejected:
+# near-tangent families pass very close to each other in (a, b, T), and an
+# abrupt tangent swing is the signature of the corrector hopping onto the
+# wrong curve.
+_GROW, _GROW_AFTER, _COS_MIN = 1.3, 4, 0.5
+# Stop bounds as multiples of the circular seed's a0 and T0 (T_UPPER is the
+# default of StopRules.T_max); a point with a below A_COLLISION*a0 is a
+# collision, whatever stopped the trace.
+A_COLLISION, A_BOUND, T_LOWER, T_UPPER = 1e-3, 1e3, 1e-3, 50.0
+_ON_FAMILY_TOL = 1e-6  # a start with larger desingularized residuals is off its family
+
 
 class SingularPointError(RuntimeError):
     """The residual gradients are rank deficient: no unique branch direction."""
@@ -81,25 +94,13 @@ class SingularPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControl:
-    """Arclength step policy.
+    """Arclength step bounds for `continue_branch`; ds_max defaults to 0.05*max(1, T0)."""
 
-    ds_max defaults to 0.05*max(1, T0); the step halves on corrector
-    failure and grows by `grow` after `grow_after` consecutive successes.
-    cos_min rejects steps across which the unit tangent turns by more
-    than about 60 degrees: near-tangent families pass very close to each
-    other in (a, b, T), and an abrupt tangent swing is the signature of
-    the corrector hopping onto the wrong curve.
-    """
-
-    ds0: float | None = None
     ds_min: float = 1e-8
     ds_max: float | None = None
-    grow: float = 1.3
-    grow_after: int = 4
-    cos_min: float = 0.5
 
     def __post_init__(self):
-        for name in ("ds0", "ds_min", "ds_max"):
+        for name in ("ds_min", "ds_max"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
@@ -113,29 +114,24 @@ class StepControl:
     def resolved(self, params: SystemParams) -> "StepControl":
         ds_max = self.ds_max if self.ds_max is not None else 0.05 * max(1.0, params.T0)
         self._check_range(ds_max)
-        ds0 = self.ds0 if self.ds0 is not None else ds_max / 4.0
-        return replace(self, ds0=min(ds0, ds_max), ds_max=ds_max)
+        return replace(self, ds_max=ds_max)
 
 
 @dataclass(frozen=True)
 class StopRules:
-    """Termination thresholds for `continue_branch`."""
+    """Termination thresholds for `continue_branch`; T_max defaults to T_UPPER*T0."""
 
     max_points: int = 20000
     b_tol: float = 1e-3
-    a_min: float | None = None   # default 1e-3 * a0
-    a_max: float | None = None   # default 1e3 * a0
-    T_min: float | None = None   # default 1e-3 * T0
-    T_max: float | None = None   # default 50 * T0
+    T_max: float | None = None
 
-    def resolved(self, params: SystemParams) -> "StopRules":
-        return replace(
-            self,
-            a_min=self.a_min if self.a_min is not None else 1e-3 * params.a0,
-            a_max=self.a_max if self.a_max is not None else 1e3 * params.a0,
-            T_min=self.T_min if self.T_min is not None else 1e-3 * params.T0,
-            T_max=self.T_max if self.T_max is not None else 50.0 * params.T0,
-        )
+    def __post_init__(self):
+        if self.max_points < 1:
+            raise ValueError(f"max_points must be positive, got {self.max_points!r}")
+        for name in ("b_tol", "T_max"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -190,21 +186,20 @@ def tangent(
     params: SystemParams,
     config: IntegratorConfig | None = None,
     prev: np.ndarray | None = None,
-    residual_tol: float = 1e-6,
 ) -> tuple[np.ndarray, float]:
     """Unit tangent of the family at a corrected point, with the raw magnitude.
 
     The direction is grad(value) x grad(R_t) in (a, b, T); `prev` fixes the
     orientation by sign continuity.  Rejects points whose desingularized
-    residuals exceed residual_tol, and raises SingularPointError where the
+    residuals exceed _ON_FAMILY_TOL, and raises SingularPointError where the
     gradients are (numerically) parallel.
     """
     d = desing_eval(point.a, point.b, point.T, point.kind, params, config, grad=True)
     worst = max(abs(d.value), abs(d.rt))
-    if worst > residual_tol:
+    if worst > _ON_FAMILY_TOL:
         raise ValueError(
             f"point is not on the family: desingularized residuals {d.value:.3e}, {d.rt:.3e} "
-            f"exceed {residual_tol:.1e}"
+            f"exceed {_ON_FAMILY_TOL:.1e}"
         )
     return _tangent_from(d, (point.a, point.b, point.T), prev)
 
@@ -233,7 +228,7 @@ def _failure_reason(exc: Exception) -> str:
     return "value-error"
 
 
-def _refine_b_zero(lo: SeedPoint, hi: SeedPoint, params, config, tol) -> tuple[SeedPoint | None, str]:
+def _refine_b_zero(lo: SeedPoint, hi: SeedPoint, params, config) -> tuple[SeedPoint | None, str]:
     """Correct the interpolated b = 0 crossing between two branch points.
 
     Returns the corrected point and "ok", or None and the failure reason.
@@ -244,7 +239,7 @@ def _refine_b_zero(lo: SeedPoint, hi: SeedPoint, params, config, tol) -> tuple[S
     T = lo.T + w * (hi.T - lo.T)
     try:
         guess = SeedPoint(a=a, b=0.0, T=T, kind=lo.kind)
-        return newton_correct(guess, params, config, tol=tol), "ok"
+        return newton_correct(guess, params, config), "ok"
     except (ConvergenceError, FlowError, ValueError) as exc:
         return None, _failure_reason(exc)
 
@@ -256,7 +251,6 @@ def continue_branch(
     config: IntegratorConfig | None = None,
     step: StepControl | None = None,
     stop: StopRules | None = None,
-    corrector_tol: float = 1e-10,
 ) -> Branch:
     """Trace the family through `start` in one direction.
 
@@ -276,7 +270,9 @@ def continue_branch(
     if direction not in (-1, 1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
     step = (step or StepControl()).resolved(params)
-    stop = (stop or StopRules()).resolved(params)
+    stop = stop or StopRules()
+    a_min, a_max, T_min = A_COLLISION * params.a0, A_BOUND * params.a0, T_LOWER * params.T0
+    T_max = stop.T_max if stop.T_max is not None else T_UPPER * params.T0
     kind = start.kind
 
     unit, xn = tangent(start, params, config)  # raises if the start is off-family
@@ -285,7 +281,7 @@ def continue_branch(
         start = _evaluate_seed(start.vector(), kind, params, config)
     points = [BranchPoint(point=start, tangent=unit, x_norm=xn, arc=0.0)]
 
-    ds = step.ds0
+    ds = step.ds_max / 4.0
     streak = 0
     failures: dict[str, int] = {}
     b_zero_refine = None
@@ -303,14 +299,14 @@ def continue_branch(
                 raise ConvergenceError("predictor left the parameter domain", "domain")
             guess = SeedPoint(a=float(pred[0]), b=float(pred[1]), T=float(pred[2]), kind=kind)
             corrected, dcorr = newton_correct_full(
-                guess, params, config, tol=corrector_tol,
+                guess, params, config,
                 constraint=hyperplane(pred, prev_bp.tangent),
                 max_flows=_CORRECTOR_MAX_FLOWS,
             )
             unit, xn = _tangent_from(
                 dcorr, (corrected.a, corrected.b, corrected.T), prev_bp.tangent
             )
-            if float(np.dot(unit, prev_bp.tangent)) < step.cos_min:
+            if float(np.dot(unit, prev_bp.tangent)) < _COS_MIN:
                 raise ConvergenceError("tangent turned too sharply: likely branch hop", "tangent-turn")
         except (ConvergenceError, SingularPointError, ValueError, FlowError) as exc:
             reason = _failure_reason(exc)
@@ -329,27 +325,25 @@ def continue_branch(
         approaching_zero = abs(corrected.b) <= stop.b_tol and abs(corrected.b) < abs(prev_b)
         if crossed or approaching_zero:
             points.append(new_bp)
-            refined, b_zero_refine = _refine_b_zero(
-                prev_bp.point, corrected, params, config, corrector_tol
-            )
+            refined, b_zero_refine = _refine_b_zero(prev_bp.point, corrected, params, config)
             if refined is not None:
                 arc2 = arc + float(np.linalg.norm(refined.vector() - corrected.vector()))
                 points.append(BranchPoint(point=refined, tangent=unit, x_norm=xn, arc=arc2))
             termination = TERM_B_ZERO
             break
-        if corrected.a <= stop.a_min or corrected.a >= stop.a_max:
+        if corrected.a <= a_min or corrected.a >= a_max:
             points.append(new_bp)
-            termination = TERM_COLLISION if corrected.a <= stop.a_min else TERM_BOUND
+            termination = TERM_COLLISION if corrected.a <= a_min else TERM_BOUND
             break
-        if corrected.T <= stop.T_min or corrected.T >= stop.T_max:
+        if corrected.T <= T_min or corrected.T >= T_max:
             points.append(new_bp)
             termination = TERM_BOUND
             break
 
         points.append(new_bp)
         streak += 1
-        if streak >= step.grow_after:
-            ds = min(ds * step.grow, step.ds_max)
+        if streak >= _GROW_AFTER:
+            ds = min(ds * _GROW, step.ds_max)
             streak = 0
 
     stats = {"failed_predictor_steps": sum(failures.values()), "failures": failures, "ds_final": ds}
@@ -370,14 +364,15 @@ class EndpointReport:
 def classify_endpoint(branch: Branch) -> EndpointReport:
     """Map a branch termination onto its qualitative endpoint type.
 
-    A final point with a below 1e-3*a0 counts as a collision regardless of
-    what stopped the tracer.  A b = 0 ending is a trivial limit; the detail
-    reports the gap to the closed-form bifurcation point of the same kind.
+    A final point with a below A_COLLISION*a0 counts as a collision
+    regardless of what stopped the tracer.  A b = 0 ending is a trivial
+    limit; the detail reports the gap to the closed-form bifurcation point
+    of the same kind.
     """
     end = branch.end
     params = branch.params
     detail: dict = {"termination": branch.termination, "n_points": len(branch.points)}
-    if end.a < 1e-3 * params.a0 or branch.termination == TERM_COLLISION:
+    if end.a < A_COLLISION * params.a0 or branch.termination == TERM_COLLISION:
         return EndpointReport("collision", end, detail)
     if branch.termination == TERM_B_ZERO:
         ref = bifurcation_point(params, branch.kind)
@@ -493,8 +488,7 @@ def branch_to_json(branch: Branch, path) -> None:
         for bp in branch.points
     ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(payload, fh)
 
 
 def branch_from_json(path) -> Branch:

@@ -35,7 +35,7 @@ import functools
 import linecache
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    h_init: float | None = None
     h_max: float | None = None
     max_steps: int = 2_000_000
     dense: bool = False
@@ -120,10 +119,8 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must lie in (0, 1e-3], got {v!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        for name in ("h_init", "h_max"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ValueError(f"{name} must be positive when given, got {v!r}")
+        if self.h_max is not None and not self.h_max > 0:
+            raise ValueError(f"h_max must be positive when given, got {self.h_max!r}")
 
 
 class DenseOutput:
@@ -140,14 +137,6 @@ class DenseOutput:
         self._t = np.asarray(t_grid, dtype=float)
         self._states = states
         self._rcont = rcont
-
-    @property
-    def t_min(self) -> float:
-        return float(self._t[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self._t[-1])
 
     def at(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
@@ -181,6 +170,7 @@ class FlowResult:
     n_steps: int
     n_rejected: int
     step_times: np.ndarray
+    dy: np.ndarray  # the vector field at (t, y)
     dense: DenseOutput | None = None
     singular_bracket: tuple[float, float] | None = None
 
@@ -339,40 +329,42 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
     `.require_ok()`.  With config.dense the result carries a DenseOutput
     whose values at accepted step times equal the stored states exactly.
     rhs receives the state as a list of floats and returns a sequence of
-    the same length.
+    the same length.  Non-finite times, initial state or initial derivative
+    raise ValueError before any step.
     """
     config = config or IntegratorConfig()
     t0, t_end = float(t0), float(t_end)
     y = np.asarray(y0, dtype=float).tolist()
+    if not all(map(math.isfinite, (t0, t_end, *y))):
+        raise ValueError(f"flow needs finite times and state, got t0={t0!r}, t_end={t_end!r}, y0={y!r}")
     span = t_end - t0
     if span < 0:
         raise ValueError("flow integrates forward only (t_end < t0)")
+    t = t0
+    k1 = rhs(t, y)  # an invalid initial state is the caller's error: let it raise
+    if not all(map(math.isfinite, k1)):
+        raise ValueError(f"vector field is not finite at the initial state: {list(k1)!r}")
     grid = [t0]
     states, steps, stages = array("d", y), array("d"), array("d")  # for dense output
-    if span == 0:
+    n_steps = 0
+    n_rejected = 0
+
+    def finish(status, bracket=None):
         dense = _dense_output(grid, states, steps, stages) if config.dense else None
-        return FlowResult(OK, t_end, np.array(y), 0, 0, np.array(grid), dense)
+        return FlowResult(status, t, np.array(y), n_steps, n_rejected, np.array(grid), np.array(k1), dense, bracket)
+
+    if span == 0:
+        return finish(OK)
 
     atol, rtol = float(config.abs_tol), float(config.rel_tol)
     h_max = float(config.h_max) if config.h_max is not None else span / 16.0
     h_max = min(h_max, span)
     h_floor = 1e-14 * max(abs(t0), abs(t_end), 1.0)
     step = _step_function(len(y))
+    h = min(_initial_step(rhs, t, np.array(y), np.array(k1), span, atol, rtol, h_max), h_max)
 
-    t = t0
-    k1 = rhs(t, y)  # an invalid initial state is the caller's error: let it raise
-    h = config.h_init
-    h = float(h) if h is not None else _initial_step(rhs, t, np.array(y), np.array(k1), span, atol, rtol, h_max)
-    h = min(h, h_max)
-
-    n_steps = 0
-    n_rejected = 0
     facold = 1e-4
     rejected = False
-
-    def finish(status, bracket=None):
-        dense = _dense_output(grid, states, steps, stages) if config.dense else None
-        return FlowResult(status, t, np.array(y), n_steps, n_rejected, np.array(grid), dense, bracket)
 
     while True:
         if n_steps + n_rejected >= config.max_steps:
@@ -436,7 +428,7 @@ class EvalPoint:
     """Flow values at time T used by the shooting residuals.
 
     F, Ft are the axial separation and its velocity at T; R, Rt the ring
-    radius and radial velocity; Theta the accumulated phase.  Ftt, Rtt,
+    radius and radial velocity; Theta the accumulated phase.  Rtt and
     Thetat come from the vector field at the endpoint.  The sensitivity
     fields are filled only when the evaluation is augmented.
     """
@@ -449,7 +441,6 @@ class EvalPoint:
     R: float
     Rt: float
     Theta: float
-    Ftt: float
     Rtt: float
     Thetat: float
     Fa: float | None = None
@@ -483,9 +474,6 @@ def eval_at(
     """
     if T < 0:
         raise ValueError(f"evaluation time must be nonnegative, got {T!r}")
-    config = config or IntegratorConfig()
-    if config.h_max is None and T > 0:
-        config = replace(config, h_max=T / 16.0)
     C = params.r0 * a
     if augmented:
         rhs = make_variational_rhs(params, C)
@@ -494,12 +482,11 @@ def eval_at(
         rhs = make_reduced_rhs(params, C)
         y0 = reduced_initial(b, params)
     res = flow(rhs, y0, T, config).require_ok()
-    y = res.y
-    d = rhs(res.t, y)
+    y, d = res.y, res.dy
     base = dict(
         a=a, b=b, T=T,
         F=float(y[0]), Ft=float(y[1]), R=float(y[2]), Rt=float(y[3]), Theta=float(y[4]),
-        Ftt=float(d[1]), Rtt=float(d[3]), Thetat=float(d[4]),
+        Rtt=float(d[3]), Thetat=float(d[4]),
     )
     if augmented:
         base.update(

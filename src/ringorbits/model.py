@@ -10,6 +10,7 @@ the dynamical core is the (f, r) system plus a quadrature for theta.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,6 +22,7 @@ __all__ = [
     "CollisionError",
     "lambda_n",
     "SystemParams",
+    "write_json",
     "CartesianState",
     "reduced_initial",
     "augmented_initial",
@@ -141,6 +143,12 @@ class SystemParams:
         if missing:
             raise ValueError(f"missing parameter keys: {sorted(missing)}")
         return cls(n=int(d["n"]), m=float(d["m"]), M=float(d["M"]), r0=float(d["r0"]))
+
+
+def write_json(obj, fh) -> None:
+    """Write obj to the text file fh as every JSON file of the package is written."""
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def reduced_initial(b: float, params: SystemParams) -> np.ndarray:

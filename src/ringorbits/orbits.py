@@ -28,6 +28,7 @@ from .model import (
     reduced_initial,
     total_angular_momentum,
     total_momentum,
+    write_json,
 )
 from .shoot import ConvergenceError, SeedPoint, newton_correct, phase
 
@@ -42,6 +43,9 @@ __all__ = [
     "load_trajectory",
     "trajectory_filename",
 ]
+
+
+_THETA_TOL = 1e-8  # a stored point this close to the target phase is the member
 
 
 class ResonanceNotFound(RuntimeError):
@@ -90,17 +94,15 @@ def find_resonance(
     branch: Branch,
     target: ResonanceTarget,
     config: IntegratorConfig | None = None,
-    theta_tol: float = 1e-8,
-    corrector_tol: float = 1e-10,
 ) -> SeedPoint:
     """Locate the branch member whose phase equals the target angle.
 
-    A stored point within theta_tol of the angle is returned as it is.
+    A stored point within _THETA_TOL of the angle is returned as it is.
     Otherwise the first pair of stored points whose phases bracket the
     angle gives the start: the point of their chord interpolated linearly
     in the phase gaps.  One Newton solve with the phase row
     (`shoot.phase`) then lands on the member, with |theta - angle| and the
-    residuals within corrector_tol.
+    residuals within the corrector's default tolerance.
 
     Raises ResonanceNotFound when no pair brackets the angle, and
     ConvergenceError when the corrector fails or lands on a member whose
@@ -114,7 +116,7 @@ def find_resonance(
 
     gap = [bp.point.theta - angle for bp in pts]
     for g, bp in zip(gap, pts):
-        if abs(g) <= theta_tol:
+        if abs(g) <= _THETA_TOL:
             return bp.point
     idx = None
     for i in range(len(pts) - 1):
@@ -131,7 +133,7 @@ def find_resonance(
     chord = pts[idx + 1].point.vector() - x_lo
     x0 = x_lo + gap[idx] / (gap[idx] - gap[idx + 1]) * chord
     guess = SeedPoint(a=float(x0[0]), b=float(x0[1]), T=float(x0[2]), kind=branch.kind)
-    pt = newton_correct(guess, params, config, tol=corrector_tol, constraint=phase(angle))
+    pt = newton_correct(guess, params, config, constraint=phase(angle))
     w = float(np.dot(pt.vector() - x_lo, chord) / np.dot(chord, chord))
     if not 0.0 <= w <= 1.0:
         raise ConvergenceError(
@@ -266,8 +268,7 @@ def export(traj: Trajectory, fmt: str, path) -> None:
             "diagnostics": traj.diagnostics,
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(payload, fh)
     else:
         raise ValueError(f"unknown export format {fmt!r}; expected 'csv' or 'json'")
 

@@ -33,6 +33,7 @@ is retried shorter.  Every failure raises ConvergenceError with a
 from __future__ import annotations
 
 import enum
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .integrate import EvalPoint, FlowError, IntegratorConfig, eval_at
-from .model import SystemParams
+from .model import SystemParams, write_json
 
 __all__ = [
     "SymmetryKind",
@@ -57,6 +58,10 @@ __all__ = [
     "newton_correct",
     "newton_correct_full",
 ]
+
+# The corrector's defaults, for every caller that does not choose its own.
+CORRECTOR_TOL = 1e-10
+CORRECTOR_MAX_ITER = 25
 
 # One-sided step used for d/da of the desingularized residual at b = 0;
 # the integrand is odd in b so the quotient is accurate to O(step^2).
@@ -118,6 +123,9 @@ class SeedPoint:
     theta: float = math.nan
 
     def __post_init__(self):
+        for name in ("a", "b", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.a > 0):
             raise ValueError(f"angular parameter a must be positive, got {self.a!r}")
         if not (self.T > 0):
@@ -152,7 +160,9 @@ class SeedPoint:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        text = io.StringIO()
+        write_json(self.to_dict(), text)
+        return text.getvalue()
 
     @classmethod
     def from_json(cls, text: str) -> "SeedPoint":
@@ -264,8 +274,8 @@ def newton_correct(
     params: SystemParams,
     config: IntegratorConfig | None = None,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 25,
+    tol: float = CORRECTOR_TOL,
+    max_iter: int = CORRECTOR_MAX_ITER,
     constraint: Constraint | None = None,
 ) -> SeedPoint:
     """Newton-correct a seed onto the family and one extra condition.
@@ -295,8 +305,8 @@ def newton_correct_full(
     params: SystemParams,
     config: IntegratorConfig | None = None,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 25,
+    tol: float = CORRECTOR_TOL,
+    max_iter: int = CORRECTOR_MAX_ITER,
     constraint: Constraint | None = None,
     max_flows: int | None = None,
 ) -> tuple[SeedPoint, DesingPoint]:

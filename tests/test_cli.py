@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ringorbits import cli, integrate
+from ringorbits import cli, integrate, orbits
 from ringorbits.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERIC, EXIT_OK, main
 from ringorbits.continuation import branch_to_json
 
@@ -146,12 +146,45 @@ class TestShoot:
         payload = json.loads(out[out.index("{"):])
         assert abs(payload["a"] - 1.84153) < 1e-3
 
+    def test_stdout_matches_the_seed_file(self, capsys, tmp_path):
+        argv = ["shoot", *P_FLAGS, "--a", "0.8892815", "--b", "0.05", "--T", "28.708"]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        code, _, _ = run(capsys, argv + ["--out", str(tmp_path), "--json-out", "seed.json"])
+        assert code == EXIT_OK
+        written = (tmp_path / "seed.json").read_text()
+        assert out.endswith(written)
+        assert written == json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n"
+
     def test_invalid_seed(self, capsys):
         code, _, err = run(
             capsys,
             ["shoot", *P_FLAGS, "--a", "-0.9", "--b", "0.05", "--T", "28.7"],
         )
         assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", *P_FLAGS, "--a", "0.9", "--b", "nan", "--T", "30"],
+        ["verify", *P_FLAGS, "--a", "inf", "--b", "0.05", "--T", "30"],
+        ["shoot", *P_FLAGS, "--a", "0.9", "--b", "0.05", "--T", "inf"],
+        ["shoot", *P_FLAGS, "--a", "0.9", "--b=-inf", "--T", "30"],
+        ["orbit", *P_FLAGS, "--a", "0.9", "--b", "0.05", "--T", "inf"],
+        ["trace", *P_FLAGS, "--seed-b", "nan"],
+    ],
+)
+def test_non_finite_seed_exits_before_any_flow(capsys, monkeypatch, tmp_path, argv):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran before the seed was checked")
+
+    monkeypatch.setattr(integrate, "flow", no_flow)
+    monkeypatch.setattr(orbits, "flow", no_flow)
+    code, _, err = run(capsys, [*argv, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "must be finite" in err
+    assert not any(tmp_path.iterdir())
 
 
 class TestTrace:
@@ -214,6 +247,26 @@ class TestTrace:
         assert code == EXIT_CONFIG
         ordered = "--ds-min" in flag and "--ds-max" in flag
         assert ("ds_min 1.0 exceeds ds_max 0.1" if ordered else "must be finite and positive") in err
+        assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            (["--max-points", "0"], "max_points must be positive"),
+            (["--max-points=-3"], "max_points must be positive"),
+            (["--b-tol", "nan"], "b_tol must be finite and nonnegative"),
+            (["--b-tol=-0.1"], "b_tol must be finite and nonnegative"),
+        ],
+    )
+    def test_bad_stop_rule_exits_before_any_flow(self, capsys, tmp_path, monkeypatch, flag, message):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the stop flags were checked")
+
+        monkeypatch.setattr(integrate, "flow", no_flow)
+        argv = ["trace", *P_FLAGS, "--seed-b", "0.05", *flag, "--out", str(tmp_path), "--prefix", "bad"]
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert message in err
         assert not (tmp_path / "bad.json").exists()
 
 

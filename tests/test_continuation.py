@@ -4,8 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from ringorbits import continuation
 from ringorbits.continuation import (
+    A_BOUND,
+    A_COLLISION,
+    T_LOWER,
+    T_UPPER,
     Branch,
+    BranchPoint,
     StepControl,
     StopRules,
     TERM_B_ZERO,
@@ -198,17 +204,16 @@ class TestCorrectorBudget:
     def test_refine_b_zero_reports_why_it_failed(self, params_p, cfg):
         far = {"a": 3.0 * params_p.a0, "T": 0.3 * params_p.T0}
         lo, hi = SeedPoint(b=0.01, **far), SeedPoint(b=-0.01, **far)
-        assert _refine_b_zero(lo, hi, params_p, cfg, 1e-10) == (None, "max-iter")
+        assert _refine_b_zero(lo, hi, params_p, cfg) == (None, "max-iter")
 
 
 class TestStepAndStopDefaults:
     def test_step_control_resolution(self, params_p):
         resolved = StepControl().resolved(params_p)
         assert abs(resolved.ds_max - 0.05 * params_p.T0) < 1e-12
-        assert resolved.ds0 == resolved.ds_max / 4.0
-        assert resolved.cos_min == 0.5
+        assert (continuation._GROW, continuation._GROW_AFTER, continuation._COS_MIN) == (1.3, 4, 0.5)
 
-    @pytest.mark.parametrize("field", ["ds0", "ds_min", "ds_max"])
+    @pytest.mark.parametrize("field", ["ds_min", "ds_max"])
     @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
     def test_step_lengths_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -222,13 +227,38 @@ class TestStepAndStopDefaults:
             StepControl(ds_min=2.0 * default_max).resolved(params_p)
         assert StepControl(ds_min=0.1, ds_max=0.1).resolved(params_p).ds_max == 0.1
 
-    def test_stop_rules_resolution(self, params_p):
-        resolved = StopRules().resolved(params_p)
-        assert resolved.a_min == 1e-3 * params_p.a0
-        assert resolved.a_max == 1e3 * params_p.a0
-        assert resolved.T_min == 1e-3 * params_p.T0
-        assert resolved.T_max == 50.0 * params_p.T0
-        assert resolved.b_tol == 1e-3
+    def test_stop_rules_resolution(self):
+        rules = StopRules()
+        assert (rules.max_points, rules.b_tol, rules.T_max) == (20000, 1e-3, None)
+        # multiples of a0 and T0: a_min, a_max, T_min and the default of T_max
+        assert (A_COLLISION, A_BOUND, T_LOWER, T_UPPER) == (1e-3, 1e3, 1e-3, 50.0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(max_points=0),
+            dict(max_points=-3),
+            dict(b_tol=-1e-3),
+            dict(b_tol=math.nan),
+            dict(b_tol=math.inf),
+            dict(T_max=-1.0),
+            dict(T_max=math.nan),
+            dict(T_max=math.inf),
+        ],
+    )
+    def test_stop_rules_are_validated(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            StopRules(**kw)
+
+    def test_collision_bound_is_shared(self, params_p):
+        # classify_endpoint reads the bound continue_branch stops at
+        start = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        low = SeedPoint(a=0.999 * A_COLLISION * params_p.a0, b=0.05, T=params_p.T0)
+        points = [BranchPoint(p, np.array([1.0, 0.0, 0.0]), 1.0, 0.0) for p in (start, low)]
+        branch = Branch(SymmetryKind.ODD, params_p, points, TERM_BOUND)
+        assert classify_endpoint(branch).label == "collision"
+        points[1] = BranchPoint(start, points[1].tangent, 1.0, 0.0)
+        assert classify_endpoint(branch).label == "unbounded"
 
 
 class TestThetaCurvature:

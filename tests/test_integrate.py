@@ -41,7 +41,6 @@ class TestConfig:
             dict(abs_tol=-1e-12),
             dict(max_steps=0),
             dict(h_max=0.0),
-            dict(h_init=-1.0),
         ],
     )
     def test_validation(self, kw):
@@ -66,6 +65,35 @@ class TestFlow:
     def test_backward_time_rejected(self):
         with pytest.raises(ValueError):
             flow(harmonic, np.array([1.0, 0.0]), -1.0)
+
+    # a small step budget, so that a flow that does not check its inputs
+    # ends at once instead of spinning through two million steps
+    @pytest.mark.parametrize(
+        "y0,t_end,t0",
+        [
+            ([1.0, 0.0], math.inf, 0.0),
+            ([1.0, 0.0], math.nan, 0.0),
+            ([1.0, 0.0], 1.0, math.nan),
+            ([1.0, 0.0], 1.0, -math.inf),
+            ([math.nan, 0.0], 1.0, 0.0),
+            ([1.0, math.inf], 1.0, 0.0),
+        ],
+    )
+    def test_non_finite_times_and_states_rejected(self, y0, t_end, t0):
+        with pytest.raises(ValueError, match="finite"):
+            flow(harmonic, y0, t_end, IntegratorConfig(max_steps=100), t0=t0)
+
+    def test_non_finite_initial_derivative_rejected(self):
+        def nan_field(t, y):
+            return [math.nan, -y[0]]
+
+        with pytest.raises(ValueError, match="vector field is not finite"):
+            flow(nan_field, [1.0, 0.0], 1.0, IntegratorConfig(max_steps=100))
+
+    @pytest.mark.parametrize("t_end", [0.0, 2.5])
+    def test_endpoint_derivative_is_the_field_there(self, t_end):
+        res = flow(harmonic, [1.0, 0.0], t_end)
+        assert [v.hex() for v in res.dy] == [v.hex() for v in harmonic(res.t, res.y)]
 
     def test_h_max_respected(self):
         res = flow(harmonic, np.array([1.0, 0.0]), 10.0, IntegratorConfig(h_max=0.125))
@@ -234,6 +262,13 @@ def bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
 
+@pytest.fixture
+def first_step_01(monkeypatch):
+    """Fix the first trial step at 0.1, the step the pinned bits below were
+    recorded with; `_initial_step` would choose another."""
+    monkeypatch.setattr(ig, "_initial_step", lambda *args: 0.1)
+
+
 class TestGeneratedStep:
     """The step written out per component against the array form, bit for bit."""
 
@@ -258,8 +293,8 @@ class TestGeneratedStep:
         assert [bits(g) for g in got[:6]] == [bits(w) for w in want[:6]]
         assert got[6] == want[6] and 0.0 < got[6] < math.inf
 
-    def test_singularity_in_a_middle_stage_is_retried(self):
-        # with h_init given, call 10 is the k4 stage of the second trial
+    def test_singularity_in_a_middle_stage_is_retried(self, first_step_01):
+        # with the first step fixed, call 10 is the k4 stage of the second trial
         calls = itertools.count(1)
 
         def once(t, y):
@@ -267,22 +302,22 @@ class TestGeneratedStep:
                 raise SingularityError("stage k4 of the second trial")
             return harmonic(t, y)
 
-        res = flow(once, [1.0, 0.0], 2.0, IntegratorConfig(h_init=0.1))
+        res = flow(once, [1.0, 0.0], 2.0, IntegratorConfig())
         assert (res.status, res.n_steps, res.n_rejected) == (OK, 126, 2)
         assert [v.hex() for v in res.y] == ["-0x1.aa226575361f9p-2", "-0x1.d18f6ead1a15bp-1"]
 
-    def test_singular_wall_ends_with_the_same_bracket(self):
+    def test_singular_wall_ends_with_the_same_bracket(self, first_step_01):
         def wall(t, y):
             if t > 1.0:
                 raise SingularityError("wall", t)
             return harmonic(t, y)
 
-        res = flow(wall, [1.0, 0.0], 2.0, IntegratorConfig(h_init=0.1))
+        res = flow(wall, [1.0, 0.0], 2.0, IntegratorConfig())
         assert (res.status, res.n_steps, res.n_rejected) == (SINGULAR, 79, 42)
         assert res.t.hex() == "0x1.fffffffffffe5p-1"
         assert [v.hex() for v in res.singular_bracket] == ["0x1.fffffffffffe5p-1", "0x1.000000000000ep+0"]
 
-    def test_generated_source_is_shown(self):
+    def test_generated_source_is_shown(self, first_step_01):
         calls = itertools.count(1)
 
         def fails_in_k4(t, y):
@@ -291,7 +326,7 @@ class TestGeneratedStep:
             return [y[1], -y[0]]
 
         with pytest.raises(KeyError) as info:
-            flow(fails_in_k4, [1.0, 0.0], 1.0, IntegratorConfig(h_init=0.1))
+            flow(fails_in_k4, [1.0, 0.0], 1.0, IntegratorConfig())
         frames = traceback.extract_tb(info.value.__traceback__)
         step_frame = next(f for f in frames if f.filename == "<ringorbits.integrate step n=2>")
         assert step_frame.line.startswith("k4 = rhs(t + 0.8 * h, [")
@@ -330,6 +365,33 @@ class TestEvalAt:
         assert abs(plain.F - aug.F) < 1e-9
         assert abs(plain.Rt - aug.Rt) < 1e-9
         assert aug.Fb is not None and aug.Rta is not None
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_one_flow_and_no_extra_field_call(self, params_p, cfg, monkeypatch, augmented):
+        # the endpoint derivative is the flow's last stage: eval_at calls the
+        # vector field exactly as often as the flow it runs
+        calls = []
+
+        def counting(factory):
+            def make(*args):
+                rhs = factory(*args)
+                return lambda t, y: calls.append(t) or rhs(t, y)
+            return make
+
+        monkeypatch.setattr(ig, "make_reduced_rhs", counting(make_reduced_rhs))
+        monkeypatch.setattr(ig, "make_variational_rhs", counting(make_variational_rhs))
+        a, b, T = params_p.a0, 0.1, 3.0
+        pt = eval_at(a, b, T, params_p, cfg, augmented=augmented)
+        in_eval = len(calls)
+        C = params_p.r0 * a
+        if augmented:
+            rhs, y0 = ig.make_variational_rhs(params_p, C), augmented_initial(b, params_p)
+        else:
+            rhs, y0 = ig.make_reduced_rhs(params_p, C), reduced_initial(b, params_p)
+        res = flow(rhs, y0, T, cfg)
+        assert in_eval == len(calls) - in_eval
+        d = rhs(res.t, res.y)
+        assert (pt.Rtt, pt.Thetat) == (float(d[3]), float(d[4]))
 
     def test_negative_time_rejected(self, params_p):
         with pytest.raises(ValueError):

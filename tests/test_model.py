@@ -1,4 +1,5 @@
 """Closed forms, right-hand sides, energy, and the full-space lift."""
+import json
 import math
 
 import numpy as np
@@ -53,6 +54,14 @@ class TestLambda:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             lambda_n(2.5)
+
+
+def test_json_format(tmp_path):
+    obj = {"b": [1.0, 0.1], "a": {"z": 1, "y": None}}
+    path = tmp_path / "x.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        model.write_json(obj, fh)
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class TestSystemParams:

@@ -1,0 +1,47 @@
+"""Inventory of what a caller can set along the pipeline.
+
+Every settable field of the three option types and every keyword parameter
+of the spine's functions is listed here; a new option is a one-line edit to
+these tables.  Policy values that no caller tunes are module constants.
+"""
+import dataclasses
+import inspect
+
+import pytest
+
+from ringorbits.continuation import StepControl, StopRules, continue_branch, tangent
+from ringorbits.integrate import IntegratorConfig, eval_at, flow
+from ringorbits.orbits import find_resonance, reconstruct
+from ringorbits.shoot import newton_correct, newton_correct_full
+
+SETTABLE_FIELDS = {
+    IntegratorConfig: ("rel_tol", "abs_tol", "h_max", "max_steps", "dense"),
+    StepControl: ("ds_min", "ds_max"),
+    StopRules: ("max_points", "b_tol", "T_max"),
+}
+
+KEYWORD_PARAMETERS = {
+    flow: ("config", "t0"),
+    eval_at: ("config", "augmented"),
+    newton_correct: ("config", "tol", "max_iter", "constraint"),
+    newton_correct_full: ("config", "tol", "max_iter", "constraint", "max_flows"),
+    continue_branch: ("config", "step", "stop"),
+    tangent: ("config", "prev"),
+    find_resonance: ("config",),
+    reconstruct: ("periods", "samples_per_period", "config"),
+}
+
+
+@pytest.mark.parametrize("cls", list(SETTABLE_FIELDS), ids=lambda c: c.__name__)
+def test_settable_fields(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == SETTABLE_FIELDS[cls]
+
+
+def test_settable_surface_is_ten():
+    assert sum(map(len, SETTABLE_FIELDS.values())) == 10
+
+
+@pytest.mark.parametrize("fn", list(KEYWORD_PARAMETERS), ids=lambda f: f.__name__)
+def test_keyword_parameters(fn):
+    params = inspect.signature(fn).parameters.values()
+    assert tuple(p.name for p in params if p.default is not p.empty) == KEYWORD_PARAMETERS[fn]

@@ -18,7 +18,7 @@ from ringorbits.orbits import (
     reconstruct,
     trajectory_filename,
 )
-from ringorbits.shoot import ConvergenceError, SeedPoint
+from ringorbits.shoot import CORRECTOR_TOL, ConvergenceError, SeedPoint
 
 
 def brute_force_orders(n1, n2, n, k_max=1000):
@@ -79,9 +79,9 @@ class TestFindResonance:
     @pytest.mark.parametrize("n1,n2", [(3, 4), (9, 10)])
     def test_phase_meets_the_corrector_tolerance(self, p_branch, cfg, n1, n2):
         target = ResonanceTarget(n1, n2)
-        pt = find_resonance(p_branch, target, cfg, corrector_tol=1e-10)
-        assert abs(pt.theta - target.angle) <= 1e-10
-        assert pt.residual <= 1e-10
+        pt = find_resonance(p_branch, target, cfg)
+        assert abs(pt.theta - target.angle) <= CORRECTOR_TOL
+        assert pt.residual <= CORRECTOR_TOL
 
     def test_member_outside_its_bracket_is_a_convergence_error(self, p_branch, cfg):
         # Two stored points near theta = 0.87*pi relabeled so that their

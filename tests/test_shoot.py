@@ -50,6 +50,20 @@ class TestSeedPoint:
         with pytest.raises(ValueError):
             SeedPoint(a=1.0, b=0.0, T=0.0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(a=math.inf, b=0.0, T=1.0),
+            dict(a=1.0, b=math.nan, T=1.0),
+            dict(a=1.0, b=math.inf, T=1.0),
+            dict(a=1.0, b=-math.inf, T=1.0),
+            dict(a=1.0, b=0.0, T=math.inf),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kw):
+        with pytest.raises(ValueError, match="must be finite"):
+            SeedPoint(**kw)
+
     def test_negative_b_allowed(self):
         SeedPoint(a=1.0, b=-0.3, T=1.0)
 
