@@ -36,7 +36,7 @@ from .orbits import (
     find_resonance,
     reconstruct,
 )
-from .shoot import SeedPoint, SymmetryKind, newton_correct, residual
+from .shoot import SeedPoint, SymmetryKind, newton_correct
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "nondegeneracy",
     "reconstruct",
     "reduced_energy",
-    "residual",
     "resonance_ratio",
     "tangent",
     "theta_curvature_numeric",

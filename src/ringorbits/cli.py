@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -287,6 +288,8 @@ def _cmd_resonance(args) -> int:
         raise ConfigError(
             f"system {params.to_dict()} differs from the branch file's {branch.params.to_dict()}"
         )
+    if args.samples < 2:
+        raise ConfigError("need at least two samples per period")
     point = find_resonance(branch, target, config)
     k_strict, k_relabel = closure_order(target, params.n)
     periods = k_strict if args.strict_closure else k_relabel
@@ -329,6 +332,8 @@ def _cmd_orbit(args) -> int:
 def _cmd_verify(args) -> int:
     params, config = _system_from(args)
     point = _seed_from_args(args)
+    if not (math.isfinite(args.res_tol) and args.res_tol > 0):
+        raise ConfigError(f"--res-tol must be finite and positive, got {args.res_tol!r}")
     e = eval_at(point.a, point.b, point.T, params, config)
     r1, r2 = residual_of(e, point.kind)
     traj = reconstruct(point, params, periods=1, samples_per_period=256, config=config)

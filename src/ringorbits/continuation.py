@@ -104,17 +104,8 @@ class StepControl:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        if self.ds_max is not None:
-            self._check_range(self.ds_max)
-
-    def _check_range(self, ds_max: float) -> None:
-        if self.ds_min > ds_max:
-            raise ValueError(f"ds_min {self.ds_min!r} exceeds ds_max {ds_max!r}")
-
-    def resolved(self, params: SystemParams) -> "StepControl":
-        ds_max = self.ds_max if self.ds_max is not None else 0.05 * max(1.0, params.T0)
-        self._check_range(ds_max)
-        return replace(self, ds_max=ds_max)
+        if self.ds_max is not None and self.ds_min > self.ds_max:
+            raise ValueError(f"ds_min {self.ds_min!r} exceeds ds_max {self.ds_max!r}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +172,17 @@ def _tangent_from(d: DesingPoint, where: tuple, prev: np.ndarray | None) -> tupl
     return unit, nrm
 
 
+def _on_family(point: SeedPoint, params: SystemParams, config: IntegratorConfig | None) -> DesingPoint:
+    """Residual data at a point, which must lie within _ON_FAMILY_TOL of its family."""
+    d = desing_eval(point.a, point.b, point.T, point.kind, params, config)
+    if max(abs(d.value), abs(d.rt)) > _ON_FAMILY_TOL:
+        raise ValueError(
+            f"point is not on the family: desingularized residuals {d.value:.3e}, {d.rt:.3e} "
+            f"exceed {_ON_FAMILY_TOL:.1e}"
+        )
+    return d
+
+
 def tangent(
     point: SeedPoint,
     params: SystemParams,
@@ -194,26 +196,8 @@ def tangent(
     residuals exceed _ON_FAMILY_TOL, and raises SingularPointError where the
     gradients are (numerically) parallel.
     """
-    d = desing_eval(point.a, point.b, point.T, point.kind, params, config, grad=True)
-    worst = max(abs(d.value), abs(d.rt))
-    if worst > _ON_FAMILY_TOL:
-        raise ValueError(
-            f"point is not on the family: desingularized residuals {d.value:.3e}, {d.rt:.3e} "
-            f"exceed {_ON_FAMILY_TOL:.1e}"
-        )
+    d = _on_family(point, params, config)
     return _tangent_from(d, (point.a, point.b, point.T), prev)
-
-
-def _evaluate_seed(x: np.ndarray, kind: SymmetryKind, params, config) -> SeedPoint:
-    d = desing_eval(float(x[0]), float(x[1]), float(x[2]), kind, params, config)
-    return SeedPoint(
-        a=float(x[0]),
-        b=float(x[1]),
-        T=float(x[2]),
-        kind=kind,
-        residual=float(max(abs(d.value), abs(d.rt))),
-        theta=d.theta,
-    )
 
 
 def _failure_reason(exc: Exception) -> str:
@@ -256,7 +240,9 @@ def continue_branch(
 
     direction (+1 or -1) orients the first step along or against the raw
     tangent; afterwards the orientation follows by continuity.  The start
-    must already satisfy the residuals (correct it first if unsure).
+    must already satisfy the residuals (correct it first if unsure); one
+    evaluation checks that, gives the first tangent and, when the start's
+    theta or residual is NaN, fills in both.
 
     Each corrector call gets a budget of _CORRECTOR_MAX_FLOWS flows.  A
     failed step (corrector failure, flow failure, singular point, tangent
@@ -269,19 +255,23 @@ def continue_branch(
     """
     if direction not in (-1, 1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    step = (step or StepControl()).resolved(params)
+    step = step or StepControl()
     stop = stop or StopRules()
+    ds_max = step.ds_max if step.ds_max is not None else 0.05 * max(1.0, params.T0)
+    if step.ds_min > ds_max:
+        raise ValueError(f"ds_min {step.ds_min!r} exceeds ds_max {ds_max!r}")
     a_min, a_max, T_min = A_COLLISION * params.a0, A_BOUND * params.a0, T_LOWER * params.T0
     T_max = stop.T_max if stop.T_max is not None else T_UPPER * params.T0
     kind = start.kind
 
-    unit, xn = tangent(start, params, config)  # raises if the start is off-family
+    d = _on_family(start, params, config)
+    unit, xn = _tangent_from(d, (start.a, start.b, start.T), None)
     unit = direction * unit
     if math.isnan(start.theta) or math.isnan(start.residual):
-        start = _evaluate_seed(start.vector(), kind, params, config)
+        start = replace(start, residual=float(max(abs(d.value), abs(d.rt))), theta=d.theta)
     points = [BranchPoint(point=start, tangent=unit, x_norm=xn, arc=0.0)]
 
-    ds = step.ds_max / 4.0
+    ds = ds_max / 4.0
     streak = 0
     failures: dict[str, int] = {}
     b_zero_refine = None
@@ -343,7 +333,7 @@ def continue_branch(
         points.append(new_bp)
         streak += 1
         if streak >= _GROW_AFTER:
-            ds = min(ds * _GROW, step.ds_max)
+            ds = min(ds * _GROW, ds_max)
             streak = 0
 
     stats = {"failed_predictor_steps": sum(failures.values()), "failures": failures, "ds_final": ds}
@@ -410,7 +400,7 @@ def theta_curvature_numeric(
     if b_max is None:
         b_max = 0.02 * math.sqrt((params.M + params.n * params.m) / params.r0)
 
-    d0 = desing_eval(a0, 0.0, T0, kind, params, config, grad=True)
+    d0 = desing_eval(a0, 0.0, T0, kind, params, config)
     theta0 = d0.theta
 
     def x_b(d):

@@ -133,8 +133,8 @@ class DenseOutput:
     that contains them.
     """
 
-    def __init__(self, t_grid: np.ndarray, states: np.ndarray, rcont: np.ndarray):
-        self._t = np.asarray(t_grid, dtype=float)
+    def __init__(self, grid: np.ndarray, states: np.ndarray, rcont: np.ndarray):
+        self.grid = np.asarray(grid, dtype=float)  # the accepted step times
         self._states = states
         self._rcont = rcont
 
@@ -143,7 +143,7 @@ class DenseOutput:
 
     def sample(self, ts) -> np.ndarray:
         """States at the times ts, shape (len(ts), dim)."""
-        grid = self._t
+        grid = self.grid
         ts = np.asarray(ts, dtype=float)
         outside = ~((grid[0] <= ts) & (ts <= grid[-1]))
         if outside.any():
@@ -169,7 +169,6 @@ class FlowResult:
     y: np.ndarray
     n_steps: int
     n_rejected: int
-    step_times: np.ndarray
     dy: np.ndarray  # the vector field at (t, y)
     dense: DenseOutput | None = None
     singular_bracket: tuple[float, float] | None = None
@@ -190,10 +189,6 @@ class FlowError(RuntimeError):
     @property
     def status(self) -> str:
         return self.result.status
-
-
-def _error_norm(v: np.ndarray, sc: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((v / sc) ** 2)))
 
 
 def _pairwise_sum(v: list[float]) -> float:
@@ -306,15 +301,20 @@ def _dense_output(grid, states, steps, stages) -> DenseOutput:
 
 
 def _initial_step(rhs, t0, y0, f0, span, atol, rtol, h_max):
-    # Deterministic two-probe heuristic for the first trial step.
-    sc = atol + rtol * np.abs(y0)
-    d0 = _error_norm(y0, sc)
-    d1 = _error_norm(f0, sc)
+    # Deterministic two-probe heuristic for the first trial step.  Each RMS
+    # norm adds its squares in numpy's pairwise order, as np.mean does.
+    sc = [atol + rtol * abs(v) for v in y0]
+
+    def rms(v):
+        return math.sqrt(_pairwise_sum([(x / s) * (x / s) for x, s in zip(v, sc)]) / len(sc))
+
+    d0 = rms(y0)
+    d1 = rms(f0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, h_max)
     try:
-        f1 = rhs(t0 + h0, y0 + h0 * f0)
-        d2 = _error_norm(np.asarray(f1) - f0, sc) / h0
+        f1 = rhs(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
+        d2 = rms([u - f for u, f in zip(f1, f0)]) / h0
     except SingularityError:
         return max(h0 * 1e-3, 1e-12 * span)
     dmax = max(d1, d2)
@@ -344,14 +344,13 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
     k1 = rhs(t, y)  # an invalid initial state is the caller's error: let it raise
     if not all(map(math.isfinite, k1)):
         raise ValueError(f"vector field is not finite at the initial state: {list(k1)!r}")
-    grid = [t0]
-    states, steps, stages = array("d", y), array("d"), array("d")  # for dense output
+    grid, states, steps, stages = [t0], array("d", y), array("d"), array("d")  # for dense output
     n_steps = 0
     n_rejected = 0
 
     def finish(status, bracket=None):
         dense = _dense_output(grid, states, steps, stages) if config.dense else None
-        return FlowResult(status, t, np.array(y), n_steps, n_rejected, np.array(grid), np.array(k1), dense, bracket)
+        return FlowResult(status, t, np.array(y), n_steps, n_rejected, np.array(k1), dense, bracket)
 
     if span == 0:
         return finish(OK)
@@ -361,7 +360,7 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
     h_max = min(h_max, span)
     h_floor = 1e-14 * max(abs(t0), abs(t_end), 1.0)
     step = _step_function(len(y))
-    h = min(_initial_step(rhs, t, np.array(y), np.array(k1), span, atol, rtol, h_max), h_max)
+    h = min(_initial_step(rhs, t, y, k1, span, atol, rtol, h_max), h_max)
 
     facold = 1e-4
     rejected = False
@@ -388,15 +387,15 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
 
         if err <= 1.0:
             n_steps += 1
+            t = t_end if last else t + h
             if config.dense:
+                grid.append(t)
                 states.extend(ynew)
                 steps.append(h)
                 for k in (k1, k3, k4, k5, k6, k7):
                     stages.extend(k)
-            t = t_end if last else t + h
             y = ynew
             k1 = k7
-            grid.append(t)
             if last:
                 return finish(OK)
             if err == 0.0:

@@ -181,7 +181,7 @@ def make_reduced_rhs(params: SystemParams, C: float):
     sqrt = math.sqrt
 
     def rhs(t, y):
-        f, fdot, r, rdot, _ = y.tolist() if isinstance(y, np.ndarray) else y
+        f, fdot, r, rdot, _ = y
         if r <= r_floor:
             raise SingularityError(f"ring radius {r!r} below collision floor at t={t!r}", t=t)
         h2 = r * r + kap2 * f * f
@@ -213,7 +213,7 @@ def make_variational_rhs(params: SystemParams, C: float):
     def rhs(t, y):
         (f, fdot, r, rdot, _th,
          fa, ga, ra, sa, _tha,
-         fb, gb, rb, sb, _thb) = y.tolist() if isinstance(y, np.ndarray) else y
+         fb, gb, rb, sb, _thb) = y
         if r <= r_floor:
             raise SingularityError(f"ring radius {r!r} below collision floor at t={t!r}", t=t)
         r2 = r * r

@@ -20,6 +20,7 @@ import numpy as np
 from .continuation import Branch
 from .integrate import IntegratorConfig, flow
 from .model import (
+    CartesianState,
     SystemParams,
     cartesian_energy,
     cartesian_lift,
@@ -162,25 +163,20 @@ class Trajectory:
     diagnostics: dict
 
 
-def _closure_error(traj: Trajectory) -> float:
-    dp = np.linalg.norm(traj.positions[-1] - traj.positions[0], axis=1)
-    dv = np.linalg.norm(traj.velocities[-1] - traj.velocities[0], axis=1)
-    return float(np.max(dp + dv))
-
-
-def _closure_error_relabel(traj: Trajectory, n: int) -> float:
-    """Closure error minimized over cyclic relabelings of the ring bodies."""
-    best = math.inf
-    p0, v0 = traj.positions[0], traj.velocities[0]
-    p1, v1 = traj.positions[-1], traj.velocities[-1]
+def _closure_errors(state: CartesianState, n: int) -> tuple[float, float]:
+    """Closure error between the first and last states, and its minimum over
+    cyclic relabelings of the ring bodies; shift 0 is the identity order."""
+    errs = []
+    p0, v0 = state.positions[0], state.velocities[0]
+    p1, v1 = state.positions[-1], state.velocities[-1]
     for shift in range(n):
         ring = 1 + (np.arange(n) + shift) % n
         order = np.concatenate(([0], ring))
         err = np.max(
             np.linalg.norm(p1[order] - p0, axis=1) + np.linalg.norm(v1[order] - v0, axis=1)
         )
-        best = min(best, float(err))
-    return best
+        errs.append(float(err))
+    return errs[0], min(errs)
 
 
 def reconstruct(
@@ -221,9 +217,10 @@ def reconstruct(
     coms = center_of_mass(state)
     lzs = total_angular_momentum(state)[:, 2]
 
+    closure, closure_relabel = _closure_errors(state, params.n)
     e_scale = max(abs(float(np.max(energies))), abs(float(np.min(energies))), 1e-300)
     lz_scale = max(float(np.max(np.abs(lzs))), 1e-300)
-    traj = Trajectory(
+    return Trajectory(
         times=times,
         positions=state.positions,
         velocities=state.velocities,
@@ -231,17 +228,15 @@ def reconstruct(
         params=params,
         source=point,
         periods=periods,
-        diagnostics={},
+        diagnostics={
+            "energy_drift": float((np.max(energies) - np.min(energies)) / e_scale),
+            "momentum_max": float(np.max(np.abs(momenta))),
+            "com_max": float(np.max(np.linalg.norm(coms, axis=1)) / params.r0),
+            "lz_drift": float((np.max(lzs) - np.min(lzs)) / lz_scale),
+            "closure_error": closure,
+            "closure_error_relabel": closure_relabel,
+        },
     )
-    traj.diagnostics = {
-        "energy_drift": float((np.max(energies) - np.min(energies)) / e_scale),
-        "momentum_max": float(np.max(np.abs(momenta))),
-        "com_max": float(np.max(np.linalg.norm(coms, axis=1)) / params.r0),
-        "lz_drift": float((np.max(lzs) - np.min(lzs)) / lz_scale),
-        "closure_error": _closure_error(traj),
-        "closure_error_relabel": _closure_error_relabel(traj, params.n),
-    }
-    return traj
 
 
 def export(traj: Trajectory, fmt: str, path) -> None:

@@ -48,7 +48,6 @@ __all__ = [
     "SymmetryKind",
     "SeedPoint",
     "ConvergenceError",
-    "residual",
     "residual_of",
     "desing_eval",
     "DesingPoint",
@@ -169,13 +168,9 @@ class SeedPoint:
         return cls.from_dict(json.loads(text))
 
 
-def residual(point: SeedPoint, params: SystemParams, config: IntegratorConfig | None = None):
-    """Raw residual pair: (F, R_t) for odd, (F_t, R_t) for odd/even."""
-    return residual_of(eval_at(point.a, point.b, point.T, params, config), point.kind)
-
-
 def residual_of(e: EvalPoint, kind: SymmetryKind) -> tuple[float, float]:
-    """The raw residual pair read off a flow already evaluated at the point."""
+    """Raw residual pair read off a flow evaluated at the point: (F, R_t) for
+    odd, (F_t, R_t) for odd/even."""
     return (e.F if kind is SymmetryKind.ODD else e.Ft), e.Rt
 
 
@@ -184,16 +179,16 @@ class DesingPoint:
     """Desingularized residual data at (a, b, T).
 
     value is F/b (odd) or F_t/b (odd/even), continued across b = 0 by the
-    flow sensitivities; rt is R_t; theta is the ring phase.  Gradients are
-    w.r.t. (a, b, T) and are None unless requested.
+    flow sensitivities; rt is R_t; theta is the ring phase.  The three
+    gradients are w.r.t. (a, b, T).
     """
 
     value: float
     rt: float
     theta: float
-    grad_value: np.ndarray | None = None
-    grad_rt: np.ndarray | None = None
-    grad_theta: np.ndarray | None = None
+    grad_value: np.ndarray
+    grad_rt: np.ndarray
+    grad_theta: np.ndarray
 
 
 def desing_eval(
@@ -203,33 +198,30 @@ def desing_eval(
     kind: SymmetryKind,
     params: SystemParams,
     config: IntegratorConfig | None = None,
-    grad: bool = False,
 ) -> DesingPoint:
+    """The desingularized residuals and their gradients, from augmented flows:
+    one flow away from b = 0, two at b = 0."""
     odd = kind is SymmetryKind.ODD
     mu = params.M + params.m * params.n
     if b == 0.0:
         e = eval_at(a, 0.0, T, params, config, augmented=True)
         ftil = e.Fb
         value = ftil if odd else e.Ftb
-        if grad:
-            # d(value)/da at b = 0 from a one-sided quotient; the numerator is
-            # odd in b, so the O(step) term cancels.
-            e2 = eval_at(a, _FD_DB, T, params, config, augmented=True)
-            va = (e2.Fa if odd else e2.Fta) / _FD_DB
-            vb = 0.0  # parity: the desingularized residual is even in b
-            vt = e.Ftb if odd else -mu * ftil / params.h(e.F, e.R) ** 3
+        # d(value)/da at b = 0 from a one-sided quotient; the numerator is
+        # odd in b, so the O(step) term cancels.
+        e2 = eval_at(a, _FD_DB, T, params, config, augmented=True)
+        va = (e2.Fa if odd else e2.Fta) / _FD_DB
+        vb = 0.0  # parity: the desingularized residual is even in b
+        vt = e.Ftb if odd else -mu * ftil / params.h(e.F, e.R) ** 3
     else:
-        e = eval_at(a, b, T, params, config, augmented=grad)
+        e = eval_at(a, b, T, params, config, augmented=True)
         ftil = e.F / b
         value = ftil if odd else e.Ft / b
-        if grad:
-            va = (e.Fa if odd else e.Fta) / b
-            vb = ((e.Fb if odd else e.Ftb) - value) / b
-            # For odd/even the T-derivative of F_t/b is F_tt/b, which the axial
-            # equation turns into -mu*(F/b)/h^3: stable as b -> 0.
-            vt = e.Ft / b if odd else -mu * ftil / params.h(e.F, e.R) ** 3
-    if not grad:
-        return DesingPoint(value, e.Rt, e.Theta)
+        va = (e.Fa if odd else e.Fta) / b
+        vb = ((e.Fb if odd else e.Ftb) - value) / b
+        # For odd/even the T-derivative of F_t/b is F_tt/b, which the axial
+        # equation turns into -mu*(F/b)/h^3: stable as b -> 0.
+        vt = e.Ft / b if odd else -mu * ftil / params.h(e.F, e.R) ** 3
     return DesingPoint(
         value,
         e.Rt,
@@ -310,8 +302,8 @@ def newton_correct_full(
     constraint: Constraint | None = None,
     max_flows: int | None = None,
 ) -> tuple[SeedPoint, DesingPoint]:
-    """Like `newton_correct` but also returns the residual data (with
-    gradients) at the corrected point, so callers can reuse them.
+    """Like `newton_correct` but also returns the residual data at the
+    corrected point, gradients included, so callers can reuse them.
 
     max_flows bounds the flows the call runs, the initial evaluation and
     rejected line-search trials included; None leaves only the max_iter
@@ -325,14 +317,14 @@ def newton_correct_full(
 
     def evaluate(xv):
         nonlocal n_flows
-        # desing_eval with gradients flows twice at b = 0, once elsewhere
+        # desing_eval flows twice at b = 0, once elsewhere
         n_flows += 2 if xv[1] == 0.0 else 1
         if max_flows is not None and n_flows > max_flows:
             raise ConvergenceError(
                 f"flow budget spent: {max_flows} flows without reaching {tol:.1e}",
                 "budget",
             )
-        dv = desing_eval(xv[0], xv[1], xv[2], kind, params, config, grad=True)
+        dv = desing_eval(xv[0], xv[1], xv[2], kind, params, config)
         c, row = constraint(xv, dv)
         return dv, np.array([dv.value, dv.rt, c]), row
 

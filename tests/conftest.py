@@ -36,6 +36,19 @@ def q0_corrected(params_q, cfg):
     return newton_correct(seed, params_q, cfg, tol=1e-12)
 
 
+def count_flows(monkeypatch) -> list:
+    """Record every flow that desing_eval runs (the unit of max_flows)."""
+    calls = []
+    inner = shoot.eval_at
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(shoot, "eval_at", counted)
+    return calls
+
+
 def direction_of_increasing_b(point, params, cfg):
     unit, _ = tangent(point, params, cfg)
     return 1 if unit[1] > 0 else -1
@@ -47,7 +60,7 @@ def p_branch_traced(params_p, cfg, p1_corrected):
     with the flows each continuation corrector call spent."""
     flows, per_call = [0], []
 
-    def count_flows(inner):
+    def count_calls(inner):
         def counted(*args, **kwargs):
             flows[0] += 1
             return inner(*args, **kwargs)
@@ -64,7 +77,7 @@ def p_branch_traced(params_p, cfg, p1_corrected):
 
     direction = direction_of_increasing_b(p1_corrected, params_p, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shoot, "eval_at", count_flows(shoot.eval_at))
+        mp.setattr(shoot, "eval_at", count_calls(shoot.eval_at))
         mp.setattr(continuation, "newton_correct_full", record_calls(continuation.newton_correct_full))
         branch = continue_branch(
             p1_corrected, direction, params_p, cfg,

@@ -336,6 +336,22 @@ class TestResonance:
         assert "differs from the branch file" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_too_few_samples_exit_before_any_flow(self, capsys, tmp_path, monkeypatch, p_branch_file):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the sample count was checked")
+
+        monkeypatch.setattr(integrate, "flow", no_flow)
+        monkeypatch.setattr(orbits, "flow", no_flow)
+        argv = [
+            "resonance", *P_FLAGS,
+            "--branch", str(p_branch_file), "--n1", "3", "--n2", "4",
+            "--samples", "1", "--out", str(tmp_path),
+        ]
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert "need at least two samples per period" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_branch_file(self, capsys, tmp_path):
         argv = [
             "resonance", *P_FLAGS,
@@ -381,6 +397,22 @@ class TestVerify:
         assert code == EXIT_NUMERIC
         assert "verdict       FAIL" in out
         assert "residual" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_bad_residual_bound_exits_before_any_flow(self, capsys, monkeypatch, q0_corrected, tol):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before --res-tol was checked")
+
+        monkeypatch.setattr(integrate, "flow", no_flow)
+        monkeypatch.setattr(orbits, "flow", no_flow)
+        argv = [
+            "verify", *Q_FLAGS,
+            "--a", repr(q0_corrected.a), "--b", repr(q0_corrected.b), "--T", repr(q0_corrected.T),
+            f"--res-tol={tol}",
+        ]
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert "--res-tol must be finite and positive" in err
 
     def test_checked_pair_and_phase_share_one_flow(self, capsys, monkeypatch, q0_corrected):
         flows = []

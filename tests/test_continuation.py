@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ringorbits import continuation
+from ringorbits import continuation, integrate
 from ringorbits.continuation import (
     A_BOUND,
     A_COLLISION,
@@ -30,7 +30,7 @@ from ringorbits.continuation import (
 )
 from ringorbits.shoot import SeedPoint, SymmetryKind, desing_eval, newton_correct
 
-from conftest import direction_of_increasing_b
+from conftest import count_flows, direction_of_increasing_b
 
 
 def segment_distance(p, q0, q1):
@@ -71,7 +71,7 @@ class TestTangent:
         for a_fac, t_fac in [(1.0, 0.7), (1.15, 0.4), (0.85, 1.3)]:
             d = desing_eval(
                 a_fac * params_p.a0, 0.0, t_fac * params_p.T0,
-                SymmetryKind.ODD, params_p, cfg, grad=True,
+                SymmetryKind.ODD, params_p, cfg,
             )
             X = np.cross(d.grad_value, d.grad_rt)
             assert abs(X[0]) < 1e-9
@@ -88,6 +88,16 @@ class TestContinueBranch:
         stray = SeedPoint(a=params_p.a0, b=0.0, T=params_p.T0 + 1.0)
         with pytest.raises(ValueError):
             continue_branch(stray, 1, params_p, cfg)
+
+    def test_start_is_evaluated_once(self, p1_corrected, params_p, cfg, monkeypatch):
+        # a raw copy of a corrected point: the on-family check, the first
+        # tangent, theta and the residual all come from one flow
+        raw = SeedPoint(a=p1_corrected.a, b=p1_corrected.b, T=p1_corrected.T)
+        flows = count_flows(monkeypatch)
+        br = continue_branch(raw, 1, params_p, cfg, stop=StopRules(max_points=1))
+        assert len(flows) == 1
+        assert br.start == p1_corrected  # theta and residual bit for bit
+        assert np.array_equal(br.points[0].tangent, tangent(p1_corrected, params_p, cfg)[0])
 
     def test_branch_pointwise_invariants(self, p_branch, params_p):
         ds_max = 0.05 * max(1.0, params_p.T0)
@@ -208,9 +218,10 @@ class TestCorrectorBudget:
 
 
 class TestStepAndStopDefaults:
-    def test_step_control_resolution(self, params_p):
-        resolved = StepControl().resolved(params_p)
-        assert abs(resolved.ds_max - 0.05 * params_p.T0) < 1e-12
+    def test_step_control_resolution(self, p1_corrected, params_p, cfg):
+        # the first step is ds_max/4, and ds_max defaults to 0.05*max(1, T0)
+        br = continue_branch(p1_corrected, 1, params_p, cfg, stop=StopRules(max_points=1))
+        assert abs(4.0 * br.stats["ds_final"] - 0.05 * params_p.T0) < 1e-12
         assert (continuation._GROW, continuation._GROW_AFTER, continuation._COS_MIN) == (1.3, 4, 0.5)
 
     @pytest.mark.parametrize("field", ["ds_min", "ds_max"])
@@ -219,13 +230,20 @@ class TestStepAndStopDefaults:
         with pytest.raises(ValueError, match=field):
             StepControl(**{field: value})
 
-    def test_ds_min_above_ds_max_rejected(self, params_p):
+    def test_ds_min_above_ds_max_rejected(self, p1_corrected, params_p, cfg, monkeypatch):
         with pytest.raises(ValueError, match="ds_min 1.0 exceeds ds_max 0.1"):
             StepControl(ds_min=1.0, ds_max=0.1)
+        equal = StepControl(ds_min=0.1, ds_max=0.1)
+        one = StopRules(max_points=1)
+        assert continue_branch(p1_corrected, 1, params_p, cfg, step=equal, stop=one).stats["ds_final"] == 0.025
+        # above the default ds_max: rejected before any flow
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the step lengths were checked")
+
+        monkeypatch.setattr(integrate, "flow", no_flow)
         default_max = 0.05 * max(1.0, params_p.T0)
         with pytest.raises(ValueError, match="exceeds ds_max"):
-            StepControl(ds_min=2.0 * default_max).resolved(params_p)
-        assert StepControl(ds_min=0.1, ds_max=0.1).resolved(params_p).ds_max == 0.1
+            continue_branch(p1_corrected, 1, params_p, cfg, step=StepControl(ds_min=2.0 * default_max))
 
     def test_stop_rules_resolution(self):
         rules = StopRules()

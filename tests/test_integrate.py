@@ -96,18 +96,22 @@ class TestFlow:
         assert [v.hex() for v in res.dy] == [v.hex() for v in harmonic(res.t, res.y)]
 
     def test_h_max_respected(self):
-        res = flow(harmonic, np.array([1.0, 0.0]), 10.0, IntegratorConfig(h_max=0.125))
+        res = flow(harmonic, np.array([1.0, 0.0]), 10.0, IntegratorConfig(h_max=0.125, dense=True))
         res.require_ok()
-        assert np.max(np.diff(res.step_times)) <= 0.125 + 1e-15
+        assert np.max(np.diff(res.dense.grid)) <= 0.125 + 1e-15
 
     def test_bitwise_determinism(self, params_q):
         rhs = make_reduced_rhs(params_q, params_q.r0 * 1.84153)
         y0 = reduced_initial(3.79392, params_q)
-        one = flow(rhs, y0, 7.31715, IntegratorConfig())
-        two = flow(rhs, y0, 7.31715, IntegratorConfig())
+        one = flow(rhs, y0, 7.31715, IntegratorConfig(dense=True))
+        two = flow(rhs, y0, 7.31715, IntegratorConfig(dense=True))
         assert one.n_steps == two.n_steps
         assert np.array_equal(one.y, two.y)
-        assert np.array_equal(one.step_times, two.step_times)
+        assert np.array_equal(one.dense.grid, two.dense.grid)
+        # dense output only records the steps: a plain flow takes the same ones
+        plain = flow(rhs, y0, 7.31715, IntegratorConfig())
+        assert plain.n_steps == one.n_steps
+        assert np.array_equal(plain.y, one.y)
 
     def test_budget_status(self):
         res = flow(harmonic, np.array([1.0, 0.0]), 100.0, IntegratorConfig(max_steps=5))
@@ -177,7 +181,7 @@ class TestDenseOutput:
 
     def test_sample_at_step_times_returns_stored_states(self, q_flow):
         res, y0 = q_flow
-        block = res.dense.sample(res.step_times)
+        block = res.dense.sample(res.dense.grid)
         assert np.array_equal(block, res.dense._states)
         assert np.array_equal(block[0], y0)
         assert np.array_equal(block[-1], res.y)

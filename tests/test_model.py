@@ -143,9 +143,8 @@ class TestReducedRhs:
         # numpy scalars in the parameters or in C must not reach the step loop
         p = SystemParams(n=3, m=np.float64(3.0), M=np.float64(7.0), r0=np.float64(11.0))
         rhs = make(p, np.float64(11.0) * np.float64(0.9))
-        y = initial(0.3, p)
-        for d in (rhs(0.0, y), rhs(0.0, y.tolist())):
-            assert all(type(v) is float for v in d)
+        d = rhs(0.0, initial(0.3, p).tolist())
+        assert all(type(v) is float for v in d)
 
     def test_trivial_family_axial_component_stays_zero(self, params_p):
         # F(a, 0, t) = 0 for every a: launching with b = 0 never excites f
@@ -190,6 +189,29 @@ class TestVariationalRhs:
             assert abs(res.y[8] - rta) < 1e-9
             assert abs(res.y[12]) < 1e-10  # R_b vanishes identically
             assert abs(res.y[13]) < 1e-10  # R_bt too
+
+    @pytest.mark.parametrize("system", [(3, 3, 7, 11.0), (3, 92, 242, 11.0), (2, 2, 10, 3.0)])
+    def test_jacobian_matches_central_differences_of_the_field(self, system):
+        """Each sensitivity entry is the directional derivative of the reduced
+        field along its column; the a-column adds the explicit C = r0*a term."""
+        p = SystemParams(*system)
+        rng = np.random.default_rng(20261018)
+        step = 1e-6
+
+        def field(a, y):
+            return np.array(make_reduced_rhs(p, p.r0 * a)(0.0, y.tolist()))
+
+        for _ in range(20):
+            a = p.a0 * rng.uniform(0.5, 1.5)
+            f = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0) * p.r0
+            y = np.array([f, rng.normal(), p.r0 * rng.uniform(0.5, 1.5), rng.normal(), rng.uniform(0.0, 6.0)])
+            ya, yb = rng.normal(size=5), rng.normal(size=5)
+            d = np.array(make_variational_rhs(p, p.r0 * a)(0.0, [*y, *ya, *yb]))
+            assert np.array_equal(d[:5], field(a, y))
+            fd_a = (field(a + step, y + step * ya) - field(a - step, y - step * ya)) / (2.0 * step)
+            fd_b = (field(a, y + step * yb) - field(a, y - step * yb)) / (2.0 * step)
+            assert np.max(np.abs(fd_a - d[5:10]) / (1.0 + np.abs(d[5:10]))) < 1e-7
+            assert np.max(np.abs(fd_b - d[10:15]) / (1.0 + np.abs(d[10:15]))) < 1e-7
 
     def test_sensitivities_match_central_differences(self, params_p):
         a, b, T = 0.93 * params_p.a0, 0.6, 9.0

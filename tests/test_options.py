@@ -12,7 +12,7 @@ import pytest
 from ringorbits.continuation import StepControl, StopRules, continue_branch, tangent
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.orbits import find_resonance, reconstruct
-from ringorbits.shoot import newton_correct, newton_correct_full
+from ringorbits.shoot import desing_eval, newton_correct, newton_correct_full
 
 SETTABLE_FIELDS = {
     IntegratorConfig: ("rel_tol", "abs_tol", "h_max", "max_steps", "dense"),
@@ -23,6 +23,7 @@ SETTABLE_FIELDS = {
 KEYWORD_PARAMETERS = {
     flow: ("config", "t0"),
     eval_at: ("config", "augmented"),
+    desing_eval: ("config",),
     newton_correct: ("config", "tol", "max_iter", "constraint"),
     newton_correct_full: ("config", "tol", "max_iter", "constraint", "max_flows"),
     continue_branch: ("config", "step", "stop"),

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from ringorbits import shoot
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.model import make_reduced_rhs, reduced_initial
 from ringorbits.shoot import (
@@ -15,8 +14,10 @@ from ringorbits.shoot import (
     hyperplane,
     newton_correct,
     newton_correct_full,
-    residual,
+    residual_of,
 )
+
+from conftest import count_flows
 
 
 class TestSymmetryKind:
@@ -89,26 +90,27 @@ class TestSeedPoint:
 class TestResidual:
     def test_circular_point_vanishes(self, params_p, cfg):
         pt = SeedPoint(a=params_p.a0, b=0.0, T=params_p.T0)
-        first, rt = residual(pt, params_p, cfg)
+        first, rt = residual_of(eval_at(pt.a, pt.b, pt.T, params_p, cfg), pt.kind)
         assert first == 0.0  # the axial component never leaves zero
         assert abs(rt) < 1e-12
 
     def test_circular_point_vanishes_for_any_time(self, params_p, cfg):
         pt = SeedPoint(a=params_p.a0, b=0.0, T=0.37 * params_p.T0)
-        first, rt = residual(pt, params_p, cfg)
+        first, rt = residual_of(eval_at(pt.a, pt.b, pt.T, params_p, cfg), pt.kind)
         assert first == 0.0
         assert abs(rt) < 1e-12
 
     def test_printed_reference_points_are_near_solutions(self, params_p, params_q, cfg):
-        f1, r1 = residual(SeedPoint(a=0.8892815, b=0.05, T=28.708), params_p, cfg)
+        odd = SymmetryKind.ODD
+        f1, r1 = residual_of(eval_at(0.8892815, 0.05, 28.708, params_p, cfg), odd)
         assert max(abs(f1), abs(r1)) < 1e-5
-        f2, r2 = residual(SeedPoint(a=1.84153, b=3.79392, T=7.31715), params_q, cfg)
+        f2, r2 = residual_of(eval_at(1.84153, 3.79392, 7.31715, params_q, cfg), odd)
         assert max(abs(f2), abs(r2)) < 5e-4
 
     def test_odd_even_uses_axial_velocity(self, params_p, cfg):
         pt = SeedPoint(a=params_p.a0, b=0.3, T=4.0, kind=SymmetryKind.ODD_EVEN)
-        first, _ = residual(pt, params_p, cfg)
         e = eval_at(pt.a, pt.b, pt.T, params_p, cfg)
+        first, _ = residual_of(e, pt.kind)
         assert first == e.Ft
 
 
@@ -123,8 +125,8 @@ class TestDesing:
     def test_value_times_b_recovers_raw_residual(self, params_p, cfg, kind):
         a, b, T = 0.95 * params_p.a0, 0.4, 10.0
         d = desing_eval(a, b, T, kind, params_p, cfg)
-        pt = SeedPoint(a=a, b=b, T=T, kind=kind)
-        raw_first, raw_rt = residual(pt, params_p, cfg)
+        # desing_eval reads the augmented flow; its base components are the raw pair
+        raw_first, raw_rt = residual_of(eval_at(a, b, T, params_p, cfg, augmented=True), kind)
         assert abs(d.value * b - raw_first) <= 1e-12 * max(abs(raw_first), 1e-30)
         assert d.rt == raw_rt
 
@@ -138,7 +140,7 @@ class TestDesing:
 
     def test_gradients_match_finite_differences(self, params_p, cfg):
         a, b, T = 0.95 * params_p.a0, 0.4, 10.0
-        d = desing_eval(a, b, T, SymmetryKind.ODD, params_p, cfg, grad=True)
+        d = desing_eval(a, b, T, SymmetryKind.ODD, params_p, cfg)
         step = 1e-6
 
         def val(aa, bb, tt):
@@ -156,23 +158,6 @@ class TestDesing:
             assert abs(fd[0] - d.grad_value[i]) < 1e-4 * max(1.0, abs(fd[0]))
             assert abs(fd[1] - d.grad_rt[i]) < 1e-4 * max(1.0, abs(fd[1]))
             assert abs(fd[2] - d.grad_theta[i]) < 1e-4 * max(1.0, abs(fd[2]))
-
-    def test_gradients_none_unless_requested(self, params_p, cfg):
-        d = desing_eval(params_p.a0, 0.1, 5.0, SymmetryKind.ODD, params_p, cfg)
-        assert d.grad_value is None and d.grad_rt is None and d.grad_theta is None
-
-
-def _count_flows(monkeypatch) -> list:
-    """Record every flow the corrector runs (the unit of max_flows)."""
-    calls = []
-    inner = shoot.eval_at
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(shoot, "eval_at", counted)
-    return calls
 
 
 class TestNewton:
@@ -217,7 +202,7 @@ class TestNewton:
         assert info.value.reason == "max-iter"
 
     def test_flow_budget_counts_every_evaluation(self, p1_corrected, params_p, cfg, monkeypatch):
-        flows = _count_flows(monkeypatch)
+        flows = count_flows(monkeypatch)
         seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
         assert newton_correct_full(seed, params_p, cfg, tol=1e-12)[0] == p1_corrected
         assert len(flows) == 4  # the first evaluation and three accepted steps
@@ -232,7 +217,7 @@ class TestNewton:
     def test_flow_budget_counts_two_flows_per_evaluation_at_b_zero(self, params_p, cfg, monkeypatch):
         # the bifurcation point already solves the b = 0 correction, but its
         # desingularized gradient needs a second, augmented flow
-        flows = _count_flows(monkeypatch)
+        flows = count_flows(monkeypatch)
         seed = SeedPoint(a=params_p.a0, b=0.0, T=params_p.T0)
         with pytest.raises(ConvergenceError) as info:
             newton_correct_full(seed, params_p, cfg, max_flows=1)
@@ -250,7 +235,7 @@ class TestNewton:
             "0x1.f2dfeb74bf037p-2", "0x1.5764cb2b50a1fp-1", "0x1.57c1f1bb77496p+5")])
         normal = np.array([float.fromhex(h) for h in (
             "-0x1.185999dfda261p-5", "0x1.46cc1be6895efp-6", "0x1.ff9921daf431cp-1")])
-        flows = _count_flows(monkeypatch)
+        flows = count_flows(monkeypatch)
         guess = SeedPoint(a=x[0], b=x[1], T=x[2])
         with pytest.raises(ConvergenceError) as info:
             newton_correct_full(guess, params_p, cfg, constraint=hyperplane(x, normal), max_flows=k)
@@ -291,8 +276,7 @@ class TestNewton:
         seed = SeedPoint(a=1.84153, b=3.79392, T=7.31715)
         point, data = newton_correct_full(seed, params_q, cfg, tol=1e-10)
         assert point.residual < 1e-10
-        assert data.grad_value is not None and data.grad_rt is not None
-        assert data.grad_theta is not None
+        assert data.grad_value.shape == data.grad_rt.shape == data.grad_theta.shape == (3,)
         assert abs(data.value) <= 1e-10 and abs(data.rt) <= 1e-10
 
 
