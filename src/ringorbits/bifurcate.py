@@ -36,7 +36,7 @@ INTEGER_TOL = 1e-9
 
 def resonance_ratio(params: SystemParams) -> float:
     """Radial-to-axial frequency ratio s of the circular solution."""
-    return math.sqrt((params.lam * params.m + params.M) / (params.n * params.m + params.M))
+    return math.sqrt((params.lam * params.m + params.M) / params.mass_sum)
 
 
 def degeneracy_margin(s: float, kind: SymmetryKind) -> float:
@@ -94,9 +94,6 @@ class BifurcationReport:
     T_exact: str
     xi2: float | None = None
 
-    def point_vector(self):
-        return (self.a0, self.b, self.T_star)
-
 
 def bifurcation_point(params: SystemParams, kind: SymmetryKind = SymmetryKind.ODD) -> BifurcationReport:
     """Closed-form bifurcation data for the requested symmetry kind."""
@@ -107,7 +104,7 @@ def bifurcation_point(params: SystemParams, kind: SymmetryKind = SymmetryKind.OD
     ok, margin = nondegeneracy(params, kind)
     theta0 = a0 * T_star / params.r0
     # T0 = pi*sqrt(r0^3/(n*m+M)) written with r0 factored out of the root.
-    root = f"{_fmt_number(params.r0)}*sqrt({_fmt_number(params.r0)}/{_fmt_number(params.n * params.m + params.M)})*pi"
+    root = f"{_fmt_number(params.r0)}*sqrt({_fmt_number(params.r0)}/{_fmt_number(params.mass_sum)})*pi"
     T_exact = root if kind is SymmetryKind.ODD else f"(1/2)*{root}"
     xi2 = None
     if kind is SymmetryKind.ODD:

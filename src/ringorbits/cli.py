@@ -21,7 +21,7 @@ from pathlib import Path
 from . import continuation as cont
 from .bifurcate import bifurcation_point
 from .integrate import FlowError, IntegratorConfig, eval_at
-from .model import SingularityError, SystemParams, lambda_n, write_json
+from .model import SystemParams, lambda_n, write_json
 from .orbits import (
     ResonanceNotFound,
     ResonanceTarget,
@@ -41,6 +41,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NOT_FOUND = 4
 
+# What reading a JSON input file raises when the file is missing or
+# unreadable, or when it lacks a key or holds a value of the wrong type.
+_MALFORMED = (OSError, ValueError, KeyError, TypeError)
+
 
 class ConfigError(Exception):
     pass
@@ -56,8 +60,8 @@ def _load_config_file(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
@@ -67,7 +71,7 @@ def _system_from(args) -> tuple[SystemParams, IntegratorConfig]:
     """System parameters and integrator settings: --config, then the flags."""
     data = _load_config_file(args.config) if args.config else {}
     merged = dict(data)
-    kw = {key: float(data[key]) for key in ("rel_tol", "abs_tol") if key in data}
+    tols = {key: data[key] for key in ("rel_tol", "abs_tol") if key in data}
     for key in ("n", "m", "M", "r0"):
         v = getattr(args, key, None)
         if v is not None:
@@ -75,14 +79,14 @@ def _system_from(args) -> tuple[SystemParams, IntegratorConfig]:
     for key in ("rel_tol", "abs_tol"):
         v = getattr(args, key, None)
         if v is not None:
-            kw[key] = v
+            tols[key] = v
     try:
         params = SystemParams.from_dict(merged)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad system parameters: {exc}")
     try:
-        return params, IntegratorConfig(**kw)
-    except ValueError as exc:
+        return params, IntegratorConfig(**{key: float(v) for key, v in tols.items()})
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad integrator settings: {exc}")
 
 
@@ -247,8 +251,8 @@ def _cmd_trace(args) -> int:
     if args.seed_file:
         try:
             with open(args.seed_file, "r", encoding="utf-8") as fh:
-                start = SeedPoint.from_json(fh.read())
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+                start = SeedPoint.from_dict(json.load(fh))
+        except _MALFORMED as exc:
             raise ConfigError(f"cannot read seed file {args.seed_file}: {exc}")
     else:
         kind = SymmetryKind.parse(args.kind)
@@ -282,7 +286,7 @@ def _cmd_resonance(args) -> int:
         raise ConfigError(str(exc))
     try:
         branch = cont.branch_from_json(args.branch)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _MALFORMED as exc:
         raise ConfigError(f"cannot read branch file {args.branch}: {exc}")
     if branch.params != params:
         raise ConfigError(
@@ -378,7 +382,7 @@ def main(argv=None) -> int:
     except ResonanceNotFound as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (ConvergenceError, FlowError, SingularityError, cont.SingularPointError) as exc:
+    except (ConvergenceError, FlowError, cont.SingularPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -184,20 +184,17 @@ def _on_family(point: SeedPoint, params: SystemParams, config: IntegratorConfig 
 
 
 def tangent(
-    point: SeedPoint,
-    params: SystemParams,
-    config: IntegratorConfig | None = None,
-    prev: np.ndarray | None = None,
+    point: SeedPoint, params: SystemParams, config: IntegratorConfig | None = None
 ) -> tuple[np.ndarray, float]:
     """Unit tangent of the family at a corrected point, with the raw magnitude.
 
-    The direction is grad(value) x grad(R_t) in (a, b, T); `prev` fixes the
-    orientation by sign continuity.  Rejects points whose desingularized
-    residuals exceed _ON_FAMILY_TOL, and raises SingularPointError where the
-    gradients are (numerically) parallel.
+    The direction is grad(value) x grad(R_t) in (a, b, T), unoriented;
+    `continue_branch` orients its tangents by sign continuity.  Rejects
+    points whose desingularized residuals exceed _ON_FAMILY_TOL, and raises
+    SingularPointError where the gradients are (numerically) parallel.
     """
     d = _on_family(point, params, config)
-    return _tangent_from(d, (point.a, point.b, point.T), prev)
+    return _tangent_from(d, (point.a, point.b, point.T), None)
 
 
 def _failure_reason(exc: Exception) -> str:
@@ -398,7 +395,7 @@ def theta_curvature_numeric(
     seed = bifurcation_point(params, kind)
     a0, T0 = seed.a0, seed.T_star
     if b_max is None:
-        b_max = 0.02 * math.sqrt((params.M + params.n * params.m) / params.r0)
+        b_max = 0.02 * math.sqrt(params.mass_sum / params.r0)
 
     d0 = desing_eval(a0, 0.0, T0, kind, params, config)
     theta0 = d0.theta

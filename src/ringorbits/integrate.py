@@ -22,11 +22,13 @@ show its lines.  Dense output keeps each accepted state, step size and
 stage as raw doubles and computes the interpolants of all steps as arrays
 when the flow finishes.
 
-The driver integrates forward only and clamps the final step onto t_end
-exactly.  A SingularityError raised by the right-hand side is treated as a
-collision inside the step: the step is retried smaller until the step size
-underflows, at which point the flow stops with status "singular" and a
-bracket around the failure time.
+`flow` integrates forward from t = 0 and clamps the final step onto t_end
+exactly.  A trial step fails when its error estimate is not finite, which
+is how a right-hand side reports a collision inside the step: it returns
+NaN (the fields of `model` do so below the ring-collapse floor).  A failed
+trial is retried at half the step until the step size underflows, at
+which point the flow stops with status "singular" at the last accepted
+time.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    SingularityError,
     SystemParams,
     augmented_initial,
     make_reduced_rhs,
@@ -95,11 +96,13 @@ _BETA = 0.04
 _EXPO1 = 0.2 - _BETA * 0.75
 _MAX_GROW = 10.0
 _MAX_SHRINK = 0.2
+# Accepted plus rejected trial steps after which a flow stops as BUDGET.
+_MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and budgets for `flow`.
+    """Tolerances, step ceiling and dense output for `flow`.
 
     h_max defaults to one sixteenth of the integration span when left None,
     which keeps the controller from striding over a full oscillation of the
@@ -109,7 +112,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     h_max: float | None = None
-    max_steps: int = 2_000_000
     dense: bool = False
 
     def __post_init__(self):
@@ -117,8 +119,6 @@ class IntegratorConfig:
             v = getattr(self, name)
             if not (0.0 < v <= 1e-3):
                 raise ValueError(f"{name} must lie in (0, 1e-3], got {v!r}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
         if self.h_max is not None and not self.h_max > 0:
             raise ValueError(f"h_max must be positive when given, got {self.h_max!r}")
 
@@ -137,9 +137,6 @@ class DenseOutput:
         self.grid = np.asarray(grid, dtype=float)  # the accepted step times
         self._states = states
         self._rcont = rcont
-
-    def at(self, t: float) -> np.ndarray:
-        return self.sample([t])[0]
 
     def sample(self, ts) -> np.ndarray:
         """States at the times ts, shape (len(ts), dim)."""
@@ -171,7 +168,6 @@ class FlowResult:
     n_rejected: int
     dy: np.ndarray  # the vector field at (t, y)
     dense: DenseOutput | None = None
-    singular_bracket: tuple[float, float] | None = None
 
     def require_ok(self) -> "FlowResult":
         if self.status != OK:
@@ -277,8 +273,9 @@ def _step_function(n: int):
     """The generated trial step for n components, compiled on first use.
 
     step(rhs, t, h, y, k1, atol, rtol) returns (ynew, k3, k4, k5, k6, k7,
-    err) and lets an exception of rhs propagate.  Its source is registered
-    in linecache, so tracebacks and inspect.getsource show it.
+    err); a non-finite stage makes err non-finite, and an exception of rhs
+    propagates.  Its source is registered in linecache, so tracebacks and
+    inspect.getsource show it.
     """
     source = _step_source(n)
     filename = f"<ringorbits.integrate step n={n}>"
@@ -300,9 +297,10 @@ def _dense_output(grid, states, steps, stages) -> DenseOutput:
     return DenseOutput(np.array(grid), y, rcont)
 
 
-def _initial_step(rhs, t0, y0, f0, span, atol, rtol, h_max):
-    # Deterministic two-probe heuristic for the first trial step.  Each RMS
-    # norm adds its squares in numpy's pairwise order, as np.mean does.
+def _initial_step(rhs, y0, f0, span, atol, rtol, h_max):
+    # Deterministic two-probe heuristic for the first trial step from t = 0.
+    # Each RMS norm adds its squares in numpy's pairwise order, as np.mean
+    # does.  A probe where the field is not finite gets a short first step.
     sc = [atol + rtol * abs(v) for v in y0]
 
     def rms(v):
@@ -312,78 +310,68 @@ def _initial_step(rhs, t0, y0, f0, span, atol, rtol, h_max):
     d1 = rms(f0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, h_max)
-    try:
-        f1 = rhs(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
-        d2 = rms([u - f for u, f in zip(f1, f0)]) / h0
-    except SingularityError:
+    f1 = rhs(h0, [y + h0 * f for y, f in zip(y0, f0)])
+    d2 = rms([u - f for u, f in zip(f1, f0)]) / h0
+    if not math.isfinite(d2):
         return max(h0 * 1e-3, 1e-12 * span)
     dmax = max(d1, d2)
     h1 = (0.01 / dmax) ** 0.2 if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100.0 * h0, h1, span, h_max)
 
 
-def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: float = 0.0) -> FlowResult:
-    """Integrate y' = rhs(t, y) from t0 to t_end (t_end >= t0).
+def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowResult:
+    """Integrate y' = rhs(t, y) from t = 0 to t_end >= 0.
 
     Returns a FlowResult; callers that need a completed flow should chain
     `.require_ok()`.  With config.dense the result carries a DenseOutput
     whose values at accepted step times equal the stored states exactly.
     rhs receives the state as a list of floats and returns a sequence of
-    the same length.  Non-finite times, initial state or initial derivative
-    raise ValueError before any step.
+    the same length, non-finite where the state is out of its domain.  A
+    non-finite end time, initial state or initial derivative raises
+    ValueError before any step.
     """
     config = config or IntegratorConfig()
-    t0, t_end = float(t0), float(t_end)
+    t_end = float(t_end)
     y = np.asarray(y0, dtype=float).tolist()
-    if not all(map(math.isfinite, (t0, t_end, *y))):
-        raise ValueError(f"flow needs finite times and state, got t0={t0!r}, t_end={t_end!r}, y0={y!r}")
-    span = t_end - t0
-    if span < 0:
-        raise ValueError("flow integrates forward only (t_end < t0)")
-    t = t0
+    if not all(map(math.isfinite, (t_end, *y))):
+        raise ValueError(f"flow needs a finite end time and state, got t_end={t_end!r}, y0={y!r}")
+    if t_end < 0:
+        raise ValueError("flow integrates forward only (t_end < 0)")
+    t = 0.0
     k1 = rhs(t, y)  # an invalid initial state is the caller's error: let it raise
     if not all(map(math.isfinite, k1)):
         raise ValueError(f"vector field is not finite at the initial state: {list(k1)!r}")
-    grid, states, steps, stages = [t0], array("d", y), array("d"), array("d")  # for dense output
+    grid, states, steps, stages = [t], array("d", y), array("d"), array("d")  # for dense output
     n_steps = 0
     n_rejected = 0
 
-    def finish(status, bracket=None):
+    def finish(status):
         dense = _dense_output(grid, states, steps, stages) if config.dense else None
-        return FlowResult(status, t, np.array(y), n_steps, n_rejected, np.array(k1), dense, bracket)
+        return FlowResult(status, t, np.array(y), n_steps, n_rejected, np.array(k1), dense)
 
-    if span == 0:
+    if t_end == 0:
         return finish(OK)
 
     atol, rtol = float(config.abs_tol), float(config.rel_tol)
-    h_max = float(config.h_max) if config.h_max is not None else span / 16.0
-    h_max = min(h_max, span)
-    h_floor = 1e-14 * max(abs(t0), abs(t_end), 1.0)
+    h_max = float(config.h_max) if config.h_max is not None else t_end / 16.0
+    h_max = min(h_max, t_end)
+    h_floor = 1e-14 * max(t_end, 1.0)
     step = _step_function(len(y))
-    h = min(_initial_step(rhs, t, y, k1, span, atol, rtol, h_max), h_max)
+    h = min(_initial_step(rhs, y, k1, t_end, atol, rtol, h_max), h_max)
 
     facold = 1e-4
     rejected = False
 
     while True:
-        if n_steps + n_rejected >= config.max_steps:
+        if n_steps + n_rejected >= _MAX_STEPS:
             return finish(BUDGET)
         h = min(h, h_max)
         last = t + h >= t_end
         if last:
             h = t_end - t
-        try:
-            ynew, k3, k4, k5, k6, k7, err = step(rhs, t, h, y, k1, atol, rtol)
-            if not math.isfinite(err) or not all(map(math.isfinite, ynew)):
-                err = math.inf
-        except SingularityError as exc:
-            n_rejected += 1
-            bracket_hi = exc.t if exc.t is not None else t + h
-            h *= 0.5
-            rejected = True
-            if h < h_floor:
-                return finish(SINGULAR, (t, bracket_hi))
-            continue
+        ynew, k3, k4, k5, k6, k7, err = step(rhs, t, h, y, k1, atol, rtol)
+        if not math.isfinite(err) or not all(map(math.isfinite, ynew)):
+            err = math.inf
 
         if err <= 1.0:
             n_steps += 1
@@ -419,7 +407,7 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None, t0: floa
                 fac11 = err**_EXPO1
                 h = h / min(1.0 / _MAX_SHRINK, fac11 / _SAFETY)
             if h < h_floor:
-                return finish(SINGULAR, (t, t + h))
+                return finish(SINGULAR)
 
 
 @dataclass(frozen=True)
@@ -429,7 +417,8 @@ class EvalPoint:
     F, Ft are the axial separation and its velocity at T; R, Rt the ring
     radius and radial velocity; Theta the accumulated phase.  Rtt and
     Thetat come from the vector field at the endpoint.  The sensitivity
-    fields are filled only when the evaluation is augmented.
+    fields are filled only when the evaluation is augmented, and are None
+    otherwise.
     """
 
     a: float
@@ -452,10 +441,6 @@ class EvalPoint:
     Rb: float | None = None
     Rtb: float | None = None
     Thb: float | None = None
-
-    @property
-    def augmented(self) -> bool:
-        return self.Fa is not None
 
 
 def eval_at(

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "SingularityError",
     "CollisionError",
     "lambda_n",
     "SystemParams",
@@ -38,16 +37,9 @@ __all__ = [
 ]
 
 # Collision guard: the reduced equations blow up as the ring radius
-# approaches zero.  Flows abort once r drops below this fraction of r0.
+# approaches zero.  Below this fraction of r0 the vector fields return NaN,
+# which `flow` rejects like any trial step whose error is not finite.
 R_FLOOR_FRACTION = 1e-8
-
-
-class SingularityError(RuntimeError):
-    """The reduced dynamics reached a (near-)collision configuration."""
-
-    def __init__(self, message: str, t: float | None = None):
-        super().__init__(message)
-        self.t = t
 
 
 class CollisionError(RuntimeError):
@@ -116,7 +108,7 @@ class SystemParams:
 
     @property
     def kappa(self) -> float:
-        return (self.M + self.n * self.m) / (self.m * self.n)
+        return self.mass_sum / (self.m * self.n)
 
     @property
     def z_factor(self) -> float:
@@ -128,7 +120,7 @@ class SystemParams:
 
     @property
     def T0(self) -> float:
-        return math.pi * math.sqrt(self.r0**3 / (self.n * self.m + self.M))
+        return math.pi * math.sqrt(self.r0**3 / self.mass_sum)
 
     def h(self, f: float, r: float) -> float:
         """Distance between the axial body and any ring body."""
@@ -166,24 +158,25 @@ def augmented_initial(b: float, params: SystemParams) -> np.ndarray:
 def make_reduced_rhs(params: SystemParams, C: float):
     """Return rhs(t, y) for the 5-component reduced state, y = (f, fdot, r, rdot, theta).
 
-    C is the angular momentum r^2 * thetadot = r0 * a.  Raises
-    SingularityError when the ring radius falls below the collision floor.
-    The derivative comes back as a tuple of Python floats: every closure
-    constant is a float, so no numpy scalar enters the integrator's loop.
+    C is the angular momentum r^2 * thetadot = r0 * a.  Returns NaN in every
+    component when the ring radius is at or below the collision floor (at
+    r = 0 the equations would divide by zero).  The derivative comes back
+    as a tuple of Python floats: every closure constant is a float, so no
+    numpy scalar enters the integrator's loop.
     """
     lam_m = float(params.lam * params.m)
-    mu = float(params.M + params.m * params.n)
+    mu = float(params.mass_sum)
     kap2 = float(params.kappa**2)
     M = float(params.M)
     C = float(C)
     C2 = C * C
     r_floor = float(R_FLOOR_FRACTION * params.r0)
-    sqrt = math.sqrt
+    sqrt, nan = math.sqrt, math.nan
 
     def rhs(t, y):
         f, fdot, r, rdot, _ = y
         if r <= r_floor:
-            raise SingularityError(f"ring radius {r!r} below collision floor at t={t!r}", t=t)
+            return (nan,) * 5
         h2 = r * r + kap2 * f * f
         h3 = h2 * sqrt(h2)
         r2 = r * r
@@ -198,24 +191,24 @@ def make_variational_rhs(params: SystemParams, C: float):
     Layout: base reduced state (5), then the a-sensitivity column (5), then
     the b-sensitivity column (5).  The a-column carries the explicit
     dependence of the equations on a through C = r0*a.  Returns a tuple of
-    floats, as `make_reduced_rhs` does.
+    floats, NaN below the collision floor, as `make_reduced_rhs` does.
     """
     lam_m = float(params.lam * params.m)
-    mu = float(params.M + params.m * params.n)
+    mu = float(params.mass_sum)
     kap2 = float(params.kappa**2)
     M = float(params.M)
     r0 = float(params.r0)
     C = float(C)
     C2 = C * C
     r_floor = float(R_FLOOR_FRACTION * params.r0)
-    sqrt = math.sqrt
+    sqrt, nan = math.sqrt, math.nan
 
     def rhs(t, y):
         (f, fdot, r, rdot, _th,
          fa, ga, ra, sa, _tha,
          fb, gb, rb, sb, _thb) = y
         if r <= r_floor:
-            raise SingularityError(f"ring radius {r!r} below collision floor at t={t!r}", t=t)
+            return (nan,) * 15
         r2 = r * r
         r3 = r2 * r
         r4 = r2 * r2
@@ -260,10 +253,10 @@ def reduced_energy(y, params: SystemParams, C: float) -> float:
     """
     f, fdot, r, rdot = (float(v) for v in np.asarray(y, dtype=float)[:4])
     if r <= 0:
-        raise SingularityError(f"ring radius {r!r} is not positive")
+        raise ValueError(f"ring radius {r!r} is not positive")
     n, m, M = params.n, params.m, params.M
     h = params.h(f, r)
-    kinetic = (M * (m * n + M) / (2.0 * m * n)) * fdot**2 + 0.5 * n * m * (rdot**2 + (C / r) ** 2)
+    kinetic = (M * params.mass_sum / (2.0 * m * n)) * fdot**2 + 0.5 * n * m * (rdot**2 + (C / r) ** 2)
     potential = -n * m * m * params.lam / r - n * m * M / h
     return kinetic + potential
 
@@ -278,10 +271,6 @@ class CartesianState:
     masses: np.ndarray      # (n+1,)
     positions: np.ndarray   # (..., n+1, 3)
     velocities: np.ndarray  # (..., n+1, 3)
-
-    @property
-    def n_bodies(self) -> int:
-        return len(self.masses)
 
 
 def cartesian_lift(y, params: SystemParams, C: float) -> CartesianState:

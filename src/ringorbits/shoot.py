@@ -33,8 +33,6 @@ is retried shorter.  Every failure raises ConvergenceError with a
 from __future__ import annotations
 
 import enum
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -42,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .integrate import EvalPoint, FlowError, IntegratorConfig, eval_at
-from .model import SystemParams, write_json
+from .model import SystemParams
 
 __all__ = [
     "SymmetryKind",
@@ -98,7 +96,7 @@ class SymmetryKind(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "SymmetryKind":
-        key = text.strip().lower().replace("-", "_").replace("/", "_")
+        key = str(text).strip().lower().replace("-", "_").replace("/", "_")
         for kind in cls:
             if kind.value == key:
                 return kind
@@ -158,15 +156,6 @@ class SeedPoint:
             theta=float(d.get("theta", math.nan)),
         )
 
-    def to_json(self) -> str:
-        text = io.StringIO()
-        write_json(self.to_dict(), text)
-        return text.getvalue()
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeedPoint":
-        return cls.from_dict(json.loads(text))
-
 
 def residual_of(e: EvalPoint, kind: SymmetryKind) -> tuple[float, float]:
     """Raw residual pair read off a flow evaluated at the point: (F, R_t) for
@@ -202,7 +191,7 @@ def desing_eval(
     """The desingularized residuals and their gradients, from augmented flows:
     one flow away from b = 0, two at b = 0."""
     odd = kind is SymmetryKind.ODD
-    mu = params.M + params.m * params.n
+    mu = params.mass_sum
     if b == 0.0:
         e = eval_at(a, 0.0, T, params, config, augmented=True)
         ftil = e.Fb

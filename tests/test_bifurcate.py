@@ -118,10 +118,6 @@ class TestBifurcationPoint:
             e = eval_at(rep.a0, 0.0, rep.T_star, p, cfg)
             assert abs(e.Theta - rep.theta0) < 1e-9
 
-    def test_point_vector(self, params_p):
-        rep = bifurcation_point(params_p)
-        assert rep.point_vector() == (rep.a0, 0.0, rep.T_star)
-
     def test_s_field_consistent(self, params_q):
         rep = bifurcation_point(params_q)
         assert rep.s == resonance_ratio(params_q)

@@ -11,6 +11,7 @@ import pytest
 from ringorbits import cli, integrate, orbits
 from ringorbits.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERIC, EXIT_OK, main
 from ringorbits.continuation import branch_to_json
+from ringorbits.model import write_json
 
 P_FLAGS = ["--n", "3", "--m", "3", "--M", "7", "--r0", "11"]
 Q_FLAGS = ["--n", "3", "--m", "92", "--M", "242", "--r0", "11"]
@@ -187,10 +188,40 @@ def test_non_finite_seed_exits_before_any_flow(capsys, monkeypatch, tmp_path, ar
     assert not any(tmp_path.iterdir())
 
 
+P_SYSTEM = {"n": 3, "m": 3.0, "M": 7.0, "r0": 11.0}
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["bifurcate", "--config"], {**P_SYSTEM, "abs_tol": [1]}),
+        (["bifurcate", "--config"], {**P_SYSTEM, "rel_tol": None}),
+        (["trace", *P_FLAGS, "--seed-file"], {"a": 0.89, "b": 0.05, "T": 28.6, "residual": None}),
+        (["trace", *P_FLAGS, "--seed-file"], {"a": 0.89, "b": 0.05, "T": 28.6, "kind": 5}),
+        (["trace", *P_FLAGS, "--seed-file"], [1]),
+        (["resonance", *P_FLAGS, "--n1", "3", "--n2", "4", "--branch"], [1, 2]),
+    ],
+)
+def test_malformed_file_exits_before_any_flow(capsys, monkeypatch, tmp_path, command, content):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran on a malformed input file")
+
+    monkeypatch.setattr(integrate, "flow", no_flow)
+    monkeypatch.setattr(orbits, "flow", no_flow)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, [*command, str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestTrace:
     def test_seed_file_toward_the_circular_family(self, capsys, tmp_path, p1_corrected):
         seed_file = tmp_path / "seed.json"
-        seed_file.write_text(p1_corrected.to_json())
+        with open(seed_file, "w", encoding="utf-8") as fh:
+            write_json(p1_corrected.to_dict(), fh)
         argv = [
             "trace", *P_FLAGS,
             "--seed-file", str(seed_file), "--direction", "+",

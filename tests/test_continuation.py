@@ -19,6 +19,7 @@ from ringorbits.continuation import (
     TERM_BUDGET,
     TERM_COLLISION,
     _refine_b_zero,
+    _tangent_from,
     branch_from_json,
     branch_summary,
     branch_to_csv,
@@ -58,7 +59,8 @@ class TestTangent:
     def test_prev_fixes_orientation(self, params_p, cfg):
         seed = SeedPoint(a=params_p.a0, b=0.0, T=params_p.T0)
         unit, _ = tangent(seed, params_p, cfg)
-        flipped, _ = tangent(seed, params_p, cfg, prev=-unit)
+        d = desing_eval(seed.a, seed.b, seed.T, seed.kind, params_p, cfg)
+        flipped, _ = _tangent_from(d, (seed.a, seed.b, seed.T), -unit)
         assert np.allclose(flipped, -unit, atol=1e-15)
 
     def test_off_family_point_rejected(self, params_p, cfg):

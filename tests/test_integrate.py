@@ -20,7 +20,6 @@ from ringorbits.integrate import (
     flow,
 )
 from ringorbits.model import (
-    SingularityError,
     augmented_initial,
     make_reduced_rhs,
     make_variational_rhs,
@@ -39,7 +38,7 @@ class TestConfig:
             dict(rel_tol=0.0),
             dict(rel_tol=1e-2),
             dict(abs_tol=-1e-12),
-            dict(max_steps=0),
+            dict(h_max=math.nan),
             dict(h_max=0.0),
         ],
     )
@@ -69,26 +68,26 @@ class TestFlow:
     # a small step budget, so that a flow that does not check its inputs
     # ends at once instead of spinning through two million steps
     @pytest.mark.parametrize(
-        "y0,t_end,t0",
+        "y0,t_end",
         [
-            ([1.0, 0.0], math.inf, 0.0),
-            ([1.0, 0.0], math.nan, 0.0),
-            ([1.0, 0.0], 1.0, math.nan),
-            ([1.0, 0.0], 1.0, -math.inf),
-            ([math.nan, 0.0], 1.0, 0.0),
-            ([1.0, math.inf], 1.0, 0.0),
+            ([1.0, 0.0], math.inf),
+            ([1.0, 0.0], math.nan),
+            ([math.nan, 0.0], 1.0),
+            ([1.0, math.inf], 1.0),
         ],
     )
-    def test_non_finite_times_and_states_rejected(self, y0, t_end, t0):
+    def test_non_finite_times_and_states_rejected(self, monkeypatch, y0, t_end):
+        monkeypatch.setattr(ig, "_MAX_STEPS", 100)
         with pytest.raises(ValueError, match="finite"):
-            flow(harmonic, y0, t_end, IntegratorConfig(max_steps=100), t0=t0)
+            flow(harmonic, y0, t_end)
 
-    def test_non_finite_initial_derivative_rejected(self):
+    def test_non_finite_initial_derivative_rejected(self, monkeypatch):
         def nan_field(t, y):
             return [math.nan, -y[0]]
 
+        monkeypatch.setattr(ig, "_MAX_STEPS", 100)
         with pytest.raises(ValueError, match="vector field is not finite"):
-            flow(nan_field, [1.0, 0.0], 1.0, IntegratorConfig(max_steps=100))
+            flow(nan_field, [1.0, 0.0], 1.0)
 
     @pytest.mark.parametrize("t_end", [0.0, 2.5])
     def test_endpoint_derivative_is_the_field_there(self, t_end):
@@ -113,8 +112,9 @@ class TestFlow:
         assert plain.n_steps == one.n_steps
         assert np.array_equal(plain.y, one.y)
 
-    def test_budget_status(self):
-        res = flow(harmonic, np.array([1.0, 0.0]), 100.0, IntegratorConfig(max_steps=5))
+    def test_budget_status(self, monkeypatch):
+        monkeypatch.setattr(ig, "_MAX_STEPS", 5)
+        res = flow(harmonic, np.array([1.0, 0.0]), 100.0)
         assert res.status == BUDGET
         assert res.t < 100.0
         with pytest.raises(FlowError) as err:
@@ -126,11 +126,25 @@ class TestFlow:
         rhs = make_reduced_rhs(params_p, params_p.r0 * 1e-5)
         res = flow(rhs, reduced_initial(0.0, params_p), 100.0, IntegratorConfig())
         assert res.status == SINGULAR
-        lo, hi = res.singular_bracket
-        assert lo <= res.t <= hi
-        assert hi - lo < 1e-6
         with pytest.raises(FlowError):
             res.require_ok()
+        # res.t is the last accepted time, and the collapse follows within 1e-6
+        assert all(map(math.isfinite, rhs(res.t, res.y)))
+        assert flow(rhs, res.y, 1e-6).status == SINGULAR
+
+    def test_non_finite_probe_gets_a_short_first_step(self):
+        # call 1 is the field at the start, call 2 the probe of _initial_step
+        # at t = h0, call 3 the second stage of the first trial at t = h/5
+        times = []
+
+        def nan_at_probe(t, y):
+            times.append(t)
+            return [math.nan, math.nan] if len(times) == 2 else [y[1], -y[0]]
+
+        res = flow(nan_at_probe, [1.0, 0.0], 2.0)
+        h0 = times[1]
+        assert times[2] == ig._C2 * max(h0 * 1e-3, 1e-12 * 2.0)
+        assert res.status == OK
 
     def test_tolerance_halving_is_monotone(self, params_q):
         """Halving both tolerances never increases the endpoint error.
@@ -162,22 +176,22 @@ def q_flow(params_q):
 class TestDenseOutput:
     def test_step_boundaries_bitwise(self, q_flow):
         res, y0 = q_flow
-        assert np.array_equal(res.dense.at(0.0), y0)
-        assert np.array_equal(res.dense.at(res.t), res.y)
+        assert np.array_equal(res.dense.sample([0.0])[0], y0)
+        assert np.array_equal(res.dense.sample([res.t])[0], res.y)
 
     def test_interior_matches_direct_flow(self, q_flow, params_q):
         res, y0 = q_flow
         rhs = make_reduced_rhs(params_q, params_q.r0 * 1.84153)
         for t in (1.0, 2.5, 4.8, 6.9):
             direct = flow(rhs, y0, t, IntegratorConfig(rel_tol=1e-13, abs_tol=1e-13)).require_ok()
-            assert np.max(np.abs(res.dense.at(t) - direct.y)) < 1e-9
+            assert np.max(np.abs(res.dense.sample([t])[0] - direct.y)) < 1e-9
 
     def test_sample_matches_pointwise_at(self, q_flow):
         res, _ = q_flow
         ts = np.linspace(0.0, res.t, 37)
         block = res.dense.sample(ts)
         for row, t in zip(block, ts):
-            assert np.array_equal(row, res.dense.at(float(t)))
+            assert np.array_equal(row, res.dense.sample([float(t)])[0])
 
     def test_sample_at_step_times_returns_stored_states(self, q_flow):
         res, y0 = q_flow
@@ -189,9 +203,9 @@ class TestDenseOutput:
     def test_out_of_range_rejected(self, q_flow):
         res, _ = q_flow
         with pytest.raises(ValueError):
-            res.dense.at(-1e-9)
+            res.dense.sample([-1e-9])
         with pytest.raises(ValueError):
-            res.dense.at(res.t + 1e-9)
+            res.dense.sample([res.t + 1e-9])
 
     def test_sample_rejects_one_time_out_of_range(self, q_flow):
         res, _ = q_flow
@@ -303,7 +317,7 @@ class TestGeneratedStep:
 
         def once(t, y):
             if next(calls) == 10:
-                raise SingularityError("stage k4 of the second trial")
+                return [math.nan, math.nan]
             return harmonic(t, y)
 
         res = flow(once, [1.0, 0.0], 2.0, IntegratorConfig())
@@ -313,13 +327,14 @@ class TestGeneratedStep:
     def test_singular_wall_ends_with_the_same_bracket(self, first_step_01):
         def wall(t, y):
             if t > 1.0:
-                raise SingularityError("wall", t)
+                return [math.nan, math.nan]
             return harmonic(t, y)
 
         res = flow(wall, [1.0, 0.0], 2.0, IntegratorConfig())
         assert (res.status, res.n_steps, res.n_rejected) == (SINGULAR, 79, 42)
         assert res.t.hex() == "0x1.fffffffffffe5p-1"
-        assert [v.hex() for v in res.singular_bracket] == ["0x1.fffffffffffe5p-1", "0x1.000000000000ep+0"]
+        # the wall lies within the step floor of the last accepted time
+        assert res.t < 1.0 < res.t + 1e-14 * 2.0
 
     def test_generated_source_is_shown(self, first_step_01):
         calls = itertools.count(1)
@@ -363,8 +378,7 @@ class TestEvalAt:
     def test_augmented_flag(self, params_p, cfg):
         plain = eval_at(params_p.a0, 0.1, 3.0, params_p, cfg)
         aug = eval_at(params_p.a0, 0.1, 3.0, params_p, cfg, augmented=True)
-        assert not plain.augmented
-        assert aug.augmented
+        assert plain.Fa is None and plain.Thb is None
         # step sequences differ between the 5- and 15-component flows
         assert abs(plain.F - aug.F) < 1e-9
         assert abs(plain.Rt - aug.Rt) < 1e-9
@@ -396,6 +410,31 @@ class TestEvalAt:
         assert in_eval == len(calls) - in_eval
         d = rhs(res.t, res.y)
         assert (pt.Rtt, pt.Thetat) == (float(d[3]), float(d[4]))
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_collapse_reaches_the_flow_as_nan(self, params_p, monkeypatch, augmented):
+        # nearly no angular momentum: the ring falls onto the axis; the field
+        # answers below the collision floor with NaN, which the flow rejects
+        nan_calls = []
+
+        def recording(factory):
+            def make(*args):
+                rhs = factory(*args)
+
+                def field(t, y):
+                    d = rhs(t, y)
+                    if math.isnan(d[0]):
+                        nan_calls.append(t)
+                    return d
+                return field
+            return make
+
+        monkeypatch.setattr(ig, "make_reduced_rhs", recording(make_reduced_rhs))
+        monkeypatch.setattr(ig, "make_variational_rhs", recording(make_variational_rhs))
+        with pytest.raises(FlowError) as err:
+            eval_at(params_p.a0 * 1e-5, 0.0, 100.0, params_p, augmented=augmented)
+        assert err.value.status == SINGULAR
+        assert nan_calls
 
     def test_negative_time_rejected(self, params_p):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from ringorbits import model
 from ringorbits.integrate import IntegratorConfig, flow
 from ringorbits.model import (
     CollisionError,
-    SingularityError,
     SystemParams,
     augmented_initial,
     cartesian_energy,
@@ -130,11 +129,24 @@ class TestReducedRhs:
         d = rhs(0.0, np.array([0.0, 0.0, 11.0, 0.0, 0.0]))
         assert abs(d[4] - params_q.a0 / 11.0) < 1e-14
 
-    def test_singularity_reported_with_time(self, params_p):
-        rhs = make_reduced_rhs(params_p, 2.0)
-        with pytest.raises(SingularityError) as err:
-            rhs(3.25, np.array([0.0, 0.0, 1e-12, 0.0, 0.0]))
-        assert err.value.t == 3.25
+    @pytest.mark.parametrize(
+        "make, initial", [(make_reduced_rhs, reduced_initial), (make_variational_rhs, augmented_initial)]
+    )
+    def test_field_is_nan_below_the_floor(self, params_p, make, initial):
+        # at and below the collision floor every component is NaN, down to
+        # r = 0, where the equations would divide by zero
+        rhs = make(params_p, 2.0)
+        y = initial(0.0, params_p)
+        floor = model.R_FLOOR_FRACTION * params_p.r0
+        y[2] = 2.0 * floor
+        assert all(map(math.isfinite, rhs(3.25, y.tolist())))
+        for r in (floor, 1e-12, 0.0):
+            y[2] = r
+            d = rhs(3.25, y.tolist())
+            assert len(d) == len(y) and all(map(math.isnan, d))
+        # a flow cannot start there
+        with pytest.raises(ValueError, match="not finite at the initial state"):
+            flow(rhs, y, 1.0)
 
     @pytest.mark.parametrize(
         "make, initial", [(make_reduced_rhs, reduced_initial), (make_variational_rhs, augmented_initial)]
@@ -265,7 +277,7 @@ class TestReducedEnergy:
         assert drift / abs(e0) < 1e-9
 
     def test_singularity_on_nonpositive_radius(self, params_p):
-        with pytest.raises(SingularityError):
+        with pytest.raises(ValueError, match="not positive"):
             reduced_energy(np.zeros(5), params_p, 1.0)
 
 
