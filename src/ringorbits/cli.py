@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import continuation as cont
@@ -202,19 +203,7 @@ def _cmd_bifurcate(args) -> int:
         print(f"xi'(0)        0  (parity)")
         print(f"xi''(0)       {_g(rep.xi2)}")
     if args.json_out:
-        payload = {
-            "kind": rep.kind.value,
-            "a0": rep.a0,
-            "b": rep.b,
-            "T_star": rep.T_star,
-            "T_exact": rep.T_exact,
-            "s": rep.s,
-            "nondegenerate": rep.nondegenerate,
-            "margin": rep.margin,
-            "theta0": rep.theta0,
-            "xi2": rep.xi2,
-            "params": params.to_dict(),
-        }
+        payload = {**asdict(rep), "kind": rep.kind.value, "params": params.to_dict()}
         _write_json(payload, _out_dir(args) / args.json_out)
     return EXIT_OK
 
@@ -271,7 +260,7 @@ def _cmd_trace(args) -> int:
     print(f"points     {len(branch.points)}")
     print(f"end        a={_g(end.a)} b={_g(end.b)} T={_g(end.T)} theta={_g(end.theta)}")
     print(f"endpoint   {report.label}")
-    if report.label == "trivial-limit":
+    if report.label == cont.TERM_B_ZERO:
         print(f"           (a, T) off the seed by ({_g(report.detail['delta_a'])}, {_g(report.detail['delta_T'])})")
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")

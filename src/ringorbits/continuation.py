@@ -9,10 +9,13 @@ corrector call may run at most _CORRECTOR_MAX_FLOWS flows: a correction
 that needs more is crawling, and halving the step is cheaper than letting
 it finish or fail late.
 
-Tracing stops at a crossing of b = 0 (the circular family: the endpoint
-is refined by a fixed-b correction and classified as a trivial limit),
-on collision evidence (the integrator hits the ring-collapse guard, or a
-shrinks to nothing), on parameter bounds, or on the point budget.
+`continue_branch` is the one place that names how a branch ended, as
+`Branch.termination`, one of the TERM_* labels: a crossing of b = 0 is a
+trivial limit (the endpoint is refined by a fixed-b correction onto the
+circular family); an end point with a at or below A_COLLISION*a0, or a
+trace whose steps die in the integrator's ring-collapse guard, is a
+collision; leaving the a or T bounds is unbounded; the point budget and a
+step length below ds_min are budget and step-failure.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ __all__ = [
     "TERM_STEP",
 ]
 
-TERM_B_ZERO = "b-zero"
+TERM_B_ZERO = "trivial-limit"
 TERM_COLLISION = "collision"
-TERM_BOUND = "bound"
+TERM_BOUND = "unbounded"
 TERM_BUDGET = "budget"
 TERM_STEP = "step-failure"
 
@@ -82,10 +85,13 @@ _CORRECTOR_MAX_FLOWS = 12
 # wrong curve.
 _GROW, _GROW_AFTER, _COS_MIN = 1.3, 4, 0.5
 # Stop bounds as multiples of the circular seed's a0 and T0 (T_UPPER is the
-# default of StopRules.T_max); a point with a below A_COLLISION*a0 is a
-# collision, whatever stopped the trace.
+# default of StopRules.T_max); a branch whose last point has a at or below
+# A_COLLISION*a0 ends in a collision, whatever stopped the trace.
 A_COLLISION, A_BOUND, T_LOWER, T_UPPER = 1e-3, 1e3, 1e-3, 50.0
 _ON_FAMILY_TOL = 1e-6  # a start with larger desingularized residuals is off its family
+# theta_curvature_numeric walks out to |b| = _CURVATURE_B * sqrt(mass_sum/r0)
+# and corrects each point to _CURVATURE_TOL.
+_CURVATURE_B, _CURVATURE_TOL = 0.02, 1e-11
 
 
 class SingularPointError(RuntimeError):
@@ -145,9 +151,6 @@ class Branch:
     termination: str
     stats: dict = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     @property
     def start(self) -> SeedPoint:
         return self.points[0].point
@@ -155,9 +158,6 @@ class Branch:
     @property
     def end(self) -> SeedPoint:
         return self.points[-1].point
-
-    def thetas(self) -> np.ndarray:
-        return np.array([bp.point.theta for bp in self.points])
 
 
 def _tangent_from(d: DesingPoint, where: tuple, prev: np.ndarray | None) -> tuple[np.ndarray, float]:
@@ -244,11 +244,14 @@ def continue_branch(
     Each corrector call gets a budget of _CORRECTOR_MAX_FLOWS flows.  A
     failed step (corrector failure, flow failure, singular point, tangent
     turn or a predictor outside a > 0, T > 0) halves ds and is retried;
-    ds below ds_min ends the trace.  `Branch.stats` holds
-    `failed_predictor_steps` (their total), `failures` (their count per
-    reason: a ConvergenceError reason, a FlowError status, "singular-point"
-    or "value-error"), `ds_final`, and, after a b = 0 crossing,
-    `b_zero_refine` ("ok" or the reason the endpoint correction failed).
+    ds below ds_min ends the trace.  `Branch.stats` holds `failures`
+    (the failed steps counted per reason: a ConvergenceError reason, a
+    FlowError status, "singular-point" or "value-error"), `ds_final`, and,
+    after a b = 0 crossing, `b_zero_refine` ("ok" or the reason the
+    endpoint correction failed).
+
+    `Branch.termination` names the ending with one of the TERM_* labels
+    (see the module docstring); `classify_endpoint` reports it unchanged.
     """
     if direction not in (-1, 1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
@@ -305,35 +308,28 @@ def continue_branch(
             continue
 
         arc = prev_bp.arc + float(np.linalg.norm(corrected.vector() - x_prev))
-        new_bp = BranchPoint(point=corrected, tangent=unit, x_norm=xn, arc=arc)
+        points.append(BranchPoint(point=corrected, tangent=unit, x_norm=xn, arc=arc))
 
         prev_b = prev_bp.point.b
         crossed = prev_b * corrected.b < 0.0
         approaching_zero = abs(corrected.b) <= stop.b_tol and abs(corrected.b) < abs(prev_b)
         if crossed or approaching_zero:
-            points.append(new_bp)
             refined, b_zero_refine = _refine_b_zero(prev_bp.point, corrected, params, config)
             if refined is not None:
                 arc2 = arc + float(np.linalg.norm(refined.vector() - corrected.vector()))
                 points.append(BranchPoint(point=refined, tangent=unit, x_norm=xn, arc=arc2))
             termination = TERM_B_ZERO
-            break
-        if corrected.a <= a_min or corrected.a >= a_max:
-            points.append(new_bp)
-            termination = TERM_COLLISION if corrected.a <= a_min else TERM_BOUND
-            break
-        if corrected.T <= T_min or corrected.T >= T_max:
-            points.append(new_bp)
+        elif not (a_min < corrected.a < a_max and T_min < corrected.T < T_max):
             termination = TERM_BOUND
-            break
+        else:
+            streak += 1
+            if streak >= _GROW_AFTER:
+                ds = min(ds * _GROW, ds_max)
+                streak = 0
 
-        points.append(new_bp)
-        streak += 1
-        if streak >= _GROW_AFTER:
-            ds = min(ds * _GROW, ds_max)
-            streak = 0
-
-    stats = {"failed_predictor_steps": sum(failures.values()), "failures": failures, "ds_final": ds}
+    if points[-1].point.a <= a_min:
+        termination = TERM_COLLISION
+    stats = {"failures": failures, "ds_final": ds}
     if b_zero_refine is not None:
         stats["b_zero_refine"] = b_zero_refine
     return Branch(kind=kind, params=params, points=points, termination=termination, stats=stats)
@@ -341,46 +337,38 @@ def continue_branch(
 
 @dataclass(frozen=True)
 class EndpointReport:
-    """Classification of where a traced branch ended."""
+    """Where a traced branch ended: its termination label, its last point,
+    and, for a trivial limit, the gaps to the closed-form seed."""
 
-    label: str  # collision | trivial-limit | unbounded | budget | step-failure
+    label: str  # one of the TERM_* labels
     endpoint: SeedPoint
     detail: dict
 
 
 def classify_endpoint(branch: Branch) -> EndpointReport:
-    """Map a branch termination onto its qualitative endpoint type.
+    """Report the ending `continue_branch` named in `branch.termination`.
 
-    A final point with a below A_COLLISION*a0 counts as a collision
-    regardless of what stopped the tracer.  A b = 0 ending is a trivial
-    limit; the detail reports the gap to the closed-form bifurcation point
-    of the same kind.
+    For a trivial limit the detail holds the closed-form bifurcation point
+    of the same kind (seed_a, seed_T) and the end point's gaps to it
+    (delta_a, delta_T); for every other ending it is empty.
     """
     end = branch.end
-    params = branch.params
-    detail: dict = {"termination": branch.termination, "n_points": len(branch.points)}
-    if end.a < A_COLLISION * params.a0 or branch.termination == TERM_COLLISION:
-        return EndpointReport("collision", end, detail)
+    detail: dict = {}
     if branch.termination == TERM_B_ZERO:
-        ref = bifurcation_point(params, branch.kind)
-        detail["seed_a"] = ref.a0
-        detail["seed_T"] = ref.T_star
-        detail["delta_a"] = abs(end.a - ref.a0)
-        detail["delta_T"] = abs(end.T - ref.T_star)
-        return EndpointReport("trivial-limit", end, detail)
-    if branch.termination == TERM_BOUND:
-        return EndpointReport("unbounded", end, detail)
-    if branch.termination == TERM_BUDGET:
-        return EndpointReport("budget", end, detail)
-    return EndpointReport("step-failure", end, detail)
+        ref = bifurcation_point(branch.params, branch.kind)
+        detail = {
+            "seed_a": ref.a0,
+            "seed_T": ref.T_star,
+            "delta_a": abs(end.a - ref.a0),
+            "delta_T": abs(end.T - ref.T_star),
+        }
+    return EndpointReport(branch.termination, end, detail)
 
 
 def theta_curvature_numeric(
     params: SystemParams,
     config: IntegratorConfig | None = None,
-    b_max: float | None = None,
     n_points: int = 6,
-    corrector_tol: float = 1e-11,
 ) -> tuple[float, float]:
     """Numeric (first, second) derivative of the phase along the odd family.
 
@@ -394,8 +382,7 @@ def theta_curvature_numeric(
     kind = SymmetryKind.ODD
     seed = bifurcation_point(params, kind)
     a0, T0 = seed.a0, seed.T_star
-    if b_max is None:
-        b_max = 0.02 * math.sqrt(params.mass_sum / params.r0)
+    b_max = _CURVATURE_B * math.sqrt(params.mass_sum / params.r0)
 
     d0 = desing_eval(a0, 0.0, T0, kind, params, config)
     theta0 = d0.theta
@@ -412,7 +399,7 @@ def theta_curvature_numeric(
         for j in range(1, n_points + 1):
             b = sign * b_max * j / n_points
             guess = SeedPoint(a=guess.a, b=b, T=guess.T, kind=kind)
-            pt, d = newton_correct_full(guess, params, config, tol=corrector_tol)
+            pt, d = newton_correct_full(guess, params, config, tol=_CURVATURE_TOL)
             xb = x_b(d)
             tau += (b - b_prev) * 0.5 * (1.0 / xb + 1.0 / xb_prev)
             taus.append(tau)
@@ -447,14 +434,12 @@ def branch_to_csv(branch: Branch, path) -> None:
 
 
 def branch_summary(branch: Branch) -> dict:
-    report = classify_endpoint(branch)
     return {
         "kind": branch.kind.value,
         "params": branch.params.to_dict(),
         "n_points": len(branch.points),
         "termination": branch.termination,
-        "endpoint_label": report.label,
-        "endpoint_detail": report.detail,
+        "endpoint_detail": classify_endpoint(branch).detail,
         "start": branch.start.to_dict(),
         "end": branch.end.to_dict(),
         "arc_length": branch.points[-1].arc,
@@ -496,6 +481,8 @@ def branch_from_json(path) -> Branch:
         kind=kind,
         params=params,
         points=points,
-        termination=payload["termination"],
+        # files written before the TERM_* labels were renamed carry the
+        # label under "endpoint_label"
+        termination=payload.get("endpoint_label", payload["termination"]),
         stats=payload.get("stats", {}),
     )

@@ -134,7 +134,10 @@ class SystemParams:
         missing = {"n", "m", "M", "r0"} - set(d)
         if missing:
             raise ValueError(f"missing parameter keys: {sorted(missing)}")
-        return cls(n=int(d["n"]), m=float(d["m"]), M=float(d["M"]), r0=float(d["r0"]))
+        n = d["n"]
+        if not float(n).is_integer():
+            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        return cls(n=int(n), m=float(d["m"]), M=float(d["M"]), r0=float(d["r0"]))
 
 
 def write_json(obj, fh) -> None:

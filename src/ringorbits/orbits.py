@@ -46,9 +46,6 @@ __all__ = [
 ]
 
 
-_THETA_TOL = 1e-8  # a stored point this close to the target phase is the member
-
-
 class ResonanceNotFound(RuntimeError):
     """The requested phase angle is not bracketed by the branch."""
 
@@ -98,12 +95,12 @@ def find_resonance(
 ) -> SeedPoint:
     """Locate the branch member whose phase equals the target angle.
 
-    A stored point within _THETA_TOL of the angle is returned as it is.
-    Otherwise the first pair of stored points whose phases bracket the
-    angle gives the start: the point of their chord interpolated linearly
-    in the phase gaps.  One Newton solve with the phase row
-    (`shoot.phase`) then lands on the member, with |theta - angle| and the
-    residuals within the corrector's default tolerance.
+    The first pair of stored points whose phases bracket the angle (a
+    stored phase equal to it included) gives the start: the point of their
+    chord interpolated linearly in the phase gaps.  One Newton solve with
+    the phase row (`shoot.phase`) then lands on the member, with
+    |theta - angle| and the residuals within the corrector's default
+    tolerance.
 
     Raises ResonanceNotFound when no pair brackets the angle, and
     ConvergenceError when the corrector fails or lands on a member whose
@@ -116,12 +113,10 @@ def find_resonance(
         raise ResonanceNotFound("branch carries fewer than two points")
 
     gap = [bp.point.theta - angle for bp in pts]
-    for g, bp in zip(gap, pts):
-        if abs(g) <= _THETA_TOL:
-            return bp.point
     idx = None
     for i in range(len(pts) - 1):
-        if gap[i] * gap[i + 1] < 0.0:
+        # equal gaps give no chord to interpolate along
+        if gap[i] * gap[i + 1] <= 0.0 and gap[i] != gap[i + 1]:
             idx = i
             break
     if idx is None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -136,14 +136,7 @@ class SeedPoint:
         return self.kind.period_multiple * self.T
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "T": self.T,
-            "kind": self.kind.value,
-            "residual": self.residual,
-            "theta": self.theta,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeedPoint":

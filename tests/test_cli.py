@@ -196,6 +196,8 @@ P_SYSTEM = {"n": 3, "m": 3.0, "M": 7.0, "r0": 11.0}
     [
         (["bifurcate", "--config"], {**P_SYSTEM, "abs_tol": [1]}),
         (["bifurcate", "--config"], {**P_SYSTEM, "rel_tol": None}),
+        (["bifurcate", "--config"], {**P_SYSTEM, "n": 3.7}),
+        (["trace", "--seed-b", "0.05", "--config"], {**P_SYSTEM, "n": 3.7}),
         (["trace", *P_FLAGS, "--seed-file"], {"a": 0.89, "b": 0.05, "T": 28.6, "residual": None}),
         (["trace", *P_FLAGS, "--seed-file"], {"a": 0.89, "b": 0.05, "T": 28.6, "kind": 5}),
         (["trace", *P_FLAGS, "--seed-file"], [1]),
@@ -233,7 +235,8 @@ class TestTrace:
         assert " b=0 " in out
         assert (tmp_path / "down.csv").exists()
         payload = json.loads((tmp_path / "down.json").read_text())
-        assert payload["endpoint_label"] == "trivial-limit"
+        assert payload["termination"] == "trivial-limit"
+        assert "endpoint_label" not in payload
         assert payload["endpoint_detail"]["delta_a"] < 1e-6
 
     def test_auto_seed_budget(self, capsys, tmp_path):

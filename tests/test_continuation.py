@@ -1,5 +1,7 @@
 """Tangent field, arclength tracing, endpoint classification, serialization."""
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,14 +12,13 @@ from ringorbits.continuation import (
     A_COLLISION,
     T_LOWER,
     T_UPPER,
-    Branch,
-    BranchPoint,
     StepControl,
     StopRules,
     TERM_B_ZERO,
     TERM_BOUND,
     TERM_BUDGET,
     TERM_COLLISION,
+    TERM_STEP,
     _refine_b_zero,
     _tangent_from,
     branch_from_json,
@@ -29,7 +30,7 @@ from ringorbits.continuation import (
     tangent,
     theta_curvature_numeric,
 )
-from ringorbits.shoot import SeedPoint, SymmetryKind, desing_eval, newton_correct
+from ringorbits.shoot import ConvergenceError, SeedPoint, SymmetryKind, desing_eval, newton_correct
 
 from conftest import count_flows, direction_of_increasing_b
 
@@ -108,7 +109,7 @@ class TestContinueBranch:
         for bp in pts:
             assert bp.point.residual <= 1e-9
             assert abs(float(np.linalg.norm(bp.tangent)) - 1.0) < 1e-12
-        thetas = p_branch.thetas()
+        thetas = [bp.point.theta for bp in pts]
         assert np.max(np.abs(np.diff(thetas))) <= 0.2
         arcs = np.array([bp.arc for bp in pts])
         assert np.all(np.diff(arcs) >= 0.0)
@@ -127,24 +128,26 @@ class TestContinueBranch:
             assert polyline_gap(target, p_branch) < 0.05
 
     def test_branch_covers_theta_through_pi(self, p_branch):
-        thetas = p_branch.thetas()
+        thetas = [bp.point.theta for bp in p_branch.points]
         assert thetas[0] < 2.33
         assert thetas[-1] > math.pi
 
     def test_time_bound_classified_unbounded(self, p_branch):
-        assert p_branch.termination == TERM_BOUND
+        assert p_branch.termination == TERM_BOUND == "unbounded"
         report = classify_endpoint(p_branch)
-        assert report.label == "unbounded"
+        assert report.label == p_branch.termination
         assert report.endpoint.T >= 42.0
+        assert report.detail == {}
 
     def test_descending_to_the_circular_family(self, p1_corrected, params_p, cfg):
         d = -direction_of_increasing_b(p1_corrected, params_p, cfg)
         br = continue_branch(p1_corrected, d, params_p, cfg, step=StepControl(), stop=StopRules())
-        assert br.termination == TERM_B_ZERO
+        assert br.termination == TERM_B_ZERO == "trivial-limit"
         report = classify_endpoint(br)
-        assert report.label == "trivial-limit"
+        assert report.label == br.termination
         assert br.end.b == 0.0  # the crossing is refined at exactly b = 0
         assert br.stats["b_zero_refine"] == "ok"
+        assert set(report.detail) == {"seed_a", "seed_T", "delta_a", "delta_T"}
         assert report.detail["delta_a"] < 1e-6
         assert report.detail["delta_T"] < 1e-6
 
@@ -174,20 +177,38 @@ class TestContinueBranch:
     def test_point_budget(self, p1_corrected, params_p, cfg):
         d = direction_of_increasing_b(p1_corrected, params_p, cfg)
         br = continue_branch(p1_corrected, d, params_p, cfg, stop=StopRules(max_points=3))
-        assert br.termination == TERM_BUDGET
-        assert len(br) == 3
-        assert classify_endpoint(br).label == "budget"
+        assert br.termination == TERM_BUDGET == "budget"
+        assert len(br.points) == 3
+        assert classify_endpoint(br).label == br.termination
 
     def test_heavy_family_runs_into_collision(self, q0_corrected, params_q, cfg):
         d = direction_of_increasing_b(q0_corrected, params_q, cfg)
         br = continue_branch(q0_corrected, d, params_q, cfg, stop=StopRules(max_points=60))
-        assert br.termination == TERM_COLLISION
+        assert br.termination == TERM_COLLISION == "collision"
         report = classify_endpoint(br)
-        assert report.label == "collision"
+        assert report.label == br.termination
         assert report.endpoint.a < 1e-3 * params_q.a0
         # every rejected step predicted a <= 0 as a shrinks towards collision
         assert br.stats["failures"] == {"domain": 6}
-        assert br.stats["failed_predictor_steps"] == 6
+
+    @pytest.mark.parametrize(
+        "exc, ending",
+        [
+            (ConvergenceError("stalled", "max-iter"), TERM_STEP),
+            (integrate.FlowError(SimpleNamespace(status=integrate.SINGULAR), "ring collapsed"), TERM_COLLISION),
+        ],
+    )
+    def test_steps_failing_below_ds_min(self, p1_corrected, params_p, cfg, monkeypatch, exc, ending):
+        # a trace whose steps die in the ring-collapse guard is a collision
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(continuation, "newton_correct_full", fail)
+        br = continue_branch(p1_corrected, 1, params_p, cfg, step=StepControl(ds_min=1e-3))
+        assert br.termination == ending
+        assert classify_endpoint(br).label == br.termination
+        assert len(br.points) == 1
+        assert sum(br.stats["failures"].values()) == 9  # ds_max/4 halved below 1e-3
 
 
 class TestCorrectorBudget:
@@ -198,14 +219,13 @@ class TestCorrectorBudget:
         # one call crawls at residuals near 1.7e-4; it fails at its budget
         # and the step is retried at half the length
         assert branch.stats["failures"] == {"budget": 1}
-        assert branch.stats["failed_predictor_steps"] == 1
         assert "b_zero_refine" not in branch.stats
 
     def test_light_branch_bits_are_pinned(self, p_branch):
         # Recorded with an unbudgeted corrector on x86-64 (not portable): the
         # budget ends only the call that failed anyway, so the accepted
         # points are unchanged.
-        assert len(p_branch) == 22
+        assert len(p_branch.points) == 22
         end = p_branch.end
         assert (end.a.hex(), end.b.hex(), end.T.hex()) == (
             "0x1.0439167dfa10bp-1",
@@ -270,15 +290,17 @@ class TestStepAndStopDefaults:
         with pytest.raises(ValueError, match=next(iter(kw))):
             StopRules(**kw)
 
-    def test_collision_bound_is_shared(self, params_p):
-        # classify_endpoint reads the bound continue_branch stops at
-        start = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
-        low = SeedPoint(a=0.999 * A_COLLISION * params_p.a0, b=0.05, T=params_p.T0)
-        points = [BranchPoint(p, np.array([1.0, 0.0, 0.0]), 1.0, 0.0) for p in (start, low)]
-        branch = Branch(SymmetryKind.ODD, params_p, points, TERM_BOUND)
-        assert classify_endpoint(branch).label == "collision"
-        points[1] = BranchPoint(start, points[1].tangent, 1.0, 0.0)
-        assert classify_endpoint(branch).label == "unbounded"
+    def test_collision_bound_is_shared(self, p1_corrected, params_p, cfg, monkeypatch):
+        # the a <= A_COLLISION*a0 rule holds at the b = 0 exit too: a refined
+        # endpoint below it ends the branch in a collision
+        low = SeedPoint(a=0.999 * A_COLLISION * params_p.a0, b=0.0, T=params_p.T0)
+        monkeypatch.setattr(continuation, "_refine_b_zero", lambda *args: (low, "ok"))
+        d = -direction_of_increasing_b(p1_corrected, params_p, cfg)
+        br = continue_branch(p1_corrected, d, params_p, cfg, stop=StopRules(b_tol=1.0))
+        assert br.stats["b_zero_refine"] == "ok"
+        assert br.end == low
+        assert br.termination == TERM_COLLISION
+        assert classify_endpoint(br) == continuation.EndpointReport(TERM_COLLISION, low, {})
 
 
 class TestThetaCurvature:
@@ -301,7 +323,7 @@ class TestSerialization:
         assert again.termination == p_branch.termination
         assert again.kind is p_branch.kind
         assert again.params == p_branch.params
-        assert len(again) == len(p_branch)
+        assert len(again.points) == len(p_branch.points)
         for orig, back in zip(p_branch.points, again.points):
             assert back.point == orig.point
             assert np.array_equal(back.tangent, orig.tangent)
@@ -313,16 +335,28 @@ class TestSerialization:
         branch_to_csv(p_branch, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "idx,a,b,T,theta,residual"
-        assert len(lines) == len(p_branch) + 1
+        assert len(lines) == len(p_branch.points) + 1
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == p_branch.start.a
         assert float(first[3]) == p_branch.start.T
 
+    def test_files_with_the_old_labels_still_load(self, p_branch, tmp_path):
+        # before the TERM_* labels were renamed, "termination" held "b-zero"
+        # or "bound" and "endpoint_label" the label reported today
+        path = tmp_path / "old.json"
+        branch_to_json(p_branch, path)
+        payload = json.loads(path.read_text())
+        payload.update(termination="bound", endpoint_label="unbounded")
+        path.write_text(json.dumps(payload))
+        assert branch_from_json(path).termination == TERM_BOUND
+
     def test_summary_keys(self, p_branch):
         s = branch_summary(p_branch)
-        assert s["termination"] == p_branch.termination
-        assert s["n_points"] == len(p_branch)
-        assert s["endpoint_label"] == "unbounded"
+        assert s["termination"] == p_branch.termination == "unbounded"
+        assert s["n_points"] == len(p_branch.points)
+        assert s["endpoint_detail"] == {}
+        assert "endpoint_label" not in s
+        assert set(s["stats"]) == {"failures", "ds_final"}
         assert s["start"]["b"] == p_branch.start.b
         assert s["arc_length"] == p_branch.points[-1].arc

@@ -103,6 +103,15 @@ class TestSystemParams:
         again = SystemParams.from_dict(params_q.to_dict())
         assert again == params_q
 
+    @pytest.mark.parametrize("n", [3.7, "3.5", math.nan, math.inf])
+    def test_from_dict_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SystemParams.from_dict({"n": n, "m": 1.0, "M": 1.0, "r0": 1.0})
+
+    def test_from_dict_normalises_an_integral_n(self):
+        p = SystemParams.from_dict({"n": 3.0, "m": 1.0, "M": 1.0, "r0": 1.0})
+        assert type(p.n) is int and p.n == 3
+
 
 class TestReducedRhs:
     def test_circular_seed_is_equilibrium(self, params_p):

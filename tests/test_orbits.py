@@ -18,7 +18,9 @@ from ringorbits.orbits import (
     reconstruct,
     trajectory_filename,
 )
-from ringorbits.shoot import CORRECTOR_TOL, ConvergenceError, SeedPoint
+from ringorbits.shoot import CORRECTOR_TOL, ConvergenceError, SeedPoint, newton_correct, phase
+
+from conftest import count_flows
 
 
 def brute_force_orders(n1, n2, n, k_max=1000):
@@ -82,6 +84,28 @@ class TestFindResonance:
         pt = find_resonance(p_branch, target, cfg)
         assert abs(pt.theta - target.angle) <= CORRECTOR_TOL
         assert pt.residual <= CORRECTOR_TOL
+
+    @pytest.mark.parametrize("offset, layout", [(0.0, "lsh"), (0.0, "ssh"), (5e-9, "lsh")])
+    def test_stored_point_at_the_angle_is_corrected(self, p_branch, cfg, monkeypatch, offset, layout):
+        # a stored phase equal to the angle brackets it, at either end of a
+        # pair, and the corrector stops at its first evaluation; one 5e-9
+        # off is corrected onto it
+        target = ResonanceTarget(3, 4)
+        member = find_resonance(p_branch, target, cfg)
+        stored = newton_correct(member, p_branch.params, cfg, constraint=phase(target.angle + offset))
+        if offset == 0.0:
+            stored = replace(stored, theta=target.angle)
+        else:
+            assert abs(stored.theta - target.angle - offset) < 1e-10
+        i = next(i for i, bp in enumerate(p_branch.points) if bp.point.theta > target.angle)
+        lo, hi = p_branch.points[i - 1], p_branch.points[i]
+        by_letter = {"l": lo, "s": replace(lo, point=stored), "h": hi}
+        stub = replace(p_branch, points=[by_letter[c] for c in layout])
+        flows = count_flows(monkeypatch)
+        pt = find_resonance(stub, target, cfg)
+        assert abs(pt.theta - target.angle) <= 1e-10
+        if offset == 0.0:
+            assert len(flows) == 1 and pt.vector().tolist() == stored.vector().tolist()
 
     def test_member_outside_its_bracket_is_a_convergence_error(self, p_branch, cfg):
         # Two stored points near theta = 0.87*pi relabeled so that their

@@ -40,3 +40,12 @@ def _bindings():
 @pytest.mark.parametrize("module,attr", list(_bindings()))
 def test_binding_resolves(module, attr):
     assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} is missing"
+
+
+def test_compared_labels_are_termination_labels():
+    # perfbench checks branch endings against TERM_BOUND and against these
+    # label strings; a rename here would fail those checks silently
+    cont = workloads.continuation
+    labels = {getattr(cont, name) for name in dir(cont) if name.startswith("TERM_")}
+    assert isinstance(getattr(cont, "TERM_BOUND", None), str)
+    assert {"trivial-limit", "collision"} <= labels
