@@ -32,7 +32,7 @@ from .orbits import (
     reconstruct,
     trajectory_filename,
 )
-from .shoot import CORRECTOR_MAX_ITER, CORRECTOR_TOL, ConvergenceError, SeedPoint, SymmetryKind
+from .shoot import CORRECTOR_MAX_FLOWS, CORRECTOR_TOL, ConvergenceError, SeedPoint, SymmetryKind
 from .shoot import newton_correct, residual_of
 
 OUT_ENV = "RINGORBITS_OUT"
@@ -43,8 +43,8 @@ EXIT_NUMERIC = 3
 EXIT_NOT_FOUND = 4
 
 # What reading a JSON input file raises when the file is missing or
-# unreadable, or when it lacks a key or holds a value of the wrong type.
-_MALFORMED = (OSError, ValueError, KeyError, TypeError)
+# unreadable, or when it lacks a key or holds a wrong type or a huge integer.
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, OverflowError)
 
 
 class ConfigError(Exception):
@@ -83,11 +83,11 @@ def _system_from(args) -> tuple[SystemParams, IntegratorConfig]:
             tols[key] = v
     try:
         params = SystemParams.from_dict(merged)
-    except (ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ConfigError(f"bad system parameters: {exc}")
     try:
         return params, IntegratorConfig(**{key: float(v) for key, v in tols.items()})
-    except (ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ConfigError(f"bad integrator settings: {exc}")
 
 
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     _add_seed_flags(p)
     p.add_argument("--tol", type=float, default=CORRECTOR_TOL)
-    p.add_argument("--max-iter", type=int, default=CORRECTOR_MAX_ITER)
+    p.add_argument("--max-flows", type=int, default=CORRECTOR_MAX_FLOWS)
     p.add_argument("--json-out", help="write the corrected point as JSON to this file")
 
     p = sub.add_parser("trace", help="continue a family by pseudo-arclength")
@@ -218,7 +218,7 @@ def _seed_from_args(args) -> SeedPoint:
 def _cmd_shoot(args) -> int:
     params, config = _system_from(args)
     guess = _seed_from_args(args)
-    point = newton_correct(guess, params, config, tol=args.tol, max_iter=args.max_iter)
+    point = newton_correct(guess, params, config, tol=args.tol, max_flows=args.max_flows)
     print(f"corrected  a={_g(point.a)} b={_g(point.b)} T={_g(point.T)}")
     print(f"residual   {_g(point.residual)}")
     print(f"theta(T)   {_g(point.theta)}")

@@ -15,7 +15,9 @@ trivial limit (the endpoint is refined by a fixed-b correction onto the
 circular family); an end point with a at or below A_COLLISION*a0, or a
 trace whose steps die in the integrator's ring-collapse guard, is a
 collision; leaving the a or T bounds is unbounded; the point budget and a
-step length below ds_min are budget and step-failure.
+step length below ds_min are budget and step-failure.  The corrector takes
+no trial at or below T_LOWER*T0, so a branch that runs down to that floor
+ends in step-failure, or budget if its points run out first.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .bifurcate import bifurcation_point
 from .integrate import SINGULAR, FlowError, IntegratorConfig
 from .model import SystemParams, write_json
 from .shoot import (
+    T_LOWER,
     ConvergenceError,
     DesingPoint,
     SeedPoint,
@@ -71,10 +74,10 @@ TERM_STEP = "step-failure"
 # The observed maximum, with no margin: every corrector call that converges
 # on the three reference branches runs at most 12 flows ((3, 3, 7, 11): 9;
 # (3, 92, 242, 11): 7 towards the circular family, 12 towards collision),
-# and the one stalled call of the (3, 3, 7, 11) trace to T = 42 ran 114
-# before failing.  On other systems or tolerances a call that would
-# converge in 13 or more flows is rejected too, and its step is retried
-# at half the length.
+# and the one stalled call of the (3, 3, 7, 11) trace to T = 42 spends the
+# corrector's whole default budget of 64 without converging.  On other
+# systems or tolerances a call that would converge in 13 or more flows is
+# rejected too, and its step is retried at half the length.
 _CORRECTOR_MAX_FLOWS = 12
 
 # Step policy: the first step is ds_max/4, and ds grows by _GROW after
@@ -85,9 +88,10 @@ _CORRECTOR_MAX_FLOWS = 12
 # wrong curve.
 _GROW, _GROW_AFTER, _COS_MIN = 1.3, 4, 0.5
 # Stop bounds as multiples of the circular seed's a0 and T0 (T_UPPER is the
-# default of StopRules.T_max); a branch whose last point has a at or below
-# A_COLLISION*a0 ends in a collision, whatever stopped the trace.
-A_COLLISION, A_BOUND, T_LOWER, T_UPPER = 1e-3, 1e3, 1e-3, 50.0
+# default of StopRules.T_max, T_LOWER the corrector's floor); a branch whose
+# last point has a at or below A_COLLISION*a0 ends in a collision, whatever
+# stopped the trace.
+A_COLLISION, A_BOUND, T_UPPER = 1e-3, 1e3, 50.0
 _ON_FAMILY_TOL = 1e-6  # a start with larger desingularized residuals is off its family
 # theta_curvature_numeric walks out to |b| = _CURVATURE_B * sqrt(mass_sum/r0)
 # and corrects each point to _CURVATURE_TOL.

@@ -21,13 +21,13 @@ Newton solves the bordered 3x3 system [grad value; grad R_t; grad c]
 `hyperplane` (pseudo-arclength continuation) or `phase` (the member whose
 ring phase is a given angle).
 
-The corrector's work is bounded: at most max_iter Newton steps of at most
-nine line-search trials each, and, when the caller of
-`newton_correct_full` passes max_flows, at most that many flows (one per
-residual evaluation away from b = 0, two at b = 0).  Continuation passes
-a small max_flows so that a crawling correction fails fast and the step
-is retried shorter.  Every failure raises ConvergenceError with a
-`reason` that names the bound or condition that stopped it.
+The corrector's work has one bound: at most max_flows flows, one per
+residual evaluation away from b = 0 and two at b = 0, rejected line-search
+trials included; continuation passes a small one so that a crawling
+correction fails fast.  Its domain is a > 0, T > T_LOWER*T0: every T = 0
+point solves the residual pair trivially (F ~ b*T), so a trial outside it
+is damped further.  Every failure raises ConvergenceError with a `reason`
+that names the bound or condition that stopped it.
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ __all__ = [
 
 # The corrector's defaults, for every caller that does not choose its own.
 CORRECTOR_TOL = 1e-10
-CORRECTOR_MAX_ITER = 25
+# Converging calls in the tests and the benchmark run at most 31 flows.
+CORRECTOR_MAX_FLOWS = 64
+T_LOWER = 1e-3  # the corrector's floor on T, as a multiple of params.T0
 
 # One-sided step used for d/da of the desingularized residual at b = 0;
 # the integrand is odd in b so the quotient is accurate to O(step^2).
@@ -72,8 +74,7 @@ class ConvergenceError(RuntimeError):
 
     `reason` classifies the failure:
       budget             the max_flows flows were spent
-      max-iter           max_iter Newton steps were taken
-      line-search        no damped trial decreased the residual
+      line-search        no damped trial in the domain decreased the residual
       singular-jacobian  the bordered Jacobian is numerically singular
       domain             a continuation predictor left a > 0, T > 0
       tangent-turn       a continuation step turned the tangent too sharply
@@ -249,7 +250,7 @@ def newton_correct(
     config: IntegratorConfig | None = None,
     *,
     tol: float = CORRECTOR_TOL,
-    max_iter: int = CORRECTOR_MAX_ITER,
+    max_flows: int = CORRECTOR_MAX_FLOWS,
     constraint: Constraint | None = None,
 ) -> SeedPoint:
     """Newton-correct a seed onto the family and one extra condition.
@@ -259,17 +260,16 @@ def newton_correct(
     for arclength continuation, or `phase` for a resonant member.
 
     Each update is damped by a line search on the max-norm of the three
-    residuals (at most 8 halvings).  A guess that already meets `tol` is
-    returned after the initial evaluation, so max_iter=0 asserts
-    convergence.  No flow budget applies; `newton_correct_full` takes one.
+    residuals (at most 8 halvings; a trial outside a > 0, T > T_LOWER*T0 is
+    halved without a flow).  A guess that already meets `tol` is returned
+    after the initial evaluation.  max_flows bounds the flows the call runs.
 
-    Raises ConvergenceError, with `reason` "line-search", "singular-jacobian"
-    or "max-iter", when the line search stalls, the Jacobian is numerically
-    singular or max_iter is exhausted; integration failures (e.g. a trial
-    driven into collision) propagate as FlowError.
+    Raises ValueError before any flow unless tol is finite and positive and
+    max_flows >= 1; ConvergenceError with `reason` "budget", "line-search"
+    or "singular-jacobian"; and FlowError from the initial evaluation.
     """
     point, _ = newton_correct_full(
-        guess, params, config, tol=tol, max_iter=max_iter, constraint=constraint
+        guess, params, config, tol=tol, max_flows=max_flows, constraint=constraint
     )
     return point
 
@@ -280,18 +280,15 @@ def newton_correct_full(
     config: IntegratorConfig | None = None,
     *,
     tol: float = CORRECTOR_TOL,
-    max_iter: int = CORRECTOR_MAX_ITER,
+    max_flows: int = CORRECTOR_MAX_FLOWS,
     constraint: Constraint | None = None,
-    max_flows: int | None = None,
 ) -> tuple[SeedPoint, DesingPoint]:
     """Like `newton_correct` but also returns the residual data at the
-    corrected point, gradients included, so callers can reuse them.
-
-    max_flows bounds the flows the call runs, the initial evaluation and
-    rejected line-search trials included; None leaves only the max_iter
-    bound.  An evaluation that would exceed it raises ConvergenceError
-    with `reason` "budget" instead of running.
-    """
+    corrected point, gradients included, so callers can reuse them."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_flows < 1:
+        raise ValueError(f"max_flows must be at least 1, got {max_flows!r}")
     kind = guess.kind
     if constraint is None:
         constraint = fixed_b(guess.b)
@@ -301,7 +298,7 @@ def newton_correct_full(
         nonlocal n_flows
         # desing_eval flows twice at b = 0, once elsewhere
         n_flows += 2 if xv[1] == 0.0 else 1
-        if max_flows is not None and n_flows > max_flows:
+        if n_flows > max_flows:
             raise ConvergenceError(
                 f"flow budget spent: {max_flows} flows without reaching {tol:.1e}",
                 "budget",
@@ -312,14 +309,8 @@ def newton_correct_full(
 
     x = np.array([guess.a, guess.b, guess.T])
     d, res, row = evaluate(x)
-    it = 0
+    T_min = T_LOWER * params.T0
     while float(np.max(np.abs(res))) > tol:
-        if it >= max_iter:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} iterations; residual {float(np.max(np.abs(res))):.3e}",
-                "max-iter",
-            )
-        it += 1
         J = np.array([d.grad_value, d.grad_rt, row])
         if _too_ill_conditioned(J):
             raise ConvergenceError("corrector Jacobian is numerically singular", "singular-jacobian")
@@ -330,7 +321,7 @@ def newton_correct_full(
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
-            if trial[0] > 0 and trial[2] > 0:
+            if trial[0] > 0 and trial[2] > T_min:
                 try:
                     d_new, res_new, row_new = evaluate(trial)
                 except FlowError:

@@ -88,7 +88,7 @@ def test_criterion_03_heavy_system_seed(params_q):
 def test_criterion_04_fixed_b_correction(params_p, cfg):
     t0 = time.perf_counter()
     seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
-    out = newton_correct(seed, params_p, cfg, tol=1e-10, max_iter=10)
+    out = newton_correct(seed, params_p, cfg, tol=1e-10, max_flows=10)
     wall = time.perf_counter() - t0
     e_a = abs(out.a - 0.8892815)
     e_T = abs(out.T - 28.708)

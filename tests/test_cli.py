@@ -164,6 +164,27 @@ class TestShoot:
         )
         assert code == EXIT_CONFIG
 
+    def test_guess_heading_for_the_trivial_root_fails(self, capsys):
+        code, out, err = run(capsys, ["shoot", *P_FLAGS, "--a", "0.95", "--b", "0.05", "--T", "2"])
+        assert code == EXIT_NUMERIC
+        assert "corrected" not in out
+        assert err.startswith("numerical failure: line search stalled")
+
+    @pytest.mark.parametrize(
+        "setting",
+        [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol=-1"], ["--max-flows", "0"]],
+    )
+    def test_bad_corrector_setting_exits_before_any_flow(self, capsys, monkeypatch, setting):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the corrector settings were checked")
+
+        monkeypatch.setattr(integrate, "flow", no_flow)
+        argv = ["shoot", *P_FLAGS, "--a", "0.9", "--b", "0.05", "--T", "28.7", *setting]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -202,6 +223,15 @@ P_SYSTEM = {"n": 3, "m": 3.0, "M": 7.0, "r0": 11.0}
         (["trace", *P_FLAGS, "--seed-file"], {"a": 0.89, "b": 0.05, "T": 28.6, "kind": 5}),
         (["trace", *P_FLAGS, "--seed-file"], [1]),
         (["resonance", *P_FLAGS, "--n1", "3", "--n2", "4", "--branch"], [1, 2]),
+        # integers too large for a float
+        (["bifurcate", "--config"], {**P_SYSTEM, "n": 10**400}),
+        (["bifurcate", "--config"], {**P_SYSTEM, "m": 10**400}),
+        (["bifurcate", "--config"], {**P_SYSTEM, "rel_tol": 10**400}),
+        (["trace", *P_FLAGS, "--seed-file"], {"a": 10**400, "b": 0.05, "T": 28.6}),
+        (
+            ["resonance", *P_FLAGS, "--n1", "3", "--n2", "4", "--branch"],
+            {"kind": "odd", "params": {**P_SYSTEM, "m": 10**400}, "points": []},
+        ),
     ],
 )
 def test_malformed_file_exits_before_any_flow(capsys, monkeypatch, tmp_path, command, content):

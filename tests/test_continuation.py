@@ -194,7 +194,7 @@ class TestContinueBranch:
     @pytest.mark.parametrize(
         "exc, ending",
         [
-            (ConvergenceError("stalled", "max-iter"), TERM_STEP),
+            (ConvergenceError("stalled", "line-search"), TERM_STEP),
             (integrate.FlowError(SimpleNamespace(status=integrate.SINGULAR), "ring collapsed"), TERM_COLLISION),
         ],
     )
@@ -236,7 +236,7 @@ class TestCorrectorBudget:
     def test_refine_b_zero_reports_why_it_failed(self, params_p, cfg):
         far = {"a": 3.0 * params_p.a0, "T": 0.3 * params_p.T0}
         lo, hi = SeedPoint(b=0.01, **far), SeedPoint(b=-0.01, **far)
-        assert _refine_b_zero(lo, hi, params_p, cfg) == (None, "max-iter")
+        assert _refine_b_zero(lo, hi, params_p, cfg) == (None, "line-search")
 
 
 class TestStepAndStopDefaults:

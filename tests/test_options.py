@@ -9,10 +9,17 @@ import inspect
 
 import pytest
 
+from ringorbits.cli import build_parser
 from ringorbits.continuation import StepControl, StopRules, continue_branch, tangent
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.orbits import find_resonance, reconstruct
-from ringorbits.shoot import desing_eval, newton_correct, newton_correct_full
+from ringorbits.shoot import (
+    CORRECTOR_MAX_FLOWS,
+    CORRECTOR_TOL,
+    desing_eval,
+    newton_correct,
+    newton_correct_full,
+)
 
 SETTABLE_FIELDS = {
     IntegratorConfig: ("rel_tol", "abs_tol", "h_max", "dense"),
@@ -24,8 +31,8 @@ KEYWORD_PARAMETERS = {
     flow: ("config",),
     eval_at: ("config", "augmented"),
     desing_eval: ("config",),
-    newton_correct: ("config", "tol", "max_iter", "constraint"),
-    newton_correct_full: ("config", "tol", "max_iter", "constraint", "max_flows"),
+    newton_correct: ("config", "tol", "max_flows", "constraint"),
+    newton_correct_full: ("config", "tol", "max_flows", "constraint"),
     continue_branch: ("config", "step", "stop"),
     tangent: ("config",),
     find_resonance: ("config",),
@@ -46,3 +53,21 @@ def test_settable_surface_is_nine():
 def test_keyword_parameters(fn):
     params = inspect.signature(fn).parameters.values()
     assert tuple(p.name for p in params if p.default is not p.empty) == KEYWORD_PARAMETERS[fn]
+
+
+def test_keyword_surface_is_twenty():
+    assert sum(map(len, KEYWORD_PARAMETERS.values())) == 20
+
+
+def _keyword_defaults(fn):
+    params = inspect.signature(fn).parameters.values()
+    return [(p.name, p.default) for p in params if p.default is not p.empty]
+
+
+def test_corrector_entry_points_share_keywords():
+    assert _keyword_defaults(newton_correct) == _keyword_defaults(newton_correct_full)
+
+
+def test_shoot_flags_default_to_the_corrector_constants():
+    args = build_parser().parse_args(["shoot", "--a", "1", "--b", "0", "--T", "1"])
+    assert (args.tol, args.max_flows) == (CORRECTOR_TOL, CORRECTOR_MAX_FLOWS)

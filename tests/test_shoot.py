@@ -9,6 +9,7 @@ import pytest
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.model import make_reduced_rhs, reduced_initial, write_json
 from ringorbits.shoot import (
+    T_LOWER,
     ConvergenceError,
     SeedPoint,
     SymmetryKind,
@@ -179,7 +180,7 @@ class TestNewton:
 
     def test_iteration_budget_is_enough(self, params_p, cfg):
         seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
-        out = newton_correct(seed, params_p, cfg, tol=1e-12, max_iter=10)
+        out = newton_correct(seed, params_p, cfg, tol=1e-12, max_flows=10)
         assert out.residual < 1e-12
 
     def test_heavy_system_reference_point(self, q0_corrected, params_q):
@@ -189,7 +190,7 @@ class TestNewton:
         assert q0_corrected.residual < 1e-12
 
     def test_converged_point_returns_without_iterating(self, p1_corrected, params_p, cfg):
-        again = newton_correct(p1_corrected, params_p, cfg, tol=1e-10, max_iter=0)
+        again = newton_correct(p1_corrected, params_p, cfg, tol=1e-10, max_flows=1)
         assert again.a == p1_corrected.a and again.T == p1_corrected.T
 
     def test_perturbed_point_recovered(self, q0_corrected, params_q, cfg):
@@ -206,8 +207,8 @@ class TestNewton:
     def test_unconverged_budget_raises(self, params_p, cfg):
         seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
         with pytest.raises(ConvergenceError) as info:
-            newton_correct(seed, params_p, cfg, tol=1e-12, max_iter=0)
-        assert info.value.reason == "max-iter"
+            newton_correct(seed, params_p, cfg, tol=1e-12, max_flows=1)
+        assert info.value.reason == "budget"
 
     def test_flow_budget_counts_every_evaluation(self, p1_corrected, params_p, cfg, monkeypatch):
         flows = count_flows(monkeypatch)
@@ -237,8 +238,8 @@ class TestNewton:
     @pytest.mark.parametrize("k", [1, 12])
     def test_flow_budget_stops_a_stalled_call(self, params_p, cfg, monkeypatch, k):
         # Predictor and tangent of the corrector call on the (3, 3, 7, 11)
-        # trace to T = 42 that crawls at residuals near 1.7e-4; without a
-        # budget it spends 114 flows and ends at max_iter.
+        # trace to T = 42 that crawls at residuals near 1.7e-4; it spends
+        # the whole default budget of 64 flows without meeting the tolerance.
         x = np.array([float.fromhex(h) for h in (
             "0x1.f2dfeb74bf037p-2", "0x1.5764cb2b50a1fp-1", "0x1.57c1f1bb77496p+5")])
         normal = np.array([float.fromhex(h) for h in (
@@ -249,6 +250,28 @@ class TestNewton:
             newton_correct_full(guess, params_p, cfg, constraint=hyperplane(x, normal), max_flows=k)
         assert info.value.reason == "budget"
         assert len(flows) == k
+
+    def test_trivial_root_is_outside_the_domain(self, params_p, cfg, monkeypatch):
+        # Every T = 0 point solves the residual pair, since F ~ b*T there.
+        # Newton from this guess heads for it, and without the T floor lands
+        # at T ~ 5e-23.
+        flows = count_flows(monkeypatch)
+        guess = SeedPoint(a=0.95, b=0.05, T=2.0)
+        with pytest.raises(ConvergenceError) as info:
+            newton_correct(guess, params_p, cfg)
+        assert info.value.reason == "line-search"
+        assert min(args[2] for args in flows) > T_LOWER * params_p.T0
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1.0), ("max_flows", 0)],
+    )
+    def test_bad_setting_raises_before_any_flow(self, params_p, cfg, monkeypatch, name, value):
+        flows = count_flows(monkeypatch)
+        seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        with pytest.raises(ValueError, match=name):
+            newton_correct(seed, params_p, cfg, **{name: value})
+        assert flows == []
 
     def test_hyperplane_constraint_enforced(self, p1_corrected, params_p, cfg):
         x_ref = p1_corrected.vector()
