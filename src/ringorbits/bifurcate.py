@@ -131,27 +131,31 @@ def xi_second_derivative(params: SystemParams) -> float:
 
     Evaluates the closed-form curvature (A + B*R)*R^2 with
     R = 2*sin(pi*s), transcribed term for term; see the A and B
-    expressions below.  Raises ValueError when a denominator factor
-    vanishes (which requires lam >= 4n and so cannot happen for any
-    practical body count).
+    expressions below.  Raises ValueError when the value cannot be formed
+    in floating point, as when a denominator factor vanishes (which
+    requires lam >= 4n and so cannot happen for any practical body count).
     """
     n, m, M, r0 = params.n, params.m, params.M, params.r0
     lam = params.lam
     denom_factor = lam * m - 3.0 * M - 4.0 * m * n
-    if denom_factor == 0.0:
-        raise ValueError("curvature denominators vanish: lam*m - 3M - 4mn = 0 (shared by A and B)")
-    sq = math.sqrt((lam * m + M) / r0**3)
-    R = 2.0 * math.sin(math.pi * resonance_ratio(params))
-    A = (
-        3.0
-        * r0**2.5
-        * math.pi
-        * (
-            9.0 * (lam * m + M) * (lam * m + 24.0 * M - 4.0 * m * n + 16.0 * M * sq)
-            - 8.0 * M * (M + m * n) * (9.0 + 8.0 * sq)
+    try:
+        sq = math.sqrt((lam * m + M) / r0**3)
+        R = 2.0 * math.sin(math.pi * resonance_ratio(params))
+        A = (
+            3.0
+            * r0**2.5
+            * math.pi
+            * (
+                9.0 * (lam * m + M) * (lam * m + 24.0 * M - 4.0 * m * n + 16.0 * M * sq)
+                - 8.0 * M * (M + m * n) * (9.0 + 8.0 * sq)
+            )
+        ) / (16.0 * m**2 * n**2 * (-lam * m + 4.0 * m * n + 3.0 * M) * math.sqrt(lam * m + M))
+        B = (9.0 * M * r0**2.5 * (M + m * n) ** 2.5 * (3.0 + 2.0 * sq)) / (
+            m**2 * n**2 * (lam * m + M) * denom_factor**2
         )
-    ) / (16.0 * m**2 * n**2 * (-lam * m + 4.0 * m * n + 3.0 * M) * math.sqrt(lam * m + M))
-    B = (9.0 * M * r0**2.5 * (M + m * n) ** 2.5 * (3.0 + 2.0 * sq)) / (
-        m**2 * n**2 * (lam * m + M) * denom_factor**2
-    )
-    return (A + B * R) * R * R
+        xi2 = (A + B * R) * R * R
+    except (OverflowError, ZeroDivisionError):
+        xi2 = math.nan
+    if not math.isfinite(xi2):
+        raise ValueError(f"curvature cannot be formed in floating point for {params.to_dict()}")
+    return xi2

@@ -33,7 +33,7 @@ from .orbits import (
     trajectory_filename,
 )
 from .shoot import CORRECTOR_MAX_FLOWS, CORRECTOR_TOL, ConvergenceError, SeedPoint, SymmetryKind
-from .shoot import newton_correct, residual_of
+from .shoot import newton_correct, require_above_floor, residual_of
 
 OUT_ENV = "RINGORBITS_OUT"
 
@@ -47,10 +47,6 @@ EXIT_NOT_FOUND = 4
 _MALFORMED = (OSError, ValueError, KeyError, TypeError, OverflowError)
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _g(x: float) -> str:
     return f"{x:.6g}"
 
@@ -60,11 +56,11 @@ def _load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return data
 
 
@@ -84,11 +80,11 @@ def _system_from(args) -> tuple[SystemParams, IntegratorConfig]:
     try:
         params = SystemParams.from_dict(merged)
     except _MALFORMED as exc:
-        raise ConfigError(f"bad system parameters: {exc}")
+        raise ValueError(f"bad system parameters: {exc}")
     try:
         return params, IntegratorConfig(**{key: float(v) for key, v in tols.items()})
     except _MALFORMED as exc:
-        raise ConfigError(f"bad integrator settings: {exc}")
+        raise ValueError(f"bad integrator settings: {exc}")
 
 
 def _out_dir(args) -> Path:
@@ -178,10 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_lambda(args) -> int:
-    try:
-        value = lambda_n(args.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    value = lambda_n(args.n)
     if args.json:
         print(json.dumps({"n": args.n, "lambda": value}))
     else:
@@ -209,10 +202,7 @@ def _cmd_bifurcate(args) -> int:
 
 
 def _seed_from_args(args) -> SeedPoint:
-    try:
-        return SeedPoint(a=args.a, b=args.b, T=args.T, kind=SymmetryKind.parse(args.kind))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return SeedPoint(a=args.a, b=args.b, T=args.T, kind=SymmetryKind.parse(args.kind))
 
 
 def _cmd_shoot(args) -> int:
@@ -234,7 +224,7 @@ def _cmd_shoot(args) -> int:
 def _cmd_trace(args) -> int:
     params, config = _system_from(args)
     if (args.seed_file is None) == (args.seed_b is None):
-        raise ConfigError("trace needs exactly one of --seed-file or --seed-b")
+        raise ValueError("trace needs exactly one of --seed-file or --seed-b")
     step = cont.StepControl(ds_max=args.ds_max, ds_min=args.ds_min)
     stop = cont.StopRules(max_points=args.max_points, b_tol=args.b_tol)
     if args.seed_file:
@@ -242,7 +232,7 @@ def _cmd_trace(args) -> int:
             with open(args.seed_file, "r", encoding="utf-8") as fh:
                 start = SeedPoint.from_dict(json.load(fh))
         except _MALFORMED as exc:
-            raise ConfigError(f"cannot read seed file {args.seed_file}: {exc}")
+            raise ValueError(f"cannot read seed file {args.seed_file}: {exc}")
     else:
         kind = SymmetryKind.parse(args.kind)
         rep = bifurcation_point(params, kind)
@@ -256,7 +246,7 @@ def _cmd_trace(args) -> int:
     json_path = out / f"{args.prefix}.json"
     cont.branch_to_csv(branch, csv_path)
     cont.branch_to_json(branch, json_path)
-    end = report.endpoint
+    end = branch.end
     print(f"points     {len(branch.points)}")
     print(f"end        a={_g(end.a)} b={_g(end.b)} T={_g(end.T)} theta={_g(end.theta)}")
     print(f"endpoint   {report.label}")
@@ -269,20 +259,17 @@ def _cmd_trace(args) -> int:
 
 def _cmd_resonance(args) -> int:
     params, config = _system_from(args)
-    try:
-        target = ResonanceTarget(args.n1, args.n2)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    target = ResonanceTarget(args.n1, args.n2)
     try:
         branch = cont.branch_from_json(args.branch)
     except _MALFORMED as exc:
-        raise ConfigError(f"cannot read branch file {args.branch}: {exc}")
+        raise ValueError(f"cannot read branch file {args.branch}: {exc}")
     if branch.params != params:
-        raise ConfigError(
+        raise ValueError(
             f"system {params.to_dict()} differs from the branch file's {branch.params.to_dict()}"
         )
     if args.samples < 2:
-        raise ConfigError("need at least two samples per period")
+        raise ValueError("need at least two samples per period")
     point = find_resonance(branch, target, config)
     k_strict, k_relabel = closure_order(target, params.n)
     periods = k_strict if args.strict_closure else k_relabel
@@ -326,7 +313,8 @@ def _cmd_verify(args) -> int:
     params, config = _system_from(args)
     point = _seed_from_args(args)
     if not (math.isfinite(args.res_tol) and args.res_tol > 0):
-        raise ConfigError(f"--res-tol must be finite and positive, got {args.res_tol!r}")
+        raise ValueError(f"--res-tol must be finite and positive, got {args.res_tol!r}")
+    require_above_floor(point.T, params)
     e = eval_at(point.a, point.b, point.T, params, config)
     r1, r2 = residual_of(e, point.kind)
     traj = reconstruct(point, params, periods=1, samples_per_period=256, config=config)
@@ -365,13 +353,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ResonanceNotFound as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (ConvergenceError, FlowError, cont.SingularPointError) as exc:
+    except (ConvergenceError, FlowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -44,7 +44,6 @@ from .shoot import (
 )
 
 __all__ = [
-    "SingularPointError",
     "StepControl",
     "StopRules",
     "BranchPoint",
@@ -96,10 +95,6 @@ _ON_FAMILY_TOL = 1e-6  # a start with larger desingularized residuals is off its
 # theta_curvature_numeric walks out to |b| = _CURVATURE_B * sqrt(mass_sum/r0)
 # and corrects each point to _CURVATURE_TOL.
 _CURVATURE_B, _CURVATURE_TOL = 0.02, 1e-11
-
-
-class SingularPointError(RuntimeError):
-    """The residual gradients are rank deficient: no unique branch direction."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def _tangent_from(d: DesingPoint, where: tuple, prev: np.ndarray | None) -> tupl
     nrm = float(np.linalg.norm(X))
     scale = float(np.linalg.norm(d.grad_value) * np.linalg.norm(d.grad_rt))
     if nrm <= 1e-12 * max(scale, 1e-300):
-        raise SingularPointError(f"residual gradients are parallel at (a, b, T) = {where!r}")
+        raise ConvergenceError(f"residual gradients are parallel at (a, b, T) = {where!r}", "singular-point")
     unit = X / nrm
     if prev is not None and float(np.dot(unit, prev)) < 0.0:
         unit = -unit
@@ -195,7 +190,7 @@ def tangent(
     The direction is grad(value) x grad(R_t) in (a, b, T), unoriented;
     `continue_branch` orients its tangents by sign continuity.  Rejects
     points whose desingularized residuals exceed _ON_FAMILY_TOL, and raises
-    SingularPointError where the gradients are (numerically) parallel.
+    ConvergenceError "singular-point" where the gradients are parallel.
     """
     d = _on_family(point, params, config)
     return _tangent_from(d, (point.a, point.b, point.T), None)
@@ -203,13 +198,11 @@ def tangent(
 
 def _failure_reason(exc: Exception) -> str:
     """Label of a failed step: the ConvergenceError reason, the FlowError
-    status, or "singular-point" / "value-error"."""
+    status, or "value-error"."""
     if isinstance(exc, ConvergenceError):
         return exc.reason
     if isinstance(exc, FlowError):
         return exc.status
-    if isinstance(exc, SingularPointError):
-        return "singular-point"
     return "value-error"
 
 
@@ -247,12 +240,12 @@ def continue_branch(
 
     Each corrector call gets a budget of _CORRECTOR_MAX_FLOWS flows.  A
     failed step (corrector failure, flow failure, singular point, tangent
-    turn or a predictor outside a > 0, T > 0) halves ds and is retried;
-    ds below ds_min ends the trace.  `Branch.stats` holds `failures`
-    (the failed steps counted per reason: a ConvergenceError reason, a
-    FlowError status, "singular-point" or "value-error"), `ds_final`, and,
-    after a b = 0 crossing, `b_zero_refine` ("ok" or the reason the
-    endpoint correction failed).
+    turn or a predictor outside a > 0, T > T_LOWER*T0) halves ds and is
+    retried; ds below ds_min ends the trace.  `Branch.stats` holds
+    `failures` (the failed steps counted per reason: a ConvergenceError
+    reason such as "singular-point", a FlowError status or "value-error"),
+    `ds_final`, and, after a b = 0 crossing, `b_zero_refine` ("ok" or the
+    reason the endpoint correction failed).
 
     `Branch.termination` names the ending with one of the TERM_* labels
     (see the module docstring); `classify_endpoint` reports it unchanged.
@@ -289,7 +282,7 @@ def continue_branch(
         x_prev = prev_bp.point.vector()
         pred = x_prev + ds * prev_bp.tangent
         try:
-            if pred[0] <= 0 or pred[2] <= 0:
+            if pred[0] <= 0 or pred[2] <= T_min:
                 raise ConvergenceError("predictor left the parameter domain", "domain")
             guess = SeedPoint(a=float(pred[0]), b=float(pred[1]), T=float(pred[2]), kind=kind)
             corrected, dcorr = newton_correct_full(
@@ -302,7 +295,7 @@ def continue_branch(
             )
             if float(np.dot(unit, prev_bp.tangent)) < _COS_MIN:
                 raise ConvergenceError("tangent turned too sharply: likely branch hop", "tangent-turn")
-        except (ConvergenceError, SingularPointError, ValueError, FlowError) as exc:
+        except (ConvergenceError, ValueError, FlowError) as exc:
             reason = _failure_reason(exc)
             failures[reason] = failures.get(reason, 0) + 1
             ds *= 0.5
@@ -341,11 +334,10 @@ def continue_branch(
 
 @dataclass(frozen=True)
 class EndpointReport:
-    """Where a traced branch ended: its termination label, its last point,
-    and, for a trivial limit, the gaps to the closed-form seed."""
+    """How a traced branch ended: its termination label and, for a trivial
+    limit, the gaps of `branch.end` to the closed-form seed."""
 
     label: str  # one of the TERM_* labels
-    endpoint: SeedPoint
     detail: dict
 
 
@@ -356,9 +348,9 @@ def classify_endpoint(branch: Branch) -> EndpointReport:
     of the same kind (seed_a, seed_T) and the end point's gaps to it
     (delta_a, delta_T); for every other ending it is empty.
     """
-    end = branch.end
     detail: dict = {}
     if branch.termination == TERM_B_ZERO:
+        end = branch.end
         ref = bifurcation_point(branch.params, branch.kind)
         detail = {
             "seed_a": ref.a0,
@@ -366,7 +358,7 @@ def classify_endpoint(branch: Branch) -> EndpointReport:
             "delta_a": abs(end.a - ref.a0),
             "delta_T": abs(end.T - ref.T_star),
         }
-    return EndpointReport(branch.termination, end, detail)
+    return EndpointReport(branch.termination, detail)
 
 
 def theta_curvature_numeric(

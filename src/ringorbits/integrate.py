@@ -37,7 +37,7 @@ import functools
 import linecache
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -300,7 +300,8 @@ def _dense_output(grid, states, steps, stages) -> DenseOutput:
 def _initial_step(rhs, y0, f0, span, atol, rtol, h_max):
     # Deterministic two-probe heuristic for the first trial step from t = 0.
     # Each RMS norm adds its squares in numpy's pairwise order, as np.mean
-    # does.  A probe where the field is not finite gets a short first step.
+    # does.  A probe where the field is not finite, or a derivative whose
+    # norm overflows, gets a short first step.
     sc = [atol + rtol * abs(v) for v in y0]
 
     def rms(v):
@@ -310,6 +311,8 @@ def _initial_step(rhs, y0, f0, span, atol, rtol, h_max):
     d1 = rms(f0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, h_max)
+    if h0 == 0.0:  # d1 overflowed
+        return 1e-12 * span
     f1 = rhs(h0, [y + h0 * f for y, f in zip(y0, f0)])
     d2 = rms([u - f for u, f in zip(f1, f0)]) / h0
     if not math.isfinite(d2):
@@ -414,23 +417,17 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
 class EvalPoint:
     """Flow values at time T used by the shooting residuals.
 
-    F, Ft are the axial separation and its velocity at T; R, Rt the ring
-    radius and radial velocity; Theta the accumulated phase.  Rtt and
-    Thetat come from the vector field at the endpoint.  The sensitivity
-    fields are filled only when the evaluation is augmented, and are None
-    otherwise.
+    The fields follow the state layout: F, Ft are the axial separation and
+    its velocity at T, R, Rt the ring radius and radial velocity, Theta the
+    accumulated phase, then the a- and b-sensitivity columns (None unless
+    augmented).  Rtt and Thetat come from the vector field at the endpoint.
     """
 
-    a: float
-    b: float
-    T: float
     F: float
     Ft: float
     R: float
     Rt: float
     Theta: float
-    Rtt: float
-    Thetat: float
     Fa: float | None = None
     Fta: float | None = None
     Ra: float | None = None
@@ -441,6 +438,9 @@ class EvalPoint:
     Rb: float | None = None
     Rtb: float | None = None
     Thb: float | None = None
+    _: KW_ONLY
+    Rtt: float
+    Thetat: float
 
 
 def eval_at(
@@ -460,22 +460,9 @@ def eval_at(
         raise ValueError(f"evaluation time must be nonnegative, got {T!r}")
     C = params.r0 * a
     if augmented:
-        rhs = make_variational_rhs(params, C)
-        y0 = augmented_initial(b, params)
+        rhs, y0 = make_variational_rhs(params, C), augmented_initial(b, params)
     else:
-        rhs = make_reduced_rhs(params, C)
-        y0 = reduced_initial(b, params)
+        rhs, y0 = make_reduced_rhs(params, C), reduced_initial(b, params)
     res = flow(rhs, y0, T, config).require_ok()
-    y, d = res.y, res.dy
-    base = dict(
-        a=a, b=b, T=T,
-        F=float(y[0]), Ft=float(y[1]), R=float(y[2]), Rt=float(y[3]), Theta=float(y[4]),
-        Rtt=float(d[3]), Thetat=float(d[4]),
-    )
-    if augmented:
-        base.update(
-            Fa=float(y[5]), Fta=float(y[6]), Ra=float(y[7]), Rta=float(y[8]), Tha=float(y[9]),
-            Fb=float(y[10]), Ftb=float(y[11]), Rb=float(y[12]), Rtb=float(y[13]), Thb=float(y[14]),
-        )
-    return EvalPoint(**base)
-
+    d = res.dy.tolist()
+    return EvalPoint(*res.y.tolist(), Rtt=d[3], Thetat=d[4])

@@ -96,6 +96,12 @@ class SystemParams:
             raise ValueError(f"axial mass M must be nonnegative, got {self.M!r}")
         if self.r0 <= 0:
             raise ValueError(f"seed radius r0 must be positive, got {self.r0!r}")
+        try:
+            derived = (self.a0, self.T0, self.kappa, self.kappa**2)
+        except OverflowError:  # r0**3 or kappa**2 beyond the float range
+            derived = (math.inf,)
+        if not all(math.isfinite(v) and v > 0 for v in derived):
+            raise ValueError(f"a0, T0 and kappa**2 of {self.to_dict()} must be finite and positive")
 
     @property
     def lam(self) -> float:

@@ -31,7 +31,7 @@ from .model import (
     total_momentum,
     write_json,
 )
-from .shoot import ConvergenceError, SeedPoint, newton_correct, phase
+from .shoot import ConvergenceError, SeedPoint, newton_correct, phase, require_above_floor
 
 __all__ = [
     "ResonanceNotFound",
@@ -191,7 +191,9 @@ def reconstruct(
       lz_drift         relative drift of the z angular momentum
       closure_error    max over bodies of |dx| + |dv| between endpoints
       closure_error_relabel  same, minimized over ring relabelings
+    A point with T <= T_LOWER*T0 raises ValueError before any flow.
     """
+    require_above_floor(point.T, params)
     if periods < 1:
         raise ValueError(f"periods must be a positive integer, got {periods!r}")
     if samples_per_period < 2:

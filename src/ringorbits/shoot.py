@@ -26,8 +26,9 @@ residual evaluation away from b = 0 and two at b = 0, rejected line-search
 trials included; continuation passes a small one so that a crawling
 correction fails fast.  Its domain is a > 0, T > T_LOWER*T0: every T = 0
 point solves the residual pair trivially (F ~ b*T), so a trial outside it
-is damped further.  Every failure raises ConvergenceError with a `reason`
-that names the bound or condition that stopped it.
+is damped further, and `desing_eval` refuses a T at or below the floor.
+Every failure raises ConvergenceError with a `reason` that names the bound
+or condition that stopped it.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class ConvergenceError(RuntimeError):
       budget             the max_flows flows were spent
       line-search        no damped trial in the domain decreased the residual
       singular-jacobian  the bordered Jacobian is numerically singular
-      domain             a continuation predictor left a > 0, T > 0
+      singular-point     the residual gradients are parallel: no branch direction
+      domain             a continuation predictor left a > 0, T > T_LOWER*T0
       tangent-turn       a continuation step turned the tangent too sharply
       off-bracket        a resonance was solved outside its bracket
     """
@@ -151,6 +153,12 @@ class SeedPoint:
         )
 
 
+def require_above_floor(T: float, params: SystemParams) -> None:
+    """Raise ValueError unless T lies above the floor T_LOWER*T0."""
+    if not T > T_LOWER * params.T0:
+        raise ValueError(f"T={float(T)!r} is at or below the floor T_LOWER*T0 = {T_LOWER * params.T0!r}")
+
+
 def residual_of(e: EvalPoint, kind: SymmetryKind) -> tuple[float, float]:
     """Raw residual pair read off a flow evaluated at the point: (F, R_t) for
     odd, (F_t, R_t) for odd/even."""
@@ -183,7 +191,8 @@ def desing_eval(
     config: IntegratorConfig | None = None,
 ) -> DesingPoint:
     """The desingularized residuals and their gradients, from augmented flows:
-    one flow away from b = 0, two at b = 0."""
+    one flow away from b = 0, two at b = 0; ValueError at T <= T_LOWER*T0."""
+    require_above_floor(T, params)
     odd = kind is SymmetryKind.ODD
     mu = params.mass_sum
     if b == 0.0:
@@ -264,9 +273,10 @@ def newton_correct(
     halved without a flow).  A guess that already meets `tol` is returned
     after the initial evaluation.  max_flows bounds the flows the call runs.
 
-    Raises ValueError before any flow unless tol is finite and positive and
-    max_flows >= 1; ConvergenceError with `reason` "budget", "line-search"
-    or "singular-jacobian"; and FlowError from the initial evaluation.
+    Raises ValueError before any flow unless tol is finite and positive,
+    max_flows >= 1 and guess.T > T_LOWER*T0; ConvergenceError with `reason`
+    "budget", "line-search" or "singular-jacobian"; and FlowError from the
+    initial evaluation.
     """
     point, _ = newton_correct_full(
         guess, params, config, tol=tol, max_flows=max_flows, constraint=constraint

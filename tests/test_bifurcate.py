@@ -145,3 +145,10 @@ class TestPhaseCurvature:
     def test_report_carries_the_value(self, params_p):
         rep = bifurcation_point(params_p)
         assert rep.xi2 == xi_second_derivative(params_p)
+
+    def test_value_out_of_float_range_is_reported_as_none(self):
+        # m**2 overflows in the denominators
+        params = SystemParams(n=3, m=1e200, M=7.0, r0=11.0)
+        with pytest.raises(ValueError, match="floating point"):
+            xi_second_derivative(params)
+        assert bifurcation_point(params).xi2 is None

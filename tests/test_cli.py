@@ -1,12 +1,15 @@
 """End-to-end checks of the command line, run in process via main(argv)."""
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ringorbits import cli, integrate, orbits
 from ringorbits.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERIC, EXIT_OK, main
@@ -170,6 +173,14 @@ class TestShoot:
         assert "corrected" not in out
         assert err.startswith("numerical failure: line search stalled")
 
+    def test_huge_axial_velocity_is_a_numerical_failure(self, capsys):
+        # the norm of the scaled initial derivative overflows in the flow's
+        # first-step heuristic
+        code, out, err = run(capsys, ["shoot", *P_FLAGS, "--a", "0.9", "--b", "1e200", "--T", "20"])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "setting",
         [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol=-1"], ["--max-flows", "0"]],
@@ -247,6 +258,63 @@ def test_malformed_file_exits_before_any_flow(capsys, monkeypatch, tmp_path, com
     assert code == EXIT_CONFIG
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # T at or below the floor T_LOWER*T0, where F/b ~ T solves the pair
+        ["shoot", *P_FLAGS, "--a", "0.95", "--b", "0.05", "--T", "1e-12"],
+        ["trace", *P_FLAGS, "--seed-file", "{seed_file}"],
+        ["verify", *P_FLAGS, "--a", "0.9", "--b", "0.05", "--T", "1e-300"],
+        ["orbit", *P_FLAGS, "--a", "0.9", "--b", "0.05", "--T", "1e-300"],
+        # finite system values for which a0, T0 or kappa**2 leave the float range
+        ["bifurcate", *P_FLAGS, "--r0", "1e200"],
+        ["bifurcate", *P_FLAGS, "--r0", "1e-200"],
+        ["bifurcate", *P_FLAGS, "--M", "1e308"],
+        ["bifurcate", *P_FLAGS, "--m", "1e-310"],
+        ["bifurcate", *P_FLAGS, "--m", "1e-170"],
+        ["trace", *P_FLAGS, "--r0", "1e120", "--seed-b", "0.1"],
+        ["shoot", *P_FLAGS, "--m", "1e-170", "--a", "0.9", "--b", "0.05", "--T", "28"],
+        ["verify", *P_FLAGS, "--r0", "1e-200", "--a", "0.9", "--b", "0.05", "--T", "28"],
+    ],
+    ids=lambda argv: " ".join([argv[0], *argv[1 + len(P_FLAGS):]]),
+)
+def test_out_of_domain_input_exits_before_any_flow(capsys, monkeypatch, tmp_path, argv):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran on an input outside the domain")
+
+    monkeypatch.setattr(integrate, "flow", no_flow)
+    monkeypatch.setattr(orbits, "flow", no_flow)
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps({"a": 0.95, "b": 0.05, "T": 1e-12}))
+    out = tmp_path / "out"
+    argv = [arg.format(seed_file=seed_file) for arg in argv]
+    code, stdout, err = run(capsys, [*argv, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+LOG_UNIFORM = st.floats(-320.0, 308.0).map(lambda u: 10.0**u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), m=LOG_UNIFORM, M=st.just(0.0) | LOG_UNIFORM, r0=LOG_UNIFORM)
+@example(n=3, m=3.0, M=7.0, r0=1e200)
+@example(n=3, m=3.0, M=7.0, r0=1e-200)
+@example(n=3, m=3.0, M=1e308, r0=11.0)
+@example(n=3, m=1e200, M=7.0, r0=11.0)
+@example(n=3, m=1e-310, M=7.0, r0=11.0)
+@example(n=3, m=1e-170, M=7.0, r0=11.0)
+def test_bifurcate_exits_cleanly_on_any_finite_system(n, m, M, r0):
+    argv = ["bifurcate", "--n", str(n), "--m", repr(m), "--M", repr(M), "--r0", repr(r0)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert err.getvalue().count("\n") == (code == EXIT_CONFIG)
 
 
 class TestTrace:

@@ -30,7 +30,15 @@ from ringorbits.continuation import (
     tangent,
     theta_curvature_numeric,
 )
-from ringorbits.shoot import ConvergenceError, SeedPoint, SymmetryKind, desing_eval, newton_correct
+from ringorbits import shoot
+from ringorbits.shoot import (
+    ConvergenceError,
+    DesingPoint,
+    SeedPoint,
+    SymmetryKind,
+    desing_eval,
+    newton_correct,
+)
 
 from conftest import count_flows, direction_of_increasing_b
 
@@ -81,6 +89,38 @@ class TestTangent:
             assert abs(X[2]) < 1e-9
             assert abs(X[1]) > 1e-3
 
+
+
+class TestSingularPoint:
+    """Parallel residual gradients leave no branch direction."""
+
+    @staticmethod
+    def _parallel_away_from(monkeypatch, start=None):
+        # on-family residual data without a flow; the gradients are parallel
+        # at every point but start
+        def fake(a, b, T, kind, params, config=None):
+            at_start = start is not None and (a, b, T) == (start.a, start.b, start.T)
+            grad_rt = np.array([0.0, 1.0, 0.0]) if at_start else np.array([1.0, 0.0, 0.0])
+            return DesingPoint(0.0, 0.0, 0.0, np.array([1.0, 0.0, 0.0]), grad_rt, np.zeros(3))
+
+        monkeypatch.setattr(continuation, "desing_eval", fake)
+        monkeypatch.setattr(shoot, "desing_eval", fake)
+
+    def test_tangent_raises_singular_point(self, params_p, monkeypatch):
+        seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        self._parallel_away_from(monkeypatch)
+        with pytest.raises(ConvergenceError) as info:
+            tangent(seed, params_p)
+        assert info.value.reason == "singular-point"
+
+    def test_continue_branch_counts_the_rejected_steps(self, params_p, monkeypatch):
+        start = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        self._parallel_away_from(monkeypatch, start)
+        step = StepControl(ds_min=0.05, ds_max=0.4)  # steps of 0.1 and 0.05, then ds < ds_min
+        br = continue_branch(start, 1, params_p, step=step)
+        assert br.stats["failures"] == {"singular-point": 2}
+        assert br.termination == TERM_STEP
+        assert len(br.points) == 1
 
 class TestContinueBranch:
     def test_direction_validation(self, p1_corrected, params_p, cfg):
@@ -136,7 +176,7 @@ class TestContinueBranch:
         assert p_branch.termination == TERM_BOUND == "unbounded"
         report = classify_endpoint(p_branch)
         assert report.label == p_branch.termination
-        assert report.endpoint.T >= 42.0
+        assert p_branch.end.T >= 42.0
         assert report.detail == {}
 
     def test_descending_to_the_circular_family(self, p1_corrected, params_p, cfg):
@@ -187,7 +227,7 @@ class TestContinueBranch:
         assert br.termination == TERM_COLLISION == "collision"
         report = classify_endpoint(br)
         assert report.label == br.termination
-        assert report.endpoint.a < 1e-3 * params_q.a0
+        assert br.end.a < 1e-3 * params_q.a0
         # every rejected step predicted a <= 0 as a shrinks towards collision
         assert br.stats["failures"] == {"domain": 6}
 
@@ -300,7 +340,7 @@ class TestStepAndStopDefaults:
         assert br.stats["b_zero_refine"] == "ok"
         assert br.end == low
         assert br.termination == TERM_COLLISION
-        assert classify_endpoint(br) == continuation.EndpointReport(TERM_COLLISION, low, {})
+        assert classify_endpoint(br) == continuation.EndpointReport(TERM_COLLISION, {})
 
 
 class TestThetaCurvature:

@@ -146,6 +146,17 @@ class TestFlow:
         assert times[2] == ig._C2 * max(h0 * 1e-3, 1e-12 * 2.0)
         assert res.status == OK
 
+    @pytest.mark.parametrize(
+        "make_rhs, initial",
+        [(make_reduced_rhs, reduced_initial), (make_variational_rhs, augmented_initial)],
+    )
+    def test_overflowing_derivative_norm_never_divides_by_zero(self, params_p, make_rhs, initial):
+        # fdot = 1e200 is f's derivative, scaled by abs_tol: the norm of the
+        # scaled derivative overflows, the heuristic's first step came out 0
+        # and its probe divided by it
+        res = flow(make_rhs(params_p, params_p.r0 * 0.9), initial(1e200, params_p), 20.0)
+        assert res.n_steps + res.n_rejected > 0
+
     def test_tolerance_halving_is_monotone(self, params_q):
         """Halving both tolerances never increases the endpoint error.
 

@@ -80,6 +80,20 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(r0=1e200),   # r0**3 overflows in T0
+            dict(r0=1e-200),  # r0**3 underflows: T0 = 0
+            dict(M=1e308),    # kappa**2 overflows
+            dict(m=1e-170),   # kappa**2 overflows
+            dict(m=1e-310),   # kappa overflows
+        ],
+    )
+    def test_values_leaving_the_float_range_rejected(self, kw):
+        with pytest.raises(ValueError, match=r"kappa\*\*2 of"):
+            SystemParams(**{"n": 3, "m": 3.0, "M": 7.0, "r0": 11.0, **kw})
+
     def test_massless_axial_body_allowed(self):
         p = SystemParams(n=4, m=2.0, M=0.0, r0=3.0)
         assert p.kappa == 1.0  # (M + nm)/(mn) with M = 0

@@ -1,17 +1,22 @@
-"""Inventory of what a caller can set along the pipeline.
+"""Inventory of what a caller can set along the pipeline, and of its types.
 
-Every settable field of the three option types and every keyword parameter
-of the spine's functions is listed here; a new option is a one-line edit to
-these tables.  Policy values that no caller tunes are module constants.
+Every settable field of the three option types, every keyword parameter of
+the spine's functions, every exception class of the package and the fields
+of the records that carry results are listed here; a new option, error or
+field is a one-line edit to these tables.  Policy values that no caller
+tunes are module constants.
 """
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import ringorbits
 from ringorbits.cli import build_parser
-from ringorbits.continuation import StepControl, StopRules, continue_branch, tangent
-from ringorbits.integrate import IntegratorConfig, eval_at, flow
+from ringorbits.continuation import EndpointReport, StepControl, StopRules, continue_branch, tangent
+from ringorbits.integrate import EvalPoint, IntegratorConfig, eval_at, flow
 from ringorbits.orbits import find_resonance, reconstruct
 from ringorbits.shoot import (
     CORRECTOR_MAX_FLOWS,
@@ -37,6 +42,20 @@ KEYWORD_PARAMETERS = {
     tangent: ("config",),
     find_resonance: ("config",),
     reconstruct: ("periods", "samples_per_period", "config"),
+}
+
+
+EXCEPTION_CLASSES = {"CollisionError", "ConvergenceError", "FlowError", "ResonanceNotFound"}
+
+# Records whose fields must not echo what their caller already holds.
+RECORD_FIELDS = {
+    EvalPoint: (
+        "F", "Ft", "R", "Rt", "Theta",
+        "Fa", "Fta", "Ra", "Rta", "Tha",
+        "Fb", "Ftb", "Rb", "Rtb", "Thb",
+        "Rtt", "Thetat",
+    ),
+    EndpointReport: ("label", "detail"),
 }
 
 
@@ -71,3 +90,23 @@ def test_corrector_entry_points_share_keywords():
 def test_shoot_flags_default_to_the_corrector_constants():
     args = build_parser().parse_args(["shoot", "--a", "1", "--b", "0", "--T", "1"])
     assert (args.tol, args.max_flows) == (CORRECTOR_TOL, CORRECTOR_MAX_FLOWS)
+
+
+def test_exception_classes():
+    modules = [
+        importlib.import_module(f"ringorbits.{info.name}")
+        for info in pkgutil.iter_modules(ringorbits.__path__)
+    ]
+    found = {
+        name
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    assert found == EXCEPTION_CLASSES
+
+
+@pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda c: c.__name__)
+def test_record_fields(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == RECORD_FIELDS[cls]

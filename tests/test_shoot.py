@@ -262,6 +262,17 @@ class TestNewton:
         assert info.value.reason == "line-search"
         assert min(args[2] for args in flows) > T_LOWER * params_p.T0
 
+    @pytest.mark.parametrize("fraction", [1.0, 3.5e-11])
+    def test_guess_below_the_T_floor_raises_before_any_flow(self, params_p, cfg, monkeypatch, fraction):
+        # at T = 1e-12 (fraction 3.5e-11) the guess already meets the
+        # tolerance, since F/b ~ T, so only a check before the first flow
+        # can refuse it
+        flows = count_flows(monkeypatch)
+        guess = SeedPoint(a=0.95, b=0.05, T=fraction * T_LOWER * params_p.T0)
+        with pytest.raises(ValueError, match="floor"):
+            newton_correct(guess, params_p, cfg)
+        assert flows == []
+
     @pytest.mark.parametrize(
         "name, value",
         [("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1.0), ("max_flows", 0)],
