@@ -4,7 +4,6 @@ from .bifurcate import (
     BifurcationReport,
     bifurcation_point,
     degeneracy_margin,
-    nondegeneracy,
     resonance_ratio,
     xi_second_derivative,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "full_rhs",
     "lambda_n",
     "newton_correct",
-    "nondegeneracy",
     "reconstruct",
     "reduced_energy",
     "resonance_ratio",

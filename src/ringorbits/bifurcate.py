@@ -7,10 +7,10 @@ sqrt((lam*m + M)/r0^3).  Their ratio
 
     s = sqrt((lam*m + M)/(n*m + M))
 
-controls everything here: the odd family branches at T* = T0 (half the
-axial period), the odd/even family at T* = T0/2, and the branching is
-nondegenerate as long as s is not a positive integer (odd), or not a
-positive even integer (odd/even).
+controls everything here.  With q = 1 for the odd family and q = 2 for
+the odd/even family (`SymmetryKind.q`), the family branches at
+T* = T0/q (T0 is half the axial period), and the branching is
+nondegenerate as long as s is not a positive integer multiple of q.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "resonance_ratio",
     "degeneracy_margin",
     "bifurcation_point",
-    "nondegeneracy",
     "xi_second_derivative",
 ]
 
@@ -40,35 +39,14 @@ def resonance_ratio(params: SystemParams) -> float:
 
 
 def degeneracy_margin(s: float, kind: SymmetryKind) -> float:
-    """Distance-from-resonance margin: |2 sin(pi s)| (odd) or |2 sin(pi s/2)|."""
-    if kind is SymmetryKind.ODD:
-        return abs(2.0 * math.sin(math.pi * s))
-    return abs(2.0 * math.sin(math.pi * s / 2.0))
-
-
-def _near_integer(s: float) -> tuple[bool, int]:
-    p = round(s)
-    return (abs(s - p) < INTEGER_TOL and p >= 1), int(p)
-
-
-def nondegeneracy(params: SystemParams, kind: SymmetryKind) -> tuple[bool, float]:
-    """Whether the branching at the seed of `kind` is nondegenerate, with margin.
-
-    Degeneracy means the frequency ratio s sits (within 1e-9) on a positive
-    integer (odd kind) or a positive even integer (odd/even kind); there
-    the transversality margin 2*sin(pi*s) resp. 2*sin(pi*s/2) vanishes.
-    """
-    s = resonance_ratio(params)
-    near, p = _near_integer(s)
-    if kind is SymmetryKind.ODD:
-        degenerate = near
-    else:
-        degenerate = near and p % 2 == 0
-    return (not degenerate), degeneracy_margin(s, kind)
+    """Distance-from-resonance margin |2 sin(pi s/q)|, which vanishes on the
+    multiples of q."""
+    return abs(2.0 * math.sin(math.pi * s / kind.q))
 
 
 def _fmt_number(x: float) -> str:
-    if x == int(x):
+    # above 2**53 an integral float would print as a long numeral: use repr
+    if abs(x) < 2**53 and x == int(x):
         return str(int(x))
     return repr(x)
 
@@ -77,13 +55,12 @@ def _fmt_number(x: float) -> str:
 class BifurcationReport:
     """Seed of a symmetric family on the circular solution.
 
-    T_star is T0 for the odd family and T0/2 for the odd/even family;
+    T_star is T0/q (T0 for the odd family, T0/2 for the odd/even family);
     theta0 = a0*T_star/r0 is the ring phase accumulated over [0, T_star].
     xi2 is the branch curvature of the phase along the odd family (None
     for odd/even, where no closed form is carried).
     """
 
-    kind: SymmetryKind
     a0: float
     b: float
     T_star: float
@@ -96,16 +73,21 @@ class BifurcationReport:
 
 
 def bifurcation_point(params: SystemParams, kind: SymmetryKind = SymmetryKind.ODD) -> BifurcationReport:
-    """Closed-form bifurcation data for the requested symmetry kind."""
+    """Closed-form bifurcation data for the requested symmetry kind.
+
+    The seed is degenerate when s lies within INTEGER_TOL of a positive
+    integer multiple of q; there the margin vanishes.
+    """
+    q = kind.q
     a0 = params.a0
-    T0 = params.T0
-    T_star = T0 if kind is SymmetryKind.ODD else T0 / 2.0
+    T_star = params.T0 / q
     s = resonance_ratio(params)
-    ok, margin = nondegeneracy(params, kind)
+    p = round(s)
+    degenerate = abs(s - p) < INTEGER_TOL and p >= 1 and p % q == 0
     theta0 = a0 * T_star / params.r0
     # T0 = pi*sqrt(r0^3/(n*m+M)) written with r0 factored out of the root.
     root = f"{_fmt_number(params.r0)}*sqrt({_fmt_number(params.r0)}/{_fmt_number(params.mass_sum)})*pi"
-    T_exact = root if kind is SymmetryKind.ODD else f"(1/2)*{root}"
+    T_exact = root if q == 1 else f"(1/{q})*{root}"
     xi2 = None
     if kind is SymmetryKind.ODD:
         try:
@@ -113,13 +95,12 @@ def bifurcation_point(params: SystemParams, kind: SymmetryKind = SymmetryKind.OD
         except ValueError:
             xi2 = None
     return BifurcationReport(
-        kind=kind,
         a0=a0,
         b=0.0,
         T_star=T_star,
         s=s,
-        nondegenerate=ok,
-        margin=margin,
+        nondegenerate=not degenerate,
+        margin=degeneracy_margin(s, kind),
         theta0=theta0,
         T_exact=T_exact,
         xi2=xi2,

@@ -186,7 +186,7 @@ def _cmd_bifurcate(args) -> int:
     params, _ = _system_from(args)
     kind = SymmetryKind.parse(args.kind)
     rep = bifurcation_point(params, kind)
-    print(f"kind          {rep.kind.value}")
+    print(f"kind          {kind.value}")
     print(f"a0            {_g(rep.a0)}  (= sqrt((lambda_n*m + M)/r0))")
     print(f"T*            {_g(rep.T_star)}  (= {rep.T_exact})")
     print(f"s             {_g(rep.s)}  (radial/axial frequency ratio)")
@@ -196,7 +196,7 @@ def _cmd_bifurcate(args) -> int:
         print(f"xi'(0)        0  (parity)")
         print(f"xi''(0)       {_g(rep.xi2)}")
     if args.json_out:
-        payload = {**asdict(rep), "kind": rep.kind.value, "params": params.to_dict()}
+        payload = {**asdict(rep), "kind": kind.value, "params": params.to_dict()}
         _write_json(payload, _out_dir(args) / args.json_out)
     return EXIT_OK
 

@@ -54,6 +54,7 @@ __all__ = [
     "classify_endpoint",
     "theta_curvature_numeric",
     "branch_to_csv",
+    "branch_summary",
     "branch_to_json",
     "branch_from_json",
     "TERM_B_ZERO",

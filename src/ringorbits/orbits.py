@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,16 +75,13 @@ def closure_order(target: ResonanceTarget, n: int) -> tuple[int, int]:
     """Reduced periods until the lifted orbit closes: (strict, up to relabeling).
 
     Each reduced period rotates the ring by 2*theta = 2*n1*pi/n2.  Strict
-    closure needs k*2*n1/n2 to be an even integer multiple of 1; with the
-    n identical ring bodies relabeled, a rotation by any multiple of
-    2*pi/n also closes.
+    closure needs k*n1/n2 to be an integer, so k = n2 as n1/n2 is in
+    lowest terms; with the n identical ring bodies relabeled, a rotation
+    by any multiple of 2*pi/n also closes.
     """
     if n < 2:
         raise ValueError(f"need at least two ring bodies, got n={n}")
-    frac = Fraction(target.n1, target.n2)  # already lowest terms
-    k_strict = frac.denominator
-    k_relabel = frac.denominator // math.gcd(frac.denominator, n)
-    return k_strict, k_relabel
+    return target.n2, target.n2 // math.gcd(target.n2, n)
 
 
 def find_resonance(
@@ -191,7 +187,8 @@ def reconstruct(
       lz_drift         relative drift of the z angular momentum
       closure_error    max over bodies of |dx| + |dv| between endpoints
       closure_error_relabel  same, minimized over ring relabelings
-    A point with T <= T_LOWER*T0 raises ValueError before any flow.
+    A point with T <= T_LOWER*T0 raises ValueError before any flow, and
+    an orbit with a diagnostic that is not finite raises ValueError.
     """
     require_above_floor(point.T, params)
     if periods < 1:
@@ -209,14 +206,25 @@ def reconstruct(
     times = np.linspace(0.0, t_end, n_samples)
     times[-1] = t_end  # exact endpoint, bit for bit
     state = cartesian_lift(res.dense.sample(times), params, C)
-    energies = cartesian_energy(state)
-    momenta = total_momentum(state)
-    coms = center_of_mass(state)
-    lzs = total_angular_momentum(state)[:, 2]
-
-    closure, closure_relabel = _closure_errors(state, params.n)
-    e_scale = max(abs(float(np.max(energies))), abs(float(np.min(energies))), 1e-300)
-    lz_scale = max(float(np.max(np.abs(lzs))), 1e-300)
+    with np.errstate(all="ignore"):
+        energies = cartesian_energy(state)
+        momenta = total_momentum(state)
+        coms = center_of_mass(state)
+        lzs = total_angular_momentum(state)[:, 2]
+        closure, closure_relabel = _closure_errors(state, params.n)
+        e_scale = max(abs(float(np.max(energies))), abs(float(np.min(energies))), 1e-300)
+        lz_scale = max(float(np.max(np.abs(lzs))), 1e-300)
+        diagnostics = {
+            "energy_drift": float((np.max(energies) - np.min(energies)) / e_scale),
+            "momentum_max": float(np.max(np.abs(momenta))),
+            "com_max": float(np.max(np.linalg.norm(coms, axis=1)) / params.r0),
+            "lz_drift": float((np.max(lzs) - np.min(lzs)) / lz_scale),
+            "closure_error": closure,
+            "closure_error_relabel": closure_relabel,
+        }
+    bad = [key for key, value in diagnostics.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"orbit leaves the float range: {', '.join(bad)} not finite")
     return Trajectory(
         times=times,
         positions=state.positions,
@@ -225,14 +233,7 @@ def reconstruct(
         params=params,
         source=point,
         periods=periods,
-        diagnostics={
-            "energy_drift": float((np.max(energies) - np.min(energies)) / e_scale),
-            "momentum_max": float(np.max(np.abs(momenta))),
-            "com_max": float(np.max(np.linalg.norm(coms, axis=1)) / params.r0),
-            "lz_drift": float((np.max(lzs) - np.min(lzs)) / lz_scale),
-            "closure_error": closure,
-            "closure_error_relabel": closure_relabel,
-        },
+        diagnostics=diagnostics,
     )
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "SymmetryKind",
     "SeedPoint",
     "ConvergenceError",
+    "require_above_floor",
     "residual_of",
     "desing_eval",
     "DesingPoint",
@@ -93,9 +94,14 @@ class SymmetryKind(enum.Enum):
     ODD_EVEN = "odd_even"
 
     @property
+    def q(self) -> int:
+        """1 for odd, 2 for odd/even: the period is 2q*T, the seed time T0/q."""
+        return 1 if self is SymmetryKind.ODD else 2
+
+    @property
     def period_multiple(self) -> int:
         """Full period in units of the residual time T."""
-        return 2 if self is SymmetryKind.ODD else 4
+        return 2 * self.q
 
     @classmethod
     def parse(cls, text: str) -> "SymmetryKind":

@@ -6,7 +6,6 @@ import pytest
 from ringorbits.bifurcate import (
     bifurcation_point,
     degeneracy_margin,
-    nondegeneracy,
     resonance_ratio,
     xi_second_derivative,
 )
@@ -30,7 +29,8 @@ class TestResonanceRatio:
         [(2, 1.0, 0.5), (3, 5.0, 2.0), (4, 0.5, 100.0), (5, 300.0, 0.1), (9, 2.0, 2.0)],
     )
     def test_strictly_between_bounds(self, n, m, M):
-        # lam < n forces s < 1; a positive M lifts s off the lower bound
+        # lam < n (true up to n = 472) forces s < 1; a positive M lifts s
+        # off the lower bound
         p = SystemParams(n=n, m=m, M=M, r0=3.0)
         s = resonance_ratio(p)
         lower = math.sqrt(p.lam / p.n)
@@ -62,22 +62,35 @@ class TestNondegeneracy:
     def test_reference_systems_are_clean(self, params_p, params_q):
         for p in (params_p, params_q):
             for kind in SymmetryKind:
-                ok, margin = nondegeneracy(p, kind)
-                assert ok
-                assert margin > 0.1
+                rep = bifurcation_point(p, kind)
+                assert rep.nondegenerate
+                assert rep.margin > 0.1
 
     def test_huge_central_mass_pinches_the_odd_margin(self):
         # s -> 1 as M -> inf; at M = 2e9 the ratio sits within 1e-9 of 1
         p = SystemParams(n=3, m=1.0, M=2e9, r0=11.0)
         s = resonance_ratio(p)
         assert abs(s - 1.0) < 1e-9
-        ok_odd, margin_odd = nondegeneracy(p, SymmetryKind.ODD)
-        assert not ok_odd
-        assert margin_odd < 1e-8
+        odd = bifurcation_point(p, SymmetryKind.ODD)
+        assert not odd.nondegenerate
+        assert odd.margin < 1e-8
         # 1 is not an even integer: the odd/even seed stays usable
-        ok_oe, margin_oe = nondegeneracy(p, SymmetryKind.ODD_EVEN)
-        assert ok_oe
-        assert abs(margin_oe - 2.0) < 1e-8
+        odd_even = bifurcation_point(p, SymmetryKind.ODD_EVEN)
+        assert odd_even.nondegenerate
+        assert abs(odd_even.margin - 2.0) < 1e-8
+
+    @pytest.mark.parametrize(
+        "n,s,margin",
+        [(472, 0.99995432330, 2.8699519e-4), (473, 1.00012273501, 7.7116677e-4)],
+    )
+    def test_ratio_crosses_one_where_lambda_crosses_n(self, n, s, margin):
+        # with M = 0, s = sqrt(lam/n): lam_n < n up to n = 472, lam_n > n from 473
+        p = SystemParams(n=n, m=1.0, M=0.0, r0=1.0)
+        odd = bifurcation_point(p, SymmetryKind.ODD)
+        assert odd.s == pytest.approx(s, rel=1e-6)
+        assert odd.margin == pytest.approx(margin, rel=1e-6)
+        assert odd.nondegenerate
+        assert bifurcation_point(p, SymmetryKind.ODD_EVEN).nondegenerate
 
 
 class TestBifurcationPoint:
@@ -87,7 +100,6 @@ class TestBifurcationPoint:
         assert abs(rep.a0 - math.sqrt((math.sqrt(3.0) + 7.0) / 11.0)) < 1e-14
         assert abs(rep.T_star - math.pi * 11.0 * math.sqrt(11.0) / 4.0) < 1e-10
         assert rep.b == 0.0
-        assert rep.kind is SymmetryKind.ODD
         assert rep.nondegenerate
 
     def test_light_system_printed_values(self, params_p):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -86,6 +87,13 @@ class TestBifurcate:
         assert abs(payload["T_star"] - 28.653581209259357) < 1e-9
         assert payload["nondegenerate"] is True
         assert payload["params"]["n"] == 3
+
+    def test_huge_mass_sum_prints_as_a_float_in_the_exact_time(self, capsys):
+        code, out, _ = run(capsys, ["bifurcate", "--n", "3", "--m", "1e200", "--M", "7", "--r0", "11"])
+        assert code == EXIT_OK
+        (line,) = [row for row in out.splitlines() if row.startswith("T*")]
+        assert "(= 11*sqrt(11/3e+200)*pi)" in line
+        assert not re.search(r"\d{18}", line)
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfgfile = tmp_path / "sys.json"
@@ -508,6 +516,17 @@ class TestOrbit:
         payload = json.loads((tmp_path / "orb.json").read_text())
         assert payload["diagnostics"]["energy_drift"] < 1e-9
         assert len(payload["times"]) == 33
+
+    @pytest.mark.parametrize("command", ["orbit", "verify"])
+    def test_orbit_out_of_float_range_exits_2_and_writes_nothing(self, capsys, tmp_path, command):
+        argv = [command, *P_FLAGS, "--a", "0.9", "--b", "1e300", "--T", "28", "--out", str(tmp_path)]
+        if command == "orbit":
+            argv += ["--samples", "8"]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert "float range" in err
+        assert "verdict" not in out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

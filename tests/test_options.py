@@ -14,6 +14,7 @@ import pkgutil
 import pytest
 
 import ringorbits
+from ringorbits.bifurcate import BifurcationReport
 from ringorbits.cli import build_parser
 from ringorbits.continuation import EndpointReport, StepControl, StopRules, continue_branch, tangent
 from ringorbits.integrate import EvalPoint, IntegratorConfig, eval_at, flow
@@ -56,7 +57,15 @@ RECORD_FIELDS = {
         "Rtt", "Thetat",
     ),
     EndpointReport: ("label", "detail"),
+    BifurcationReport: (
+        "a0", "b", "T_star", "s", "nondegenerate", "margin", "theta0", "T_exact", "xi2",
+    ),
 }
+
+PACKAGE_MODULES = [
+    importlib.import_module(f"ringorbits.{info.name}")
+    for info in pkgutil.iter_modules(ringorbits.__path__)
+]
 
 
 @pytest.mark.parametrize("cls", list(SETTABLE_FIELDS), ids=lambda c: c.__name__)
@@ -93,13 +102,9 @@ def test_shoot_flags_default_to_the_corrector_constants():
 
 
 def test_exception_classes():
-    modules = [
-        importlib.import_module(f"ringorbits.{info.name}")
-        for info in pkgutil.iter_modules(ringorbits.__path__)
-    ]
     found = {
         name
-        for module in modules
+        for module in PACKAGE_MODULES
         for name, obj in vars(module).items()
         if isinstance(obj, type) and issubclass(obj, BaseException)
         and obj.__module__ == module.__name__
@@ -110,3 +115,22 @@ def test_exception_classes():
 @pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda c: c.__name__)
 def test_record_fields(cls):
     assert tuple(f.name for f in dataclasses.fields(cls)) == RECORD_FIELDS[cls]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [ringorbits] + [m for m in PACKAGE_MODULES if m.__name__ != "ringorbits.cli"],
+    ids=lambda m: m.__name__,
+)
+def test_public_names_match_all(module):
+    """Every __all__ name resolves, and every public function or class the
+    module defines is in its __all__."""
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    defined = {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(defined - set(module.__all__)) == []

@@ -184,6 +184,13 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(q0_corrected, params_q, samples_per_period=1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_orbit_out_of_float_range_raises_without_warnings(self, params_p, cfg):
+        # the axial body flies off at b = 1e300: energies overflow to inf
+        point = SeedPoint(a=0.9, b=1e300, T=28.0)
+        with pytest.raises(ValueError, match="float range: .*energy_drift"):
+            reconstruct(point, params_p, samples_per_period=8, config=cfg)
+
 
 @pytest.fixture(scope="module")
 def five_sixth_point(p_branch, cfg):

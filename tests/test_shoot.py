@@ -43,6 +43,7 @@ class TestSymmetryKind:
             SymmetryKind.parse("even")
 
     def test_period_multiples(self):
+        assert (SymmetryKind.ODD.q, SymmetryKind.ODD_EVEN.q) == (1, 2)
         assert SymmetryKind.ODD.period_multiple == 2
         assert SymmetryKind.ODD_EVEN.period_multiple == 4
 
