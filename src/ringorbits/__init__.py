@@ -16,14 +16,12 @@ from .continuation import (
     classify_endpoint,
     continue_branch,
     tangent,
-    theta_curvature_numeric,
 )
 from .integrate import EvalPoint, FlowResult, IntegratorConfig, eval_at, flow
 from .model import (
     CartesianState,
     SystemParams,
     cartesian_lift,
-    full_rhs,
     lambda_n,
     reduced_energy,
 )
@@ -65,13 +63,11 @@ __all__ = [
     "export",
     "find_resonance",
     "flow",
-    "full_rhs",
     "lambda_n",
     "newton_correct",
     "reconstruct",
     "reduced_energy",
     "resonance_ratio",
     "tangent",
-    "theta_curvature_numeric",
     "xi_second_derivative",
 ]

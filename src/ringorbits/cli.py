@@ -46,6 +46,9 @@ EXIT_NOT_FOUND = 4
 # unreadable, or when it lacks a key or holds a wrong type or a huge integer.
 _MALFORMED = (OSError, ValueError, KeyError, TypeError, OverflowError)
 
+# The keys a --config file may hold; the flag of the same dest overrides each.
+_CONFIG_KEYS = ("n", "m", "M", "r0", "rel_tol", "abs_tol")
+
 
 def _g(x: float) -> str:
     return f"{x:.6g}"
@@ -61,28 +64,25 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"config file {path} has unknown keys {unknown}; known: {list(_CONFIG_KEYS)}")
     return data
 
 
 def _system_from(args) -> tuple[SystemParams, IntegratorConfig]:
     """System parameters and integrator settings: --config, then the flags."""
-    data = _load_config_file(args.config) if args.config else {}
-    merged = dict(data)
-    tols = {key: data[key] for key in ("rel_tol", "abs_tol") if key in data}
-    for key in ("n", "m", "M", "r0"):
-        v = getattr(args, key, None)
-        if v is not None:
-            merged[key] = v
-    for key in ("rel_tol", "abs_tol"):
-        v = getattr(args, key, None)
-        if v is not None:
-            tols[key] = v
+    values = _load_config_file(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     try:
-        params = SystemParams.from_dict(merged)
+        params = SystemParams.from_dict(values)
     except _MALFORMED as exc:
         raise ValueError(f"bad system parameters: {exc}")
     try:
-        return params, IntegratorConfig(**{key: float(v) for key, v in tols.items()})
+        tols = {key: float(values[key]) for key in ("rel_tol", "abs_tol") if key in values}
+        return params, IntegratorConfig(**tols)
     except _MALFORMED as exc:
         raise ValueError(f"bad integrator settings: {exc}")
 
@@ -100,7 +100,7 @@ def _write_json(obj, path: Path) -> None:
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with n, m, M, r0 (flags override)")
+    p.add_argument("--config", help="JSON file with n, m, M, r0, rel_tol, abs_tol (flags override)")
     p.add_argument("--n", type=int, help="number of ring bodies")
     p.add_argument("--m", type=float, help="mass of each ring body")
     p.add_argument("--M", type=float, help="mass of the axial body")
@@ -171,6 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res-tol", type=float, default=1e-3, help="residual acceptance threshold")
 
     return ap
+
+
+def _write_orbit(traj, csv_path: Path, json_path: Path) -> None:
+    """Export a trajectory as CSV and JSON, then print its diagnostics and both paths."""
+    export(traj, "csv", csv_path)
+    export(traj, "json", json_path)
+    for key, val in traj.diagnostics.items():
+        print(f"{key:22s} {_g(val)}")
+    print(f"wrote {csv_path}")
+    print(f"wrote {json_path}")
 
 
 def _cmd_lambda(args) -> int:
@@ -275,21 +285,16 @@ def _cmd_resonance(args) -> int:
     periods = k_strict if args.strict_closure else k_relabel
     traj = reconstruct(point, params, periods=periods, samples_per_period=args.samples, config=config)
     out = _out_dir(args)
-    csv_name = trajectory_filename(point, target, "csv")
-    json_name = trajectory_filename(point, target, "json")
-    seed_name = trajectory_filename(point, target, "seed.json")
-    export(traj, "csv", out / csv_name)
-    export(traj, "json", out / json_name)
-    _write_json(point.to_dict(), out / seed_name)
+    csv_path, json_path, seed_path = (
+        out / trajectory_filename(point, target, ext) for ext in ("csv", "json", "seed.json")
+    )
     print(f"theta      {_g(point.theta)}  (target {args.n1}*pi/{args.n2} = {_g(target.angle)})")
     print(f"point      a={_g(point.a)} b={_g(point.b)} T={_g(point.T)}")
     print(f"closure    strict {k_strict} periods, relabeling {k_relabel} periods")
     print(f"periods    {periods} reduced periods reconstructed")
-    for key, val in traj.diagnostics.items():
-        print(f"{key:22s} {_g(val)}")
-    print(f"wrote {out / csv_name}")
-    print(f"wrote {out / json_name}")
-    print(f"wrote {out / seed_name}")
+    _write_orbit(traj, csv_path, json_path)
+    _write_json(point.to_dict(), seed_path)
+    print(f"wrote {seed_path}")
     return EXIT_OK
 
 
@@ -298,14 +303,7 @@ def _cmd_orbit(args) -> int:
     point = _seed_from_args(args)
     traj = reconstruct(point, params, periods=args.periods, samples_per_period=args.samples, config=config)
     out = _out_dir(args)
-    csv_path = out / f"{args.prefix}.csv"
-    json_path = out / f"{args.prefix}.json"
-    export(traj, "csv", csv_path)
-    export(traj, "json", json_path)
-    for key, val in traj.diagnostics.items():
-        print(f"{key:22s} {_g(val)}")
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    _write_orbit(traj, out / f"{args.prefix}.csv", out / f"{args.prefix}.json")
     return EXIT_OK
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "tangent",
     "continue_branch",
     "classify_endpoint",
-    "theta_curvature_numeric",
     "branch_to_csv",
     "branch_summary",
     "branch_to_json",
@@ -93,9 +92,6 @@ _GROW, _GROW_AFTER, _COS_MIN = 1.3, 4, 0.5
 # stopped the trace.
 A_COLLISION, A_BOUND, T_UPPER = 1e-3, 1e3, 50.0
 _ON_FAMILY_TOL = 1e-6  # a start with larger desingularized residuals is off its family
-# theta_curvature_numeric walks out to |b| = _CURVATURE_B * sqrt(mass_sum/r0)
-# and corrects each point to _CURVATURE_TOL.
-_CURVATURE_B, _CURVATURE_TOL = 0.02, 1e-11
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ def _tangent_from(d: DesingPoint, where: tuple, prev: np.ndarray | None) -> tupl
 def _on_family(point: SeedPoint, params: SystemParams, config: IntegratorConfig | None) -> DesingPoint:
     """Residual data at a point, which must lie within _ON_FAMILY_TOL of its family."""
     d = desing_eval(point.a, point.b, point.T, point.kind, params, config)
-    if max(abs(d.value), abs(d.rt)) > _ON_FAMILY_TOL:
+    if d.residual > _ON_FAMILY_TOL:
         raise ValueError(
             f"point is not on the family: desingularized residuals {d.value:.3e}, {d.rt:.3e} "
             f"exceed {_ON_FAMILY_TOL:.1e}"
@@ -266,7 +262,7 @@ def continue_branch(
     unit, xn = _tangent_from(d, (start.a, start.b, start.T), None)
     unit = direction * unit
     if math.isnan(start.theta) or math.isnan(start.residual):
-        start = replace(start, residual=float(max(abs(d.value), abs(d.rt))), theta=d.theta)
+        start = replace(start, residual=d.residual, theta=d.theta)
     points = [BranchPoint(point=start, tangent=unit, x_norm=xn, arc=0.0)]
 
     ds = ds_max / 4.0
@@ -360,63 +356,6 @@ def classify_endpoint(branch: Branch) -> EndpointReport:
             "delta_T": abs(end.T - ref.T_star),
         }
     return EndpointReport(branch.termination, detail)
-
-
-def theta_curvature_numeric(
-    params: SystemParams,
-    config: IntegratorConfig | None = None,
-    n_points: int = 6,
-) -> tuple[float, float]:
-    """Numeric (first, second) derivative of the phase along the odd family.
-
-    Walks the family away from its seed on both sides of b = 0, correcting
-    (a, T) at fixed b, and accumulates the parameter of the unnormalized
-    tangent field via d(tau) = db / X_b.  The second derivative comes from
-    extrapolating the symmetric difference quotient 2*(theta - theta0)/tau^2
-    to tau = 0 by a linear fit in tau^2; the first derivative from the
-    outermost symmetric pair.
-    """
-    kind = SymmetryKind.ODD
-    seed = bifurcation_point(params, kind)
-    a0, T0 = seed.a0, seed.T_star
-    b_max = _CURVATURE_B * math.sqrt(params.mass_sum / params.r0)
-
-    d0 = desing_eval(a0, 0.0, T0, kind, params, config)
-    theta0 = d0.theta
-
-    def x_b(d):
-        # b-component of grad(value) x grad(R_t)
-        return d.grad_value[2] * d.grad_rt[0] - d.grad_value[0] * d.grad_rt[2]
-
-    def walk(sign):
-        taus, thetas = [], []
-        tau = 0.0
-        b_prev, xb_prev = 0.0, x_b(d0)
-        guess = SeedPoint(a=a0, b=0.0, T=T0, kind=kind)
-        for j in range(1, n_points + 1):
-            b = sign * b_max * j / n_points
-            guess = SeedPoint(a=guess.a, b=b, T=guess.T, kind=kind)
-            pt, d = newton_correct_full(guess, params, config, tol=_CURVATURE_TOL)
-            xb = x_b(d)
-            tau += (b - b_prev) * 0.5 * (1.0 / xb + 1.0 / xb_prev)
-            taus.append(tau)
-            thetas.append(pt.theta)
-            b_prev, xb_prev = b, xb
-            guess = pt
-        return np.array(taus), np.array(thetas)
-
-    tau_p, th_p = walk(+1.0)
-    tau_m, th_m = walk(-1.0)
-
-    # First derivative from the widest symmetric pair.
-    xi1 = float((th_p[-1] - th_m[-1]) / (tau_p[-1] - tau_m[-1]))
-
-    taus = np.concatenate([tau_p, tau_m])
-    thetas = np.concatenate([th_p, th_m])
-    quot = 2.0 * (thetas - theta0) / taus**2
-    coeffs = np.polyfit(taus**2, quot, 1)
-    xi2 = float(coeffs[1])
-    return xi1, xi2
 
 
 def branch_to_csv(branch: Branch, path) -> None:

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "CollisionError",
     "lambda_n",
     "SystemParams",
     "write_json",
@@ -29,7 +28,6 @@ __all__ = [
     "make_variational_rhs",
     "reduced_energy",
     "cartesian_lift",
-    "full_rhs",
     "cartesian_energy",
     "center_of_mass",
     "total_momentum",
@@ -40,10 +38,6 @@ __all__ = [
 # approaches zero.  Below this fraction of r0 the vector fields return NaN,
 # which `flow` rejects like any trial step whose error is not finite.
 R_FLOOR_FRACTION = 1e-8
-
-
-class CollisionError(RuntimeError):
-    """Two point masses coincide in the full cartesian system."""
 
 
 @lru_cache(maxsize=None)
@@ -315,29 +309,6 @@ def cartesian_lift(y, params: SystemParams, C: float) -> CartesianState:
 
     masses = np.concatenate(([M], np.full(n, m)))
     return CartesianState(masses=masses, positions=positions, velocities=velocities)
-
-
-def full_rhs(state: CartesianState):
-    """Pairwise Newtonian accelerations of the full system (G = 1).
-
-    Returns (velocities, accelerations): the time derivative of the
-    (positions, velocities) pair.  Used to cross-check the reduced
-    equations, not to integrate.
-    """
-    pos = state.positions
-    mass = state.masses
-    nb = len(mass)
-    acc = np.zeros_like(pos)
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            d = pos[j] - pos[i]
-            dist2 = float(d @ d)
-            if dist2 == 0.0:
-                raise CollisionError(f"bodies {i} and {j} coincide")
-            w = dist2**-1.5
-            acc[i] += mass[j] * w * d
-            acc[j] -= mass[i] * w * d
-    return state.velocities, acc
 
 
 # Pairs whose separations `cartesian_energy` holds at once: 6 MB of them.

@@ -98,11 +98,6 @@ class SymmetryKind(enum.Enum):
         """1 for odd, 2 for odd/even: the period is 2q*T, the seed time T0/q."""
         return 1 if self is SymmetryKind.ODD else 2
 
-    @property
-    def period_multiple(self) -> int:
-        """Full period in units of the residual time T."""
-        return 2 * self.q
-
     @classmethod
     def parse(cls, text: str) -> "SymmetryKind":
         key = str(text).strip().lower().replace("-", "_").replace("/", "_")
@@ -142,7 +137,7 @@ class SeedPoint:
 
     @property
     def period(self) -> float:
-        return self.kind.period_multiple * self.T
+        return 2 * self.kind.q * self.T
 
     def to_dict(self) -> dict:
         return {**asdict(self), "kind": self.kind.value}
@@ -186,6 +181,11 @@ class DesingPoint:
     grad_value: np.ndarray
     grad_rt: np.ndarray
     grad_theta: np.ndarray
+
+    @property
+    def residual(self) -> float:
+        """Max-norm of the desingularized residual pair (value, rt)."""
+        return float(max(abs(self.value), abs(self.rt)))
 
 
 def desing_eval(
@@ -359,7 +359,7 @@ def newton_correct_full(
         b=float(x[1]),
         T=float(x[2]),
         kind=kind,
-        residual=float(max(abs(d.value), abs(d.rt))),
+        residual=d.residual,
         theta=d.theta,
     )
     return point, d

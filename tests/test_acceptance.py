@@ -20,7 +20,6 @@ from ringorbits.continuation import (
     classify_endpoint,
     continue_branch,
     tangent,
-    theta_curvature_numeric,
 )
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.model import (
@@ -33,7 +32,7 @@ from ringorbits.model import (
 from ringorbits.orbits import ResonanceTarget, closure_order, find_resonance, reconstruct
 from ringorbits.shoot import SeedPoint, SymmetryKind, newton_correct
 
-from conftest import direction_of_increasing_b
+from conftest import direction_of_increasing_b, theta_curvature_numeric
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -238,6 +238,8 @@ P_SYSTEM = {"n": 3, "m": 3.0, "M": 7.0, "r0": 11.0}
         (["bifurcate", "--config"], {**P_SYSTEM, "rel_tol": None}),
         (["bifurcate", "--config"], {**P_SYSTEM, "n": 3.7}),
         (["trace", "--seed-b", "0.05", "--config"], {**P_SYSTEM, "n": 3.7}),
+        # the flag's spelling, not the file key rel_tol
+        (["bifurcate", "--config"], {**P_SYSTEM, "rel-tol": 1e-8}),
         (["trace", *P_FLAGS, "--seed-file"], {"a": 0.89, "b": 0.05, "T": 28.6, "residual": None}),
         (["trace", *P_FLAGS, "--seed-file"], {"a": 0.89, "b": 0.05, "T": 28.6, "kind": 5}),
         (["trace", *P_FLAGS, "--seed-file"], [1]),

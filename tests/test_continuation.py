@@ -28,7 +28,6 @@ from ringorbits.continuation import (
     classify_endpoint,
     continue_branch,
     tangent,
-    theta_curvature_numeric,
 )
 from ringorbits import shoot
 from ringorbits.shoot import (
@@ -40,7 +39,7 @@ from ringorbits.shoot import (
     newton_correct,
 )
 
-from conftest import count_flows, direction_of_increasing_b
+from conftest import count_flows, direction_of_increasing_b, theta_curvature_numeric
 
 
 def segment_distance(p, q0, q1):

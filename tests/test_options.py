@@ -46,7 +46,7 @@ KEYWORD_PARAMETERS = {
 }
 
 
-EXCEPTION_CLASSES = {"CollisionError", "ConvergenceError", "FlowError", "ResonanceNotFound"}
+EXCEPTION_CLASSES = {"ConvergenceError", "FlowError", "ResonanceNotFound"}
 
 # Records whose fields must not echo what their caller already holds.
 RECORD_FIELDS = {

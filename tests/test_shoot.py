@@ -44,8 +44,6 @@ class TestSymmetryKind:
 
     def test_period_multiples(self):
         assert (SymmetryKind.ODD.q, SymmetryKind.ODD_EVEN.q) == (1, 2)
-        assert SymmetryKind.ODD.period_multiple == 2
-        assert SymmetryKind.ODD_EVEN.period_multiple == 4
 
 
 class TestSeedPoint:
