@@ -5,8 +5,9 @@ System parameters come from --n/--m/--M/--r0 or from a JSON --config file
 (flags override the file).  Machine-readable outputs carry full float
 precision via repr; console summaries use 6 significant digits.
 
-Exit codes: 0 success, 2 bad configuration or arguments, 3 numerical
-failure (no convergence, singular flow), 4 requested object not found.
+Exit codes: 0 success, 2 bad configuration or arguments (an output path
+that cannot be written included), 3 numerical failure (no convergence,
+singular flow), 4 requested object not found.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, FlowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

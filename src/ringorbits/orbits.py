@@ -28,7 +28,6 @@ from .model import (
     reduced_initial,
     total_angular_momentum,
     total_momentum,
-    write_json,
 )
 from .shoot import ConvergenceError, SeedPoint, newton_correct, phase, require_above_floor
 
@@ -237,31 +236,50 @@ def reconstruct(
     )
 
 
+# Samples formatted per write: an export holds the text of one block at a time.
+_EXPORT_BLOCK = 256
+
+
+def _write_blocks(fh, n: int, cut, item: str, sep: str) -> None:
+    """Write n samples through the per-sample %s template item; cut(slice) is a block's array."""
+    for i in range(0, n, _EXPORT_BLOCK):
+        block = cut(slice(i, i + _EXPORT_BLOCK))
+        fh.write((sep if i else "") + sep.join([item] * len(block)) % tuple(map(repr, block.ravel().tolist())))
+
+
 def export(traj: Trajectory, fmt: str, path) -> None:
     """Write a trajectory as 'csv' (flat body rows) or 'json' (full record).
 
     Floats are written with repr, so a JSON export re-imports bit for bit.
     """
+    t, p, v = traj.times, traj.positions, traj.velocities
+    for name, arr in (("times", t), ("positions", p), ("velocities", v)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"trajectory {name} holds a value that is not finite")
     if fmt == "csv":
-        rows = zip(traj.times.tolist(), traj.positions.tolist(), traj.velocities.tolist())
+        item = "".join(f"%s,{body},%s,%s,%s,%s,%s,%s\n" for body in range(p.shape[1]))
+        rows = lambda s: np.dstack((np.broadcast_to(t[s, None], p[s].shape[:2]), p[s], v[s]))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,body,x,y,z,vx,vy,vz\n")
-            for t, bodies_p, bodies_v in rows:
-                for body, ((x, y, z), (vx, vy, vz)) in enumerate(zip(bodies_p, bodies_v)):
-                    fh.write(f"{t!r},{body},{x!r},{y!r},{z!r},{vx!r},{vy!r},{vz!r}\n")
+            _write_blocks(fh, len(t), rows, item, "")
     elif fmt == "json":
+        # model.write_json's text; a sample array is json's layout of one sample, %s per zero
         payload = {
             "params": traj.params.to_dict(),
             "source": traj.source.to_dict(),
             "periods": traj.periods,
             "masses": traj.masses.tolist(),
-            "times": traj.times.tolist(),
-            "positions": traj.positions.tolist(),
-            "velocities": traj.velocities.tolist(),
             "diagnostics": traj.diagnostics,
+            **dict.fromkeys(("positions", "times", "velocities"), "\0"),
         }
+        pieces = json.dumps(payload, indent=2, sort_keys=True).split(json.dumps("\0"))
         with open(path, "w", encoding="utf-8") as fh:
-            write_json(payload, fh)
+            for piece, arr in zip(pieces, (p, t, v)):  # the sorted order of their keys
+                item = json.dumps(np.zeros(arr.shape[1:]).tolist(), indent=2).replace("0.0", "%s")
+                fh.write(piece + "[")
+                _write_blocks(fh, len(arr), arr.__getitem__, "\n    " + item.replace("\n", "\n    "), ",")
+                fh.write("\n  ]" if len(arr) else "]")
+            fh.write(pieces[-1] + "\n")
     else:
         raise ValueError(f"unknown export format {fmt!r}; expected 'csv' or 'json'")
 

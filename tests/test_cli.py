@@ -531,6 +531,39 @@ class TestOrbit:
         assert list(tmp_path.iterdir()) == []
 
 
+# Cheap runs of the commands that write files, with the flag naming the file.
+WRITERS = {
+    "bifurcate": (["bifurcate", *P_FLAGS], "--json-out", "rep.json"),
+    "shoot": (["shoot", *P_FLAGS, "--a", "0.8892815", "--b", "0.05", "--T", "28.708"], "--json-out", "seed.json"),
+    "trace": (["trace", *P_FLAGS, "--seed-b", "0.05", "--max-points", "2"], "--prefix", "br"),
+    "orbit": (["orbit", *P_FLAGS, "--a", "0.9", "--b", "0.05", "--T", "28", "--samples", "8"], "--prefix", "orb"),
+}
+
+
+@pytest.mark.parametrize("command", [*WRITERS, "resonance"])
+def test_out_naming_a_file_exits_2(capsys, tmp_path, p_branch_file, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    if command == "resonance":
+        argv = ["resonance", *P_FLAGS, "--branch", str(p_branch_file), "--n1", "3", "--n2", "4", "--samples", "8"]
+    else:
+        args, flag, name = WRITERS[command]
+        argv = [*args, flag, name]
+    code, _, err = run(capsys, argv + ["--out", str(blocker)])
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and "afile" in err
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_output_in_a_missing_directory_exits_2(capsys, tmp_path, command):
+    args, flag, name = WRITERS[command]
+    code, _, err = run(capsys, [*args, flag, f"nodir/{name}", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and "nodir" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerify:
     def test_good_point_passes(self, capsys, q0_corrected):
         argv = [

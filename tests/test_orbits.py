@@ -1,12 +1,16 @@
 """Resonant members, lifted reconstruction, closure counts, and export."""
+import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ringorbits import orbits
 from ringorbits.continuation import Branch, BranchPoint
+from ringorbits.model import SystemParams
 from ringorbits.orbits import (
     ResonanceNotFound,
     ResonanceTarget,
@@ -216,18 +220,120 @@ class TestRelabelClosure:
         assert traj.diagnostics["closure_error"] < 1e-6
 
 
+def reference_export(traj, fmt, path):
+    """The writers `export` had before it wrote in blocks, kept verbatim as its byte oracle."""
+    if fmt == "csv":
+        rows = zip(traj.times.tolist(), traj.positions.tolist(), traj.velocities.tolist())
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("t,body,x,y,z,vx,vy,vz\n")
+            for t, bodies_p, bodies_v in rows:
+                for body, ((x, y, z), (vx, vy, vz)) in enumerate(zip(bodies_p, bodies_v)):
+                    fh.write(f"{t!r},{body},{x!r},{y!r},{z!r},{vx!r},{vy!r},{vz!r}\n")
+    elif fmt == "json":
+        payload = {
+            "params": traj.params.to_dict(),
+            "source": traj.source.to_dict(),
+            "periods": traj.periods,
+            "masses": traj.masses.tolist(),
+            "times": traj.times.tolist(),
+            "positions": traj.positions.tolist(),
+            "velocities": traj.velocities.tolist(),
+            "diagnostics": traj.diagnostics,
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def tiny_traj():
+    """Two samples of two bodies with no system behind them, as a CSV export may be built by hand."""
+    return Trajectory(
+        times=np.array([0.0, 0.5]),
+        positions=np.arange(12, dtype=float).reshape(2, 2, 3),
+        velocities=np.arange(12, dtype=float).reshape(2, 2, 3) / 7.0,
+        masses=np.array([1.0, 2.0]),
+        params=None,
+        source=None,
+        periods=1,
+        diagnostics={},
+    )
+
+
+def synthetic_traj(n_samples, n_bodies=4):
+    """A trajectory of random floats over many magnitudes, with no flow behind it."""
+    rng = np.random.default_rng(0)
+    shape = (n_samples, n_bodies, 3)
+    return Trajectory(
+        times=np.linspace(0.0, 58.88107120324549, n_samples),
+        positions=rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape),
+        velocities=rng.standard_normal(shape),
+        masses=np.array([7.0] + [3.0] * (n_bodies - 1)),
+        params=SystemParams(n=n_bodies - 1, m=3.0, M=7.0, r0=11.0),
+        source=SeedPoint(a=0.8669531797954539, b=0.18758239787398256, T=29.440535601622745,
+                         residual=4.729303635214014e-12, theta=2.356194490192342),
+        periods=1,
+        diagnostics={"closure_error": 1.4e-9, "energy_drift": 3.3e-13},
+    )
+
+
+def assert_same_bytes(traj, fmt, tmp_path):
+    export(traj, fmt, tmp_path / f"new.{fmt}")
+    reference_export(traj, fmt, tmp_path / f"old.{fmt}")
+    assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"old.{fmt}").read_bytes()
+
+
+class TestExportBytes:
+    """`export` writes the bytes of the reference writers, across every block seam."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_small_traj(self, small_traj, tmp_path, fmt):
+        assert_same_bytes(small_traj, fmt, tmp_path)
+
+    def test_hand_built_csv_without_a_system(self, tmp_path):
+        assert_same_bytes(tiny_traj(), "csv", tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_block_seams(self, tmp_path, fmt, blocks, extra):
+        n_samples = blocks * orbits._EXPORT_BLOCK + extra
+        assert_same_bytes(synthetic_traj(n_samples), fmt, tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_extreme_floats(self, tmp_path, fmt):
+        special = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 1.7976931348623157e308]
+        traj = synthetic_traj(len(special), n_bodies=3)
+        traj.times[:] = special
+        traj.positions.reshape(-1)[: len(special)] = special
+        traj.velocities.reshape(-1)[-len(special):] = special[::-1]
+        assert_same_bytes(traj, fmt, tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_is_bounded_by_a_block(self, tmp_path, fmt):
+        # the whole-array writers reached ~7.4 MB on this trajectory
+        traj = synthetic_traj(5121)
+        tracemalloc.start()
+        try:
+            export(traj, fmt, tmp_path / f"big.{fmt}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
 class TestExport:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["times", "positions", "velocities"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_is_refused_before_the_file_opens(self, tmp_path, fmt, name, bad):
+        traj = synthetic_traj(3)
+        getattr(traj, name).reshape(-1)[-1] = bad
+        path = tmp_path / f"bad.{fmt}"
+        with pytest.raises(ValueError, match=name):
+            export(traj, fmt, path)
+        assert not path.exists()
+
     def test_csv_layout(self, tmp_path):
-        traj = Trajectory(
-            times=np.array([0.0, 0.5]),
-            positions=np.arange(12, dtype=float).reshape(2, 2, 3),
-            velocities=np.arange(12, dtype=float).reshape(2, 2, 3) / 7.0,
-            masses=np.array([1.0, 2.0]),
-            params=None,
-            source=None,
-            periods=1,
-            diagnostics={},
-        )
+        traj = tiny_traj()
         path = tmp_path / "tiny.csv"
         export(traj, "csv", path)
         lines = path.read_text().splitlines()
