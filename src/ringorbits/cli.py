@@ -88,9 +88,24 @@ def _system_from(args) -> tuple[SystemParams, IntegratorConfig]:
         raise ValueError(f"bad integrator settings: {exc}")
 
 
+def _check_out(args, *names: str) -> Path:
+    """The output directory, checked without creating anything: it, or the
+    nearest of its ancestors that exists, must be a directory, and so must a
+    directory that one of the file names adds.  Commands call it before
+    their numerical work, so an output that cannot be written costs no flow."""
+    out = Path(args.out or os.environ.get(OUT_ENV) or ".")
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"cannot create output directory {out}: {existing} is not a directory")
+    for name in names:
+        parent = (out / name).parent
+        if parent != out and not parent.is_dir():
+            raise ValueError(f"output directory {parent} does not exist")
+    return out
+
+
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV) or "."
-    path = Path(out)
+    path = _check_out(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -219,6 +234,8 @@ def _seed_from_args(args) -> SeedPoint:
 def _cmd_shoot(args) -> int:
     params, config = _system_from(args)
     guess = _seed_from_args(args)
+    if args.json_out:
+        _check_out(args, args.json_out)
     point = newton_correct(guess, params, config, tol=args.tol, max_flows=args.max_flows)
     print(f"corrected  a={_g(point.a)} b={_g(point.b)} T={_g(point.T)}")
     print(f"residual   {_g(point.residual)}")
@@ -238,6 +255,7 @@ def _cmd_trace(args) -> int:
         raise ValueError("trace needs exactly one of --seed-file or --seed-b")
     step = cont.StepControl(ds_max=args.ds_max, ds_min=args.ds_min)
     stop = cont.StopRules(max_points=args.max_points, b_tol=args.b_tol)
+    _check_out(args, f"{args.prefix}.csv")
     if args.seed_file:
         try:
             with open(args.seed_file, "r", encoding="utf-8") as fh:
@@ -281,6 +299,7 @@ def _cmd_resonance(args) -> int:
         )
     if args.samples < 2:
         raise ValueError("need at least two samples per period")
+    _check_out(args)
     point = find_resonance(branch, target, config)
     k_strict, k_relabel = closure_order(target, params.n)
     periods = k_strict if args.strict_closure else k_relabel
@@ -302,6 +321,7 @@ def _cmd_resonance(args) -> int:
 def _cmd_orbit(args) -> int:
     params, config = _system_from(args)
     point = _seed_from_args(args)
+    _check_out(args, f"{args.prefix}.csv")
     traj = reconstruct(point, params, periods=args.periods, samples_per_period=args.samples, config=config)
     out = _out_dir(args)
     _write_orbit(traj, out / f"{args.prefix}.csv", out / f"{args.prefix}.json")

@@ -70,13 +70,14 @@ TERM_BUDGET = "budget"
 TERM_STEP = "step-failure"
 
 
-# The observed maximum, with no margin: every corrector call that converges
-# on the three reference branches runs at most 12 flows ((3, 3, 7, 11): 9;
-# (3, 92, 242, 11): 7 towards the circular family, 12 towards collision),
-# and the one stalled call of the (3, 3, 7, 11) trace to T = 42 spends the
-# corrector's whole default budget of 64 without converging.  On other
-# systems or tolerances a call that would converge in 13 or more flows is
-# rejected too, and its step is retried at half the length.
+# Three flows above the observed maximum: every corrector call that
+# converges on the three reference branches runs at most 9 flows ((3, 3, 7,
+# 11): 9; (3, 92, 242, 11): 7 towards the circular family, 6 towards
+# collision; 12 towards collision with the earlier DP5(4) step), and the one
+# stalled call of the (3, 3, 7, 11) trace to T = 42 spends the corrector's
+# whole default budget of 64 without converging.  On other systems or
+# tolerances a call that would converge in 13 or more flows is rejected
+# too, and its step is retried at half the length.
 _CORRECTOR_MAX_FLOWS = 12
 
 # Step policy: the first step is ds_max/4, and ds grows by _GROW after

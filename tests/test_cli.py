@@ -540,8 +540,14 @@ WRITERS = {
 }
 
 
+def no_flow(*args, **kwargs):
+    raise AssertionError("a flow ran before the output path was checked")
+
+
 @pytest.mark.parametrize("command", [*WRITERS, "resonance"])
-def test_out_naming_a_file_exits_2(capsys, tmp_path, p_branch_file, command):
+def test_out_naming_a_file_exits_2(capsys, monkeypatch, tmp_path, p_branch_file, command):
+    monkeypatch.setattr(integrate, "flow", no_flow)
+    monkeypatch.setattr(orbits, "flow", no_flow)
     blocker = tmp_path / "afile"
     blocker.write_text("")
     if command == "resonance":
@@ -556,7 +562,9 @@ def test_out_naming_a_file_exits_2(capsys, tmp_path, p_branch_file, command):
 
 
 @pytest.mark.parametrize("command", list(WRITERS))
-def test_output_in_a_missing_directory_exits_2(capsys, tmp_path, command):
+def test_output_in_a_missing_directory_exits_2(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.setattr(integrate, "flow", no_flow)
+    monkeypatch.setattr(orbits, "flow", no_flow)
     args, flag, name = WRITERS[command]
     code, _, err = run(capsys, [*args, flag, f"nodir/{name}", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG

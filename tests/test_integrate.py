@@ -1,7 +1,11 @@
 """Stepper accuracy, dense output, determinism, and failure statuses."""
 import inspect
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import traceback
 
 import numpy as np
@@ -14,7 +18,6 @@ from ringorbits.integrate import (
     SINGULAR,
     FlowError,
     IntegratorConfig,
-    _pairwise_sum,
     _step_function,
     eval_at,
     flow,
@@ -134,7 +137,7 @@ class TestFlow:
 
     def test_non_finite_probe_gets_a_short_first_step(self):
         # call 1 is the field at the start, call 2 the probe of _initial_step
-        # at t = h0, call 3 the second stage of the first trial at t = h/5
+        # at t = h0, call 3 the second stage of the first trial at t = c2*h
         times = []
 
         def nan_at_probe(t, y):
@@ -143,7 +146,7 @@ class TestFlow:
 
         res = flow(nan_at_probe, [1.0, 0.0], 2.0)
         h0 = times[1]
-        assert times[2] == ig._C2 * max(h0 * 1e-3, 1e-12 * 2.0)
+        assert times[2] == ig._STAGE_ROWS[0][0] * max(h0 * 1e-3, 1e-12 * 2.0)
         assert res.status == OK
 
     @pytest.mark.parametrize(
@@ -233,18 +236,18 @@ class TestDenseOutput:
 class TestBitExact:
     """Pinned floats of the light system at the bifurcation seed (a0, 0.05, T0).
 
-    The values were recorded with the earlier numpy-array form of the step on
-    the same build; they guard reruns within one build, where every bit must
-    repeat.  They are not portable: another platform, compiler or numpy build
+    The values were recorded with the DOP853 step on x86-64 with numpy 2.4;
+    they guard reruns within one build, where every bit must repeat.  They are not portable: another platform, compiler or numpy build
     may round differently.
     """
 
     @pytest.mark.parametrize(
         "augmented, n_steps, F, Rt, Fb",
         [
-            (False, 143, "0x1.01f271fc46275p-7", "0x1.4af01e0554e5ep-9", None),
-            (True, 216, "0x1.01f271fc58b57p-7", "0x1.4af01e057c464p-9", "0x1.e384845554acep-2"),
+            (False, 22, "0x1.01f271fc63c6cp-7", "0x1.4af01e057ee9cp-9", None),
+            (True, 31, "0x1.01f271fc5a78ap-7", "0x1.4af01e057fa25p-9", "0x1.e384845556413p-2"),
         ],
+        ids=["reduced", "augmented"],
     )
     def test_seed_point_bits(self, params_p, augmented, n_steps, F, Rt, Fb):
         a, b, T = params_p.a0, 0.05, params_p.T0
@@ -259,32 +262,37 @@ class TestBitExact:
         assert (pt.F.hex(), pt.Rt.hex()) == (F, Rt)
         assert (pt.Fb.hex() if augmented else None) == Fb
 
-    def test_error_norm_sums_in_numpy_order(self):
-        # the step's norm must add its squares exactly as np.sum does
-        rng = np.random.default_rng(7)
-        for n in range(1, 300):
-            v = rng.uniform(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
-            assert _pairwise_sum(v.tolist()) == np.sum(v)
+
+def left_sum(v):
+    total = v[0]
+    for x in v[1:]:
+        total = total + x
+    return total
 
 
 def reference_step(rhs, t, h, y, k1, atol, rtol):
-    """One DP5(4) trial written on numpy arrays, the order the generated step follows."""
-    y, k1 = np.asarray(y), np.asarray(k1)
+    """One DOP853 trial written on numpy arrays, the order the generated step follows.
 
-    def stage(c, arg):
-        return np.asarray(rhs(t + c * h, arg.tolist()), dtype=float)
+    Stage sums run left to right over the rows of the tableau, then take the
+    product with h and the sum with y; the squared scaled errors are added
+    left to right, and the two norms are blended as in Hairer's dop853.f.
+    """
+    y, k = np.asarray(y), {1: np.asarray(k1)}
 
-    k2 = stage(ig._C2, y + h * (ig._A21 * k1))
-    k3 = stage(ig._C3, y + h * (ig._A31 * k1 + ig._A32 * k2))
-    k4 = stage(ig._C4, y + h * (ig._A41 * k1 + ig._A42 * k2 + ig._A43 * k3))
-    k5 = stage(ig._C5, y + h * (ig._A51 * k1 + ig._A52 * k2 + ig._A53 * k3 + ig._A54 * k4))
-    k6 = stage(1.0, y + h * (ig._A61 * k1 + ig._A62 * k2 + ig._A63 * k3 + ig._A64 * k4 + ig._A65 * k5))
-    ynew = y + h * (ig._A71 * k1 + ig._A73 * k3 + ig._A74 * k4 + ig._A75 * k5 + ig._A76 * k6)
-    k7 = stage(1.0, ynew)
-    err_vec = h * (ig._E1 * k1 + ig._E3 * k3 + ig._E4 * k4 + ig._E5 * k5 + ig._E6 * k6 + ig._E7 * k7)
+    def combo(row):
+        return left_sum([c * k[j] for j, c in row])
+
+    for s, (c, row) in enumerate(ig._STAGE_ROWS, start=2):
+        k[s] = np.asarray(rhs(t + c * h, (y + h * combo(row)).tolist()), dtype=float)
+    d = combo(ig._SOLUTION_ROW)
+    ynew = y + h * d
     sc = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-    err = np.sqrt(np.mean((err_vec / sc) ** 2))
-    return ynew, k3, k4, k5, k6, k7, err
+    e5 = combo(ig._ERROR5_ROW) / sc
+    e3 = (d - combo(ig._ORDER3_ROW)) / sc
+    err5 = left_sum((e5 * e5).tolist())
+    deno = (err5 + 0.01 * left_sum((e3 * e3).tolist())) or 1.0
+    err = h * err5 / math.sqrt(len(y) * deno)
+    return ynew, err, [k[s] for s in range(6, 13)]
 
 
 def bits(v):
@@ -301,7 +309,6 @@ def first_step_01(monkeypatch):
 class TestGeneratedStep:
     """The step written out per component against the array form, bit for bit."""
 
-    # below 8; 8 to 128 with and without a remainder; split above 128
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 130])
     @pytest.mark.parametrize("as_array", [False, True])
     def test_trial_step_matches_arrays_bitwise(self, n, as_array):
@@ -317,23 +324,26 @@ class TestGeneratedStep:
         y = rng.standard_normal(n).tolist()
         t, h = 0.3, 0.05
         k1 = linear(t, y)
-        got = _step_function(n)(linear, t, h, y, k1, 1e-9, 1e-8)
-        want = reference_step(linear, t, h, y, k1, 1e-9, 1e-8)
-        assert [bits(g) for g in got[:6]] == [bits(w) for w in want[:6]]
-        assert got[6] == want[6] and 0.0 < got[6] < math.inf
+        ynew, err, stages = _step_function(n)(linear, t, h, y, k1, 1e-9, 1e-8)
+        want_y, want_err, want_stages = reference_step(linear, t, h, y, k1, 1e-9, 1e-8)
+        assert bits(ynew) == bits(want_y)
+        assert [bits(k) for k in stages] == [bits(k) for k in want_stages]
+        assert err == want_err and 0.0 < err < math.inf
 
     def test_singularity_in_a_middle_stage_is_retried(self, first_step_01):
-        # with the first step fixed, call 10 is the k4 stage of the second trial
+        # with the first step fixed, call 16 is the k4 stage of the second
+        # trial: the first trial calls stages 2 to 12, then the field at its
+        # new state
         calls = itertools.count(1)
 
         def once(t, y):
-            if next(calls) == 10:
+            if next(calls) == 16:
                 return [math.nan, math.nan]
             return harmonic(t, y)
 
         res = flow(once, [1.0, 0.0], 2.0, IntegratorConfig())
-        assert (res.status, res.n_steps, res.n_rejected) == (OK, 126, 2)
-        assert [v.hex() for v in res.y] == ["-0x1.aa226575361f9p-2", "-0x1.d18f6ead1a15bp-1"]
+        assert (res.status, res.n_steps, res.n_rejected) == (OK, 19, 1)
+        assert [v.hex() for v in res.y] == ["-0x1.aa226575371a7p-2", "-0x1.d18f6ead1b459p-1"]
 
     def test_singular_wall_ends_with_the_same_bracket(self, first_step_01):
         def wall(t, y):
@@ -342,8 +352,8 @@ class TestGeneratedStep:
             return harmonic(t, y)
 
         res = flow(wall, [1.0, 0.0], 2.0, IntegratorConfig())
-        assert (res.status, res.n_steps, res.n_rejected) == (SINGULAR, 79, 42)
-        assert res.t.hex() == "0x1.fffffffffffe5p-1"
+        assert (res.status, res.n_steps, res.n_rejected) == (SINGULAR, 30, 35)
+        assert res.t.hex() == "0x1.fffffffffffb3p-1"
         # the wall lies within the step floor of the last accepted time
         assert res.t < 1.0 < res.t + 1e-14 * 2.0
 
@@ -359,10 +369,142 @@ class TestGeneratedStep:
             flow(fails_in_k4, [1.0, 0.0], 1.0, IntegratorConfig())
         frames = traceback.extract_tb(info.value.__traceback__)
         step_frame = next(f for f in frames if f.filename == "<ringorbits.integrate step n=2>")
-        assert step_frame.line.startswith("k4 = rhs(t + 0.8 * h, [")
+        assert step_frame.line.startswith("k4 = rhs(t + 0.1183503419072274 * h, [")
         source = inspect.getsource(_step_function(5))
         assert source.startswith("def step(rhs, t, h, y, k1, atol, rtol):")
         assert "    y0, y1, y2, y3, y4, = y\n" in source
+
+
+def tableau():
+    """The pair on 1-based stages: A (17 x 17), nodes c and the weight rows.
+
+    Stage 13 is the field at the new state, so its row holds the
+    eighth-order weights b; stages 14 to 16 are those of the interpolant.
+    """
+    A, c = np.zeros((17, 17)), np.zeros(17)
+    rows = itertools.chain(enumerate(ig._STAGE_ROWS, start=2), enumerate(ig._DENSE_STAGE_ROWS, start=14))
+    for s, (c_s, row) in rows:
+        c[s] = c_s
+        for j, a in row:
+            A[s, j] = a
+    c[13] = 1.0
+    for j, b in ig._SOLUTION_ROW:
+        A[13, j] = b
+
+    def weights(row):
+        w = np.zeros(17)
+        for j, v in row:
+            w[j] = v
+        return w
+
+    return A, c, weights
+
+
+def near(value, target, terms):
+    # equal up to the rounding of the decimal coefficients and of the
+    # powers of c: a few units in the last place of the largest term
+    return abs(value - target) <= 8 * 2.0**-53 * math.fsum(map(abs, terms))
+
+
+class TestTableau:
+    """The transcribed DOP853 coefficients against the conditions they must meet."""
+
+    def test_row_sums_are_the_nodes(self):
+        A, c, _ = tableau()
+        for s in range(2, 17):
+            assert near(math.fsum(A[s]), c[s], [*A[s], c[s]]), s
+
+    @pytest.mark.parametrize("name, order", [("eighth", 8), ("fifth", 5), ("third", 3)])
+    def test_weights_meet_the_quadrature_conditions(self, name, order):
+        A, c, weights = tableau()
+        b = {
+            "eighth": A[13],
+            "fifth": A[13] - weights(ig._ERROR5_ROW),
+            "third": weights(ig._ORDER3_ROW),
+        }[name]
+        for k in range(order):
+            terms = b * c**k
+            assert near(math.fsum(terms), 1.0 / (k + 1), terms), k
+        # and not one order more: the embedded solutions differ from b
+        terms = b * c**order
+        assert not near(math.fsum(terms), 1.0 / (order + 1), terms)
+
+    def test_coefficients_match_scipy(self):
+        pytest.importorskip("scipy")
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        A, c, weights = tableau()
+        np.testing.assert_array_max_ulp(A[1:, 1:], ref.A, maxulp=1)
+        np.testing.assert_array_max_ulp(c[1:], ref.C, maxulp=1)
+        np.testing.assert_array_max_ulp(weights(ig._ERROR5_ROW)[1:14], ref.E5, maxulp=1)
+        np.testing.assert_array_max_ulp((A[13] - weights(ig._ORDER3_ROW))[1:13], ref.E3[:12], maxulp=1)
+        dense = np.array([weights(row)[1:] for row in ig._DENSE_ROWS])
+        np.testing.assert_array_max_ulp(dense, ref.D, maxulp=1)
+
+
+# The endpoint error of a flow at the default tolerance 1e-12: its max-norm
+# distance from the same flow at 1e-14.  The points are the three members of
+# the benchmark's inputs/members.json on (3, 3, 7, 11), heavy q0 (the seed
+# corrected at fixed b) and a point near collision on the heavy family of
+# (3, 92, 242, 11).  The errors are those of the DP5(4) pair this step
+# replaced, measured before the change, for the reduced flow, the state part
+# of the augmented flow and the whole augmented flow.
+NEAR_COLLISION = (0.005249, 3.599859, 6.046395)
+DP54_ENDPOINT_ERRORS = [
+    ("p", (0.8669531797954539, 0.18758239787398256, 29.440535601622745), (9.504e-13, 1.190e-13, 3.702e-12)),
+    ("p", (0.775642175355026, 0.4006347048747275, 32.66364538968041), (4.873e-12, 7.407e-13, 8.303e-12)),
+    ("p", (0.5479523994755245, 0.6349438170700882, 41.178260698458764), (1.020e-11, 1.875e-12, 3.135e-11)),
+    ("q", (1.8415019957043366, 3.79392, 7.317091306183095), (6.857e-12, 1.487e-12, 3.586e-12)),
+    ("q", NEAR_COLLISION, (1.662e-06, 2.918e-08, 4.831e-02)),
+]
+# Near collision the sensitivity columns pass through 1e10 before they end
+# near 1: at 1e-12 the step lands 0.24 from its 1e-14 endpoint (and 0.25 from
+# its 1e-15 one), where DP5(4) landed 0.073 from the same 1e-15 endpoint.
+_NEAR_COLLISION_COLUMNS = pytest.mark.xfail(
+    strict=True, reason="the sensitivity columns near collision are less accurate than DP5(4)'s"
+)
+
+
+def _accuracy_cases():
+    for system, point, errors in DP54_ENDPOINT_ERRORS:
+        for part, dp54 in zip(("reduced", "augmented state", "augmented"), errors):
+            marks = _NEAR_COLLISION_COLUMNS if (point, part) == (NEAR_COLLISION, "augmented") else ()
+            yield pytest.param(system, point, part, dp54, marks=marks, id=f"{system}-{point[0]}-{part}")
+
+
+@pytest.mark.parametrize("system, point, part, dp54", list(_accuracy_cases()))
+def test_endpoint_at_least_as_close_as_dp54(request, system, point, part, dp54):
+    params = request.getfixturevalue(f"params_{system}")
+    a, b, T = point
+    if part == "reduced":
+        rhs, y0 = make_reduced_rhs(params, params.r0 * a), reduced_initial(b, params)
+    else:
+        rhs, y0 = make_variational_rhs(params, params.r0 * a), augmented_initial(b, params)
+    y = flow(rhs, y0, T, IntegratorConfig()).require_ok().y
+    ref = flow(rhs, y0, T, IntegratorConfig(rel_tol=1e-14, abs_tol=1e-14)).require_ok().y
+    gap = np.abs(y - ref)
+    assert float(np.max(gap[:5] if part == "augmented state" else gap)) <= dp54
+
+
+def test_import_generates_no_step_and_loads_no_new_module():
+    # set-up cost: importing the package compiles no step and loads no
+    # module beyond numpy's but these
+    allowed = {
+        "__future__", "_blake2", "_hashlib", "_json", "array", "copy",
+        "dataclasses", "hashlib", "json", "ringorbits",
+    }
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import ringorbits; "
+        "from ringorbits import integrate; "
+        "new = sorted({m.split('.')[0] for m in set(sys.modules) - before}); "
+        "import json; print(json.dumps(new)); print(integrate._step_function.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(ig.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    loaded, generated = out.stdout.splitlines()
+    assert set(json.loads(loaded)) <= allowed
+    assert generated == "0"
 
 
 class TestEvalAt:

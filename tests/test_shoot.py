@@ -295,13 +295,13 @@ class TestNewton:
         assert out.b != p1_corrected.b  # b participates in the correction
 
     def test_fixed_b_bits_are_pinned(self, p1_corrected, q0_corrected):
-        # Recorded with the 2x2 fixed-b solve that the bordered row replaced,
-        # on x86-64 with numpy 2.4: not portable across platforms.
+        # Recorded with the DOP853 step on x86-64 with numpy 2.4: not
+        # portable across platforms.
         assert (p1_corrected.a.hex(), p1_corrected.T.hex()) == (
-            "0x1.c74fd8f7e58efp-1", "0x1.cb53e23fbd9a9p+4"
+            "0x1.c74fd8f7e58cap-1", "0x1.cb53e23fbd998p+4"
         )
         assert (q0_corrected.a.hex(), q0_corrected.T.hex()) == (
-            "0x1.d76cacbf11a0bp+0", "0x1.d44b395579bf9p+2"
+            "0x1.d76cacbf072a5p+0", "0x1.d44b3955778e8p+2"
         )
         assert q0_corrected.b == 3.79392
 
