@@ -2,12 +2,14 @@
 
 A family is the zero set of the desingularized residual pair in the
 three parameters (a, b, T).  Its tangent direction is the cross product
-of the two residual gradients; the tracer takes an Euler predictor step
-along the (sign-continuous) unit tangent and corrects in the hyperplane
-orthogonal to it, adapting the step length to corrector failures.  Each
-corrector call may run at most _CORRECTOR_MAX_FLOWS flows: a correction
-that needs more is crawling, and halving the step is cheaper than letting
-it finish or fail late.
+of the two residual gradients; the tracer predicts along the
+(sign-continuous) unit tangent, to second order from the last two tangents
+once it has them, and corrects in the hyperplane orthogonal to the tangent,
+adapting the step length to corrector failures.  Each corrector call may
+run at most _CORRECTOR_MAX_FLOWS flows: a correction that needs more is
+crawling, and halving the step is cheaper than letting it finish or fail
+late.  So is one whose Newton contraction |dx_1|/|dx_0| exceeds
+_MAX_CONTRACTION: its predictor was too far from the curve.
 
 `continue_branch` is the one place that names how a branch ended, as
 `Branch.termination`, one of the TERM_* labels: a crossing of b = 0 is a
@@ -72,12 +74,12 @@ TERM_STEP = "step-failure"
 
 # Three flows above the observed maximum: every corrector call that
 # converges on the three reference branches runs at most 9 flows ((3, 3, 7,
-# 11): 9; (3, 92, 242, 11): 7 towards the circular family, 6 towards
-# collision; 12 towards collision with the earlier DP5(4) step), and the one
-# stalled call of the (3, 3, 7, 11) trace to T = 42 spends the corrector's
-# whole default budget of 64 without converging.  On other systems or
-# tolerances a call that would converge in 13 or more flows is rejected
-# too, and its step is retried at half the length.
+# 11) to T = 42: 6; (3, 92, 242, 11): 4 towards the circular family, 9
+# towards collision), measured with the DOP853 step and the second-order
+# predictor.  It still cuts crawling calls: three on the descent of (3, 3,
+# 7, 11) to the circular family.  On other systems or tolerances a call
+# that would converge in 13 or more flows is rejected too, and its step is
+# retried at half the length.
 _CORRECTOR_MAX_FLOWS = 12
 
 # Step policy: the first step is ds_max/4, and ds grows by _GROW after
@@ -87,6 +89,9 @@ _CORRECTOR_MAX_FLOWS = 12
 # abrupt tangent swing is the signature of the corrector hopping onto the
 # wrong curve.
 _GROW, _GROW_AFTER, _COS_MIN = 1.3, 4, 0.5
+# Largest accepted Newton contraction |dx_1|/|dx_0| of a continuation step
+# (Allgower & Georg, Introduction to Numerical Continuation Methods, 6.1).
+_MAX_CONTRACTION = 0.25
 # Stop bounds as multiples of the circular seed's a0 and T0 (T_UPPER is the
 # default of StopRules.T_max, T_LOWER the corrector's floor); a branch whose
 # last point has a at or below A_COLLISION*a0 ends in a collision, whatever
@@ -236,14 +241,15 @@ def continue_branch(
     evaluation checks that, gives the first tangent and, when the start's
     theta or residual is NaN, fills in both.
 
-    Each corrector call gets a budget of _CORRECTOR_MAX_FLOWS flows.  A
-    failed step (corrector failure, flow failure, singular point, tangent
-    turn or a predictor outside a > 0, T > T_LOWER*T0) halves ds and is
-    retried; ds below ds_min ends the trace.  `Branch.stats` holds
-    `failures` (the failed steps counted per reason: a ConvergenceError
-    reason such as "singular-point", a FlowError status or "value-error"),
-    `ds_final`, and, after a b = 0 crossing, `b_zero_refine` ("ok" or the
-    reason the endpoint correction failed).
+    Steps after the first predict to second order.  Each corrector call
+    gets a budget of _CORRECTOR_MAX_FLOWS flows.  A failed step (corrector
+    failure or contraction above _MAX_CONTRACTION, flow failure, singular
+    point, tangent turn or a predictor outside a > 0, T > T_LOWER*T0)
+    halves ds and is retried; ds below ds_min ends the trace.
+    `Branch.stats` holds `failures` (the failed steps counted per reason:
+    a ConvergenceError reason such as "singular-point", a FlowError status
+    or "value-error"), `ds_final`, and, after a b = 0 crossing,
+    `b_zero_refine` ("ok" or the reason the endpoint correction failed).
 
     `Branch.termination` names the ending with one of the TERM_* labels
     (see the module docstring); `classify_endpoint` reports it unchanged.
@@ -279,15 +285,20 @@ def continue_branch(
         prev_bp = points[-1]
         x_prev = prev_bp.point.vector()
         pred = x_prev + ds * prev_bp.tangent
+        if len(points) >= 2:  # the tangent's change over the last step gives the curvature
+            before = points[-2]
+            pred += 0.5 * ds**2 * (prev_bp.tangent - before.tangent) / (prev_bp.arc - before.arc)
         try:
             if pred[0] <= 0 or pred[2] <= T_min:
                 raise ConvergenceError("predictor left the parameter domain", "domain")
             guess = SeedPoint(a=float(pred[0]), b=float(pred[1]), T=float(pred[2]), kind=kind)
-            corrected, dcorr = newton_correct_full(
+            corrected, dcorr, contraction = newton_correct_full(
                 guess, params, config,
                 constraint=hyperplane(pred, prev_bp.tangent),
                 max_flows=_CORRECTOR_MAX_FLOWS,
             )
+            if contraction > _MAX_CONTRACTION:
+                raise ConvergenceError(f"Newton contraction {contraction:.3g} is too slow", "contraction")
             unit, xn = _tangent_from(
                 dcorr, (corrected.a, corrected.b, corrected.T), prev_bp.tangent
             )

@@ -62,7 +62,8 @@ __all__ = [
 CORRECTOR_TOL = 1e-10
 # Converging calls in the tests and the benchmark run at most 31 flows (the
 # deliberately off stub solve of the find_resonance bracket test; at most 10
-# elsewhere), measured with the DOP853 step as with DP5(4).
+# elsewhere, and at most 9 inside continue_branch, which passes its own
+# bound of 12), measured with the DOP853 step and the second-order predictor.
 CORRECTOR_MAX_FLOWS = 64
 T_LOWER = 1e-3  # the corrector's floor on T, as a multiple of params.T0
 
@@ -78,6 +79,7 @@ class ConvergenceError(RuntimeError):
 
     `reason` classifies the failure:
       budget             the max_flows flows were spent
+      contraction        a continuation corrector converged, but contracted too slowly
       line-search        no damped trial in the domain decreased the residual
       singular-jacobian  the bordered Jacobian is numerically singular
       singular-point     the residual gradients are parallel: no branch direction
@@ -286,7 +288,7 @@ def newton_correct(
     "budget", "line-search" or "singular-jacobian"; and FlowError from the
     initial evaluation.
     """
-    point, _ = newton_correct_full(
+    point, _, _ = newton_correct_full(
         guess, params, config, tol=tol, max_flows=max_flows, constraint=constraint
     )
     return point
@@ -300,9 +302,10 @@ def newton_correct_full(
     tol: float = CORRECTOR_TOL,
     max_flows: int = CORRECTOR_MAX_FLOWS,
     constraint: Constraint | None = None,
-) -> tuple[SeedPoint, DesingPoint]:
+) -> tuple[SeedPoint, DesingPoint, float]:
     """Like `newton_correct` but also returns the residual data at the
-    corrected point, gradients included, so callers can reuse them."""
+    corrected point, gradients included, so callers can reuse them, and the
+    contraction |dx_1|/|dx_0| of its first two full updates (0.0 if fewer ran)."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_flows < 1:
@@ -328,11 +331,13 @@ def newton_correct_full(
     x = np.array([guess.a, guess.b, guess.T])
     d, res, row = evaluate(x)
     T_min = T_LOWER * params.T0
+    update_norms = []
     while float(np.max(np.abs(res))) > tol:
         J = np.array([d.grad_value, d.grad_rt, row])
         if _too_ill_conditioned(J):
             raise ConvergenceError("corrector Jacobian is numerically singular", "singular-jacobian")
         step = np.linalg.solve(J, -res)
+        update_norms.append(float(np.linalg.norm(step)))
 
         old = float(np.max(np.abs(res)))
         lam = 1.0
@@ -364,4 +369,5 @@ def newton_correct_full(
         residual=d.residual,
         theta=d.theta,
     )
-    return point, d
+    contraction = update_norms[1] / update_norms[0] if len(update_norms) >= 2 else 0.0
+    return point, d, contraction

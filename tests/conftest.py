@@ -134,7 +134,7 @@ def theta_curvature_numeric(
         for j in range(1, n_points + 1):
             b = sign * b_max * j / n_points
             guess = SeedPoint(a=guess.a, b=b, T=guess.T, kind=kind)
-            pt, d = newton_correct_full(guess, params, config, tol=_CURVATURE_TOL)
+            pt, d, _ = newton_correct_full(guess, params, config, tol=_CURVATURE_TOL)
             xb = x_b(d)
             tau += (b - b_prev) * 0.5 * (1.0 / xb + 1.0 / xb_prev)
             taus.append(tau)

@@ -227,8 +227,7 @@ class TestContinueBranch:
         report = classify_endpoint(br)
         assert report.label == br.termination
         assert br.end.a < 1e-3 * params_q.a0
-        # every rejected step predicted a <= 0 as a shrinks towards collision
-        assert br.stats["failures"] == {"domain": 6}
+        assert br.stats["failures"] == {}
 
     @pytest.mark.parametrize(
         "exc, ending",
@@ -255,21 +254,26 @@ class TestCorrectorBudget:
         branch, flows = p_branch_traced
         assert len(flows) == 22
         assert max(flows) <= 12
-        # one call crawls at residuals near 1.7e-4; it fails at its budget
-        # and the step is retried at half the length
-        assert branch.stats["failures"] == {"budget": 1}
+        # one step runs onto the near-singular stretch past T = 41.6, where
+        # its first Newton updates contract by only 0.26; it is rejected
+        # and retried at half the length
+        assert branch.stats["failures"] == {"contraction": 1}
         assert "b_zero_refine" not in branch.stats
 
+    def test_corrector_work_stays_low(self, p_branch_traced):
+        # 112 flows with the Euler predictor, 84 with the second-order one
+        _, flows = p_branch_traced
+        assert sum(flows) <= 90
+
     def test_light_branch_bits_are_pinned(self, p_branch):
-        # Recorded with the DOP853 step on x86-64 (not portable); the crawling
-        # call fails at a budget of 12 flows as it does at the default of 64,
-        # so the accepted points are the same under either.
+        # Recorded with the DOP853 step and the second-order predictor on
+        # x86-64 (not portable).
         assert len(p_branch.points) == 22
         end = p_branch.end
         assert (end.a.hex(), end.b.hex(), end.T.hex()) == (
-            "0x1.0439167e02268p-1",
-            "0x1.50ae4dc5db49ap-1",
-            "0x1.52711cc621e6bp+5",
+            "0x1.0416b281a358ep-1",
+            "0x1.50bfff52e57dep-1",
+            "0x1.527e8aafd0676p+5",
         )
 
     def test_refine_b_zero_reports_why_it_failed(self, params_p, cfg):
@@ -278,12 +282,70 @@ class TestCorrectorBudget:
         assert _refine_b_zero(lo, hi, params_p, cfg) == (None, "line-search")
 
 
+class TestPredictorAndContraction:
+    @staticmethod
+    def _recording(monkeypatch, contraction=None):
+        """Record each corrector guess; with `contraction`, report that value
+        instead of the corrector's own."""
+        guesses = []
+        inner = continuation.newton_correct_full
+
+        def recorded(guess, *args, **kwargs):
+            guesses.append(guess.vector())
+            point, data, theta0 = inner(guess, *args, **kwargs)
+            return point, data, theta0 if contraction is None else contraction
+
+        monkeypatch.setattr(continuation, "newton_correct_full", recorded)
+        return guesses
+
+    def test_euler_first_then_second_order(self, p1_corrected, params_p, cfg, monkeypatch):
+        guesses = self._recording(monkeypatch)
+        d = direction_of_increasing_b(p1_corrected, params_p, cfg)
+        br = continue_branch(p1_corrected, d, params_p, cfg, stop=StopRules(max_points=3))
+        assert len(br.points) == 3 and br.stats["failures"] == {}
+        p0, p1 = br.points[0], br.points[1]
+        ds = 0.05 * params_p.T0 / 4.0  # the first step, not yet grown
+        # the guess for the second point is the Euler point, for the third
+        # the second-order one built from the tangents of the first two
+        assert np.array_equal(guesses[0], p0.point.vector() + ds * p0.tangent)
+        second = p1.point.vector() + ds * p1.tangent
+        second += 0.5 * ds**2 * (p1.tangent - p0.tangent) / (p1.arc - p0.arc)
+        assert np.all(np.abs(guesses[1] - second) <= np.spacing(np.abs(second)))
+        assert not np.array_equal(guesses[1], p1.point.vector() + ds * p1.tangent)
+
+    def test_slow_contraction_halves_the_step(self, p1_corrected, params_p, cfg, monkeypatch):
+        guesses = []
+
+        def slow(guess, *args, **kwargs):
+            guesses.append(guess.vector())
+            return guess, None, 0.3
+
+        monkeypatch.setattr(continuation, "newton_correct_full", slow)
+        br = continue_branch(p1_corrected, 1, params_p, cfg, step=StepControl(ds_min=1e-3))
+        assert br.termination == TERM_STEP
+        assert len(br.points) == 1
+        assert br.stats["failures"] == {"contraction": len(guesses)} == {"contraction": 9}
+        steps = [float(np.linalg.norm(g - p1_corrected.vector())) for g in guesses]
+        assert steps[0] == pytest.approx(0.05 * params_p.T0 / 4.0, rel=1e-12)
+        assert np.allclose(np.array(steps[1:]) / steps[:-1], 0.5, rtol=1e-9, atol=0.0)
+
+    def test_contraction_at_the_bound_is_accepted(self, p1_corrected, params_p, cfg, monkeypatch):
+        guesses = self._recording(monkeypatch, contraction=continuation._MAX_CONTRACTION)
+        d = direction_of_increasing_b(p1_corrected, params_p, cfg)
+        br = continue_branch(p1_corrected, d, params_p, cfg, stop=StopRules(max_points=2))
+        assert len(guesses) == 1
+        assert len(br.points) == 2
+        assert br.stats["failures"] == {}
+
+
 class TestStepAndStopDefaults:
     def test_step_control_resolution(self, p1_corrected, params_p, cfg):
         # the first step is ds_max/4, and ds_max defaults to 0.05*max(1, T0)
         br = continue_branch(p1_corrected, 1, params_p, cfg, stop=StopRules(max_points=1))
         assert abs(4.0 * br.stats["ds_final"] - 0.05 * params_p.T0) < 1e-12
-        assert (continuation._GROW, continuation._GROW_AFTER, continuation._COS_MIN) == (1.3, 4, 0.5)
+        assert (
+            continuation._GROW, continuation._GROW_AFTER, continuation._COS_MIN, continuation._MAX_CONTRACTION
+        ) == (1.3, 4, 0.5, 0.25)
 
     @pytest.mark.parametrize("field", ["ds_min", "ds_max"])
     @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])

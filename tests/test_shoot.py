@@ -315,10 +315,32 @@ class TestNewton:
 
     def test_full_variant_returns_gradients(self, params_q, cfg):
         seed = SeedPoint(a=1.84153, b=3.79392, T=7.31715)
-        point, data = newton_correct_full(seed, params_q, cfg, tol=1e-10)
+        point, data, _ = newton_correct_full(seed, params_q, cfg, tol=1e-10)
         assert point.residual < 1e-10
         assert data.grad_value.shape == data.grad_rt.shape == data.grad_theta.shape == (3,)
         assert abs(data.value) <= 1e-10 and abs(data.rt) <= 1e-10
+
+    def test_full_variant_returns_the_contraction(self, p1_corrected, params_p, cfg, monkeypatch):
+        # the ratio of the first two full Newton updates; 0.0 before two ran
+        seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        updates = []
+        solve = np.linalg.solve
+
+        def recorded(J, r):
+            updates.append(solve(J, r))
+            return updates[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        _, _, theta0 = newton_correct_full(seed, params_p, cfg, tol=1e-12)
+        assert len(updates) == 3
+        assert theta0 == np.linalg.norm(updates[1]) / np.linalg.norm(updates[0])
+        assert 0.0 < theta0 < 0.25
+        updates.clear()
+        assert newton_correct_full(seed, params_p, cfg, tol=1e-3)[2] == 0.0
+        assert len(updates) == 1
+        updates.clear()
+        assert newton_correct_full(p1_corrected, params_p, cfg, tol=1e-12)[2] == 0.0
+        assert updates == []
 
 
 class TestClosure:
