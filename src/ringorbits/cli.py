@@ -34,7 +34,7 @@ from .orbits import (
     trajectory_filename,
 )
 from .shoot import CORRECTOR_MAX_FLOWS, CORRECTOR_TOL, ConvergenceError, SeedPoint, SymmetryKind
-from .shoot import newton_correct, require_above_floor, residual_of
+from .shoot import newton_correct, require_above_floor
 
 OUT_ENV = "RINGORBITS_OUT"
 
@@ -301,7 +301,7 @@ def _cmd_resonance(args) -> int:
         raise ValueError("need at least two samples per period")
     _check_out(args)
     point = find_resonance(branch, target, config)
-    k_strict, k_relabel = closure_order(target, params.n)
+    k_strict, k_relabel = closure_order(target, params.n, branch.kind)
     periods = k_strict if args.strict_closure else k_relabel
     traj = reconstruct(point, params, periods=periods, samples_per_period=args.samples, config=config)
     out = _out_dir(args)
@@ -335,7 +335,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--res-tol must be finite and positive, got {args.res_tol!r}")
     require_above_floor(point.T, params)
     e = eval_at(point.a, point.b, point.T, params, config)
-    r1, r2 = residual_of(e, point.kind)
+    r1, r2 = e.y[point.kind.index], e.Rt
     traj = reconstruct(point, params, periods=1, samples_per_period=256, config=config)
     d = traj.diagnostics
     checks = [

@@ -38,7 +38,7 @@ import functools
 import linecache
 import math
 from array import array
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -471,34 +471,26 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
                 return finish(SINGULAR)
 
 
+def _component(i: int) -> property:
+    return property(lambda self: self.y[i], doc=f"y[{i}]")
+
+
 @dataclass(frozen=True)
 class EvalPoint:
-    """Flow values at time T used by the shooting residuals.
+    """The state y at time T of the flow that `eval_at` runs, and the vector
+    field dy there.
 
-    The fields follow the state layout: F, Ft are the axial separation and
-    its velocity at T, R, Rt the ring radius and radial velocity, Theta the
-    accumulated phase, then the a- and b-sensitivity columns (None unless
-    augmented).  Rtt and Thetat come from the vector field at the endpoint.
+    y holds 5 floats, the state (F, Ft, R, Rt, Theta): the axial separation
+    and its velocity, the ring radius and its radial velocity, and the
+    accumulated phase.  An augmented flow appends the a- and b-sensitivity
+    columns, 15 floats in all.  Each component reads by its name; on a plain
+    flow the sensitivity names raise IndexError.
     """
 
-    F: float
-    Ft: float
-    R: float
-    Rt: float
-    Theta: float
-    Fa: float | None = None
-    Fta: float | None = None
-    Ra: float | None = None
-    Rta: float | None = None
-    Tha: float | None = None
-    Fb: float | None = None
-    Ftb: float | None = None
-    Rb: float | None = None
-    Rtb: float | None = None
-    Thb: float | None = None
-    _: KW_ONLY
-    Rtt: float
-    Thetat: float
+    y: tuple[float, ...]
+    dy: tuple[float, ...]
+
+    F, Ft, R, Rt, Theta, Fa, Fta, Ra, Rta, Tha, Fb, Ftb, Rb, Rtb, Thb = map(_component, range(15))
 
 
 def eval_at(
@@ -522,5 +514,4 @@ def eval_at(
     else:
         rhs, y0 = make_reduced_rhs(params, C), reduced_initial(b, params)
     res = flow(rhs, y0, T, config).require_ok()
-    d = res.dy.tolist()
-    return EvalPoint(*res.y.tolist(), Rtt=d[3], Thetat=d[4])
+    return EvalPoint(tuple(res.y.tolist()), tuple(res.dy.tolist()))

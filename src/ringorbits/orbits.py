@@ -1,10 +1,11 @@
 """Resonant orbit selection, full-space reconstruction and export.
 
 A corrected family member closes in the reduced variables after one
-period, but the lifted configuration also rotates by twice the phase
-accumulated over [0, T] per reduced period.  When that phase is a rational
-angle n1*pi/n2 the lifted orbit is periodic too: after n2 reduced periods
-exactly, or earlier up to relabeling of the identical ring bodies.
+period, but each reduced period also turns the lifted configuration by 2q
+times the phase theta accumulated over [0, T] (q = 1 odd, 2 odd/even).
+When theta is a rational angle n1*pi/n2 the lifted orbit is periodic too:
+strictly after at most n2 reduced periods, or earlier up to relabeling of
+the identical ring bodies.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     total_angular_momentum,
     total_momentum,
 )
-from .shoot import ConvergenceError, SeedPoint, newton_correct, phase, require_above_floor
+from .shoot import ConvergenceError, SeedPoint, SymmetryKind, newton_correct, phase, require_above_floor
 
 __all__ = [
     "ResonanceNotFound",
@@ -70,17 +71,19 @@ class ResonanceTarget:
         return f"{self.n1}pi{self.n2}"
 
 
-def closure_order(target: ResonanceTarget, n: int) -> tuple[int, int]:
+def closure_order(target: ResonanceTarget, n: int, kind: SymmetryKind = SymmetryKind.ODD) -> tuple[int, int]:
     """Reduced periods until the lifted orbit closes: (strict, up to relabeling).
 
-    Each reduced period rotates the ring by 2*theta = 2*n1*pi/n2.  Strict
-    closure needs k*n1/n2 to be an integer, so k = n2 as n1/n2 is in
-    lowest terms; with the n identical ring bodies relabeled, a rotation
-    by any multiple of 2*pi/n also closes.
+    A reduced period spans 2q*T (q = kind.q), so it turns the ring by
+    2q*theta = 2q*n1*pi/n2.  Strict closure needs k*q*n1/n2 to be an
+    integer, so k = n2/gcd(q, n2) as n1/n2 is in lowest terms; with the n
+    identical ring bodies relabeled, a turn by any multiple of 2*pi/n also
+    closes, so k = n2/gcd(q*n, n2).
     """
     if n < 2:
         raise ValueError(f"need at least two ring bodies, got n={n}")
-    return target.n2, target.n2 // math.gcd(target.n2, n)
+    q = kind.q
+    return target.n2 // math.gcd(q, target.n2), target.n2 // math.gcd(q * n, target.n2)
 
 
 def find_resonance(

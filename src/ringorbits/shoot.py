@@ -7,12 +7,13 @@ hits another symmetric configuration:
   odd       F(a,b,T) = 0 and R_t(a,b,T) = 0   -> period 2T
   odd/even  F_t(a,b,T) = 0 and R_t(a,b,T) = 0 -> period 4T
 
-Both first residuals vanish identically in b on the circular family, so the
-corrector works with the desingularized forms F/b and F_t/b.  These extend
-smoothly across b = 0, where they become the b-sensitivities F_b and F_tb
-of the flow; parity in b removes their b-derivative there, and the explicit
-step _FD_DB recovers the remaining mixed derivative by one-sided
-differencing.
+The two kinds differ only in the state component of the first residual,
+`SymmetryKind.index`.  Both first residuals vanish identically in b on the
+circular family, so the corrector works with the desingularized forms F/b
+and F_t/b.  These extend smoothly across b = 0, where they become the
+b-sensitivities F_b and F_tb of the flow; parity in b removes their
+b-derivative there, and the explicit step _FD_DB recovers the remaining
+mixed derivative by one-sided differencing.
 
 One damped Newton corrector serves every caller.  The residual pair fixes
 a curve in (a, b, T); a third row c(a, b, T) = 0 picks one point of it, and
@@ -40,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrate import EvalPoint, FlowError, IntegratorConfig, eval_at
+from .integrate import FlowError, IntegratorConfig, eval_at
 from .model import SystemParams
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "SeedPoint",
     "ConvergenceError",
     "require_above_floor",
-    "residual_of",
     "desing_eval",
     "DesingPoint",
     "fixed_b",
@@ -101,6 +101,11 @@ class SymmetryKind(enum.Enum):
     def q(self) -> int:
         """1 for odd, 2 for odd/even: the period is 2q*T, the seed time T0/q."""
         return 1 if self is SymmetryKind.ODD else 2
+
+    @property
+    def index(self) -> int:
+        """The state component of the first residual: 0 (F) for odd, 1 (F_t) for odd/even."""
+        return 0 if self is SymmetryKind.ODD else 1
 
     @classmethod
     def parse(cls, text: str) -> "SymmetryKind":
@@ -164,12 +169,6 @@ def require_above_floor(T: float, params: SystemParams) -> None:
         raise ValueError(f"T={float(T)!r} is at or below the floor T_LOWER*T0 = {T_LOWER * params.T0!r}")
 
 
-def residual_of(e: EvalPoint, kind: SymmetryKind) -> tuple[float, float]:
-    """Raw residual pair read off a flow evaluated at the point: (F, R_t) for
-    odd, (F_t, R_t) for odd/even."""
-    return (e.F if kind is SymmetryKind.ODD else e.Ft), e.Rt
-
-
 @dataclass(frozen=True)
 class DesingPoint:
     """Desingularized residual data at (a, b, T).
@@ -203,34 +202,30 @@ def desing_eval(
     """The desingularized residuals and their gradients, from augmented flows:
     one flow away from b = 0, two at b = 0; ValueError at T <= T_LOWER*T0."""
     require_above_floor(T, params)
-    odd = kind is SymmetryKind.ODD
-    mu = params.mass_sum
+    # y is the state at T, then its a- and b-sensitivity columns from 5 and
+    # 10 on; dy is the vector field there, the T-derivative of each.
+    i = kind.index
     if b == 0.0:
         e = eval_at(a, 0.0, T, params, config, augmented=True)
-        ftil = e.Fb
-        value = ftil if odd else e.Ftb
+        value, vt = e.y[10 + i], e.dy[10 + i]
         # d(value)/da at b = 0 from a one-sided quotient; the numerator is
         # odd in b, so the O(step) term cancels.
         e2 = eval_at(a, _FD_DB, T, params, config, augmented=True)
-        va = (e2.Fa if odd else e2.Fta) / _FD_DB
+        va = e2.y[5 + i] / _FD_DB
         vb = 0.0  # parity: the desingularized residual is even in b
-        vt = e.Ftb if odd else -mu * ftil / params.h(e.F, e.R) ** 3
     else:
         e = eval_at(a, b, T, params, config, augmented=True)
-        ftil = e.F / b
-        value = ftil if odd else e.Ft / b
-        va = (e.Fa if odd else e.Fta) / b
-        vb = ((e.Fb if odd else e.Ftb) - value) / b
-        # For odd/even the T-derivative of F_t/b is F_tt/b, which the axial
-        # equation turns into -mu*(F/b)/h^3: stable as b -> 0.
-        vt = e.Ft / b if odd else -mu * ftil / params.h(e.F, e.R) ** 3
+        value = e.y[i] / b
+        va = e.y[5 + i] / b
+        vb = (e.y[10 + i] - value) / b
+        vt = e.dy[i] / b
     return DesingPoint(
         value,
         e.Rt,
         e.Theta,
         grad_value=np.array([va, vb, vt]),
-        grad_rt=np.array([e.Rta, e.Rtb, e.Rtt]),
-        grad_theta=np.array([e.Tha, e.Thb, e.Thetat]),
+        grad_rt=np.array([e.Rta, e.Rtb, e.dy[3]]),
+        grad_theta=np.array([e.Tha, e.Thb, e.dy[4]]),
     )
 
 

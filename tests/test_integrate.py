@@ -531,11 +531,14 @@ class TestEvalAt:
     def test_augmented_flag(self, params_p, cfg):
         plain = eval_at(params_p.a0, 0.1, 3.0, params_p, cfg)
         aug = eval_at(params_p.a0, 0.1, 3.0, params_p, cfg, augmented=True)
-        assert plain.Fa is None and plain.Thb is None
+        assert (len(plain.y), len(plain.dy), len(aug.y), len(aug.dy)) == (5, 5, 15, 15)
+        for name in ("Fa", "Thb"):
+            with pytest.raises(IndexError):
+                getattr(plain, name)
         # step sequences differ between the 5- and 15-component flows
         assert abs(plain.F - aug.F) < 1e-9
         assert abs(plain.Rt - aug.Rt) < 1e-9
-        assert aug.Fb is not None and aug.Rta is not None
+        assert (aug.Fb, aug.Rta) == (aug.y[10], aug.y[8])
 
     @pytest.mark.parametrize("augmented", [False, True])
     def test_one_flow_and_no_extra_field_call(self, params_p, cfg, monkeypatch, augmented):
@@ -561,8 +564,7 @@ class TestEvalAt:
             rhs, y0 = ig.make_reduced_rhs(params_p, C), reduced_initial(b, params_p)
         res = flow(rhs, y0, T, cfg)
         assert in_eval == len(calls) - in_eval
-        d = rhs(res.t, res.y)
-        assert (pt.Rtt, pt.Thetat) == (float(d[3]), float(d[4]))
+        assert pt.dy == tuple(rhs(res.t, res.y))
 
     @pytest.mark.parametrize("augmented", [False, True])
     def test_collapse_reaches_the_flow_as_nan(self, params_p, monkeypatch, augmented):

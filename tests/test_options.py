@@ -50,12 +50,7 @@ EXCEPTION_CLASSES = {"ConvergenceError", "FlowError", "ResonanceNotFound"}
 
 # Records whose fields must not echo what their caller already holds.
 RECORD_FIELDS = {
-    EvalPoint: (
-        "F", "Ft", "R", "Rt", "Theta",
-        "Fa", "Fta", "Ra", "Rta", "Tha",
-        "Fb", "Ftb", "Rb", "Rtb", "Thb",
-        "Rtt", "Thetat",
-    ),
+    EvalPoint: ("y", "dy"),
     EndpointReport: ("label", "detail"),
     BifurcationReport: (
         "a0", "b", "T_star", "s", "nondegenerate", "margin", "theta0", "T_exact", "xi2",

@@ -22,18 +22,18 @@ from ringorbits.orbits import (
     reconstruct,
     trajectory_filename,
 )
-from ringorbits.shoot import CORRECTOR_TOL, ConvergenceError, SeedPoint, newton_correct, phase
+from ringorbits.shoot import CORRECTOR_TOL, ConvergenceError, SeedPoint, SymmetryKind, newton_correct, phase
 
 from conftest import count_flows
 
 
-def brute_force_orders(n1, n2, n, k_max=1000):
-    """Smallest k with k*2*n1*pi/n2 a multiple of 2*pi (strict) or 2*pi/n."""
+def brute_force_orders(n1, n2, n, q=1, k_max=1000):
+    """Smallest k with k*2q*n1*pi/n2 a multiple of 2*pi (strict) or 2*pi/n."""
     strict = relabel = None
     for k in range(1, k_max + 1):
-        if strict is None and (k * n1) % n2 == 0:
+        if strict is None and (k * q * n1) % n2 == 0:
             strict = k
-        if relabel is None and (k * n1 * n) % n2 == 0:
+        if relabel is None and (k * q * n1 * n) % n2 == 0:
             relabel = k
         if strict and relabel:
             break
@@ -67,6 +67,25 @@ class TestClosureOrder:
         assert closure_order(ResonanceTarget(3, 4), 3) == (4, 4)
         assert closure_order(ResonanceTarget(4, 5), 3) == (5, 5)
         assert closure_order(ResonanceTarget(5, 6), 3) == (6, 2)
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (3, 4), (4, 5), (5, 6), (7, 3), (1, 8)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_odd_even_against_brute_force(self, n1, n2, n):
+        # an odd/even reduced period spans 4T: it turns the ring by 4*theta
+        target = ResonanceTarget(n1, n2)
+        assert closure_order(target, n, SymmetryKind.ODD_EVEN) == brute_force_orders(n1, n2, n, q=2)
+
+    def test_odd_even_half_pi_member_closes_after_one_period(self, p_branch, params_p, cfg):
+        # the odd pi member at half its time is an odd/even member with
+        # theta = pi/2; 4*theta turns the ring by a whole turn
+        odd = find_resonance(p_branch, ResonanceTarget(1, 1), cfg)
+        guess = SeedPoint(a=odd.a, b=odd.b, T=0.5 * odd.T, kind=SymmetryKind.ODD_EVEN)
+        member = newton_correct(guess, params_p, cfg)
+        assert abs(member.theta - 0.5 * math.pi) <= 1e-9
+        k_strict, k_relabel = closure_order(ResonanceTarget(1, 2), params_p.n, member.kind)
+        assert (k_strict, k_relabel) == (1, 1)
+        traj = reconstruct(member, params_p, periods=k_strict, samples_per_period=64, config=cfg)
+        assert traj.diagnostics["closure_error"] < 1e-6
 
     def test_needs_a_ring(self):
         with pytest.raises(ValueError):

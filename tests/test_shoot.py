@@ -9,15 +9,16 @@ import pytest
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.model import make_reduced_rhs, reduced_initial, write_json
 from ringorbits.shoot import (
+    _FD_DB,
     T_LOWER,
     ConvergenceError,
+    DesingPoint,
     SeedPoint,
     SymmetryKind,
     desing_eval,
     hyperplane,
     newton_correct,
     newton_correct_full,
-    residual_of,
 )
 
 from conftest import count_flows
@@ -44,6 +45,10 @@ class TestSymmetryKind:
 
     def test_period_multiples(self):
         assert (SymmetryKind.ODD.q, SymmetryKind.ODD_EVEN.q) == (1, 2)
+
+    def test_residual_components(self):
+        # the first residual is F for odd, F_t for odd/even
+        assert (SymmetryKind.ODD.index, SymmetryKind.ODD_EVEN.index) == (0, 1)
 
 
 class TestSeedPoint:
@@ -98,28 +103,28 @@ class TestSeedPoint:
 class TestResidual:
     def test_circular_point_vanishes(self, params_p, cfg):
         pt = SeedPoint(a=params_p.a0, b=0.0, T=params_p.T0)
-        first, rt = residual_of(eval_at(pt.a, pt.b, pt.T, params_p, cfg), pt.kind)
+        e = eval_at(pt.a, pt.b, pt.T, params_p, cfg)
+        first, rt = e.y[pt.kind.index], e.Rt
         assert first == 0.0  # the axial component never leaves zero
         assert abs(rt) < 1e-12
 
     def test_circular_point_vanishes_for_any_time(self, params_p, cfg):
         pt = SeedPoint(a=params_p.a0, b=0.0, T=0.37 * params_p.T0)
-        first, rt = residual_of(eval_at(pt.a, pt.b, pt.T, params_p, cfg), pt.kind)
+        e = eval_at(pt.a, pt.b, pt.T, params_p, cfg)
+        first, rt = e.y[pt.kind.index], e.Rt
         assert first == 0.0
         assert abs(rt) < 1e-12
 
     def test_printed_reference_points_are_near_solutions(self, params_p, params_q, cfg):
-        odd = SymmetryKind.ODD
-        f1, r1 = residual_of(eval_at(0.8892815, 0.05, 28.708, params_p, cfg), odd)
-        assert max(abs(f1), abs(r1)) < 1e-5
-        f2, r2 = residual_of(eval_at(1.84153, 3.79392, 7.31715, params_q, cfg), odd)
-        assert max(abs(f2), abs(r2)) < 5e-4
+        e1 = eval_at(0.8892815, 0.05, 28.708, params_p, cfg)
+        assert max(abs(e1.F), abs(e1.Rt)) < 1e-5
+        e2 = eval_at(1.84153, 3.79392, 7.31715, params_q, cfg)
+        assert max(abs(e2.F), abs(e2.Rt)) < 5e-4
 
     def test_odd_even_uses_axial_velocity(self, params_p, cfg):
         pt = SeedPoint(a=params_p.a0, b=0.3, T=4.0, kind=SymmetryKind.ODD_EVEN)
         e = eval_at(pt.a, pt.b, pt.T, params_p, cfg)
-        first, _ = residual_of(e, pt.kind)
-        assert first == e.Ft
+        assert e.y[pt.kind.index] == e.Ft
 
 
 class TestDesing:
@@ -134,7 +139,8 @@ class TestDesing:
         a, b, T = 0.95 * params_p.a0, 0.4, 10.0
         d = desing_eval(a, b, T, kind, params_p, cfg)
         # desing_eval reads the augmented flow; its base components are the raw pair
-        raw_first, raw_rt = residual_of(eval_at(a, b, T, params_p, cfg, augmented=True), kind)
+        e = eval_at(a, b, T, params_p, cfg, augmented=True)
+        raw_first, raw_rt = e.y[kind.index], e.Rt
         assert abs(d.value * b - raw_first) <= 1e-12 * max(abs(raw_first), 1e-30)
         assert d.rt == raw_rt
 
@@ -166,6 +172,71 @@ class TestDesing:
             assert abs(fd[0] - d.grad_value[i]) < 1e-4 * max(1.0, abs(fd[0]))
             assert abs(fd[1] - d.grad_rt[i]) < 1e-4 * max(1.0, abs(fd[1]))
             assert abs(fd[2] - d.grad_theta[i]) < 1e-4 * max(1.0, abs(fd[2]))
+
+
+def reference_desing_eval(a, b, T, kind, params, config):
+    """`desing_eval` as it was before it read the residual's state component
+    off the kind, kept as its oracle: the same arithmetic without its floor
+    check and comments, with the endpoint field values Rtt and Thetat that
+    it read by name taken as dy[3] and dy[4]."""
+    odd = kind is SymmetryKind.ODD
+    mu = params.mass_sum
+    if b == 0.0:
+        e = eval_at(a, 0.0, T, params, config, augmented=True)
+        ftil = e.Fb
+        value = ftil if odd else e.Ftb
+        e2 = eval_at(a, _FD_DB, T, params, config, augmented=True)
+        va = (e2.Fa if odd else e2.Fta) / _FD_DB
+        vb = 0.0
+        vt = e.Ftb if odd else -mu * ftil / params.h(e.F, e.R) ** 3
+    else:
+        e = eval_at(a, b, T, params, config, augmented=True)
+        ftil = e.F / b
+        value = ftil if odd else e.Ft / b
+        va = (e.Fa if odd else e.Fta) / b
+        vb = ((e.Fb if odd else e.Ftb) - value) / b
+        vt = e.Ft / b if odd else -mu * ftil / params.h(e.F, e.R) ** 3
+    return DesingPoint(
+        value,
+        e.Rt,
+        e.Theta,
+        grad_value=np.array([va, vb, vt]),
+        grad_rt=np.array([e.Rta, e.Rtb, e.dy[3]]),
+        grad_theta=np.array([e.Tha, e.Thb, e.dy[4]]),
+    )
+
+
+def desing_floats(d):
+    return [d.value, d.rt, d.theta, *d.grad_value.tolist(), *d.grad_rt.tolist(), *d.grad_theta.tolist()]
+
+
+class TestDesingReference:
+    """`desing_eval` against the branching form it replaced."""
+
+    @pytest.fixture(params=["p1", "q0", "light_seed"])
+    def point(self, request, params_p, params_q):
+        """(params, a, b, T); b = 0.05 at the light system's seed (a0, T0)."""
+        if request.param == "light_seed":
+            return params_p, params_p.a0, 0.05, params_p.T0
+        pt = request.getfixturevalue(f"{request.param}_corrected")
+        return (params_p if request.param == "p1" else params_q), pt.a, pt.b, pt.T
+
+    @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.ODD_EVEN])
+    @pytest.mark.parametrize("at_zero", [True, False], ids=["b0", "b"])
+    def test_same_floats(self, point, cfg, kind, at_zero):
+        params, a, b, T = point
+        b = 0.0 if at_zero else b
+        new = desing_floats(desing_eval(a, b, T, kind, params, cfg))
+        old = desing_floats(reference_desing_eval(a, b, T, kind, params, cfg))
+        if kind is SymmetryKind.ODD:
+            assert [v.hex() for v in new] == [v.hex() for v in old]
+        else:
+            # d(F_t/b)/dT is now the field's F_tt/b, or F_tbt at b = 0, where
+            # it was -mu*(F/b)/h^3: the same quantity with its division by b
+            # moved, and h^3 as the field computes it
+            k = 5  # grad_value[2]
+            assert [v.hex() for v in new[:k] + new[k + 1:]] == [v.hex() for v in old[:k] + old[k + 1:]]
+            assert abs(new[k] - old[k]) <= 2 * math.ulp(old[k])
 
 
 class TestNewton:
