@@ -335,7 +335,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--res-tol must be finite and positive, got {args.res_tol!r}")
     require_above_floor(point.T, params)
     e = eval_at(point.a, point.b, point.T, params, config)
-    r1, r2 = e.y[point.kind.index], e.Rt
+    r1, r2 = e.y[point.kind.family.index], e.Rt  # the residuals at T of the point's family
     traj = reconstruct(point, params, periods=1, samples_per_period=256, config=config)
     d = traj.diagnostics
     checks = [

@@ -9,7 +9,8 @@ adapting the step length to corrector failures.  Each corrector call may
 run at most _CORRECTOR_MAX_FLOWS flows: a correction that needs more is
 crawling, and halving the step is cheaper than letting it finish or fail
 late.  So is one whose Newton contraction |dx_1|/|dx_0| exceeds
-_MAX_CONTRACTION: its predictor was too far from the curve.
+_MAX_CONTRACTION: its predictor was too far from the curve.  An odd family
+is corrected in its doubly symmetric form up to the first failed step.
 
 `continue_branch` is the one place that names how a branch ended, as
 `Branch.termination`, one of the TERM_* labels: a crossing of b = 0 is a
@@ -72,14 +73,14 @@ TERM_BUDGET = "budget"
 TERM_STEP = "step-failure"
 
 
-# Three flows above the observed maximum: every corrector call that
-# converges on the three reference branches runs at most 9 flows ((3, 3, 7,
-# 11) to T = 42: 6; (3, 92, 242, 11): 4 towards the circular family, 9
-# towards collision), measured with the DOP853 step and the second-order
-# predictor.  It still cuts crawling calls: three on the descent of (3, 3,
-# 7, 11) to the circular family.  On other systems or tolerances a call
-# that would converge in 13 or more flows is rejected too, and its step is
-# retried at half the length.
+# Six flows above the observed maximum: every corrector call that converges
+# on the three reference branches runs at most 6 flows ((3, 3, 7, 11) to
+# T = 42: 5; (3, 92, 242, 11): 3 towards the circular family, 6 towards
+# collision), measured with the DOP853 step, the second-order predictor and
+# the doubly symmetric form.  It still cuts crawling calls: four on the
+# descent of (3, 3, 7, 11) to the circular family.  On other systems or
+# tolerances a call that would converge in 13 or more flows is rejected
+# too, and its step is retried at half the length.
 _CORRECTOR_MAX_FLOWS = 12
 
 # Step policy: the first step is ds_max/4, and ds grows by _GROW after
@@ -92,6 +93,7 @@ _GROW, _GROW_AFTER, _COS_MIN = 1.3, 4, 0.5
 # Largest accepted Newton contraction |dx_1|/|dx_0| of a continuation step
 # (Allgower & Georg, Introduction to Numerical Continuation Methods, 6.1).
 _MAX_CONTRACTION = 0.25
+_MAX_THETA_STEP = 0.2  # largest theta change of a step: `find_resonance` interpolates in theta
 # Stop bounds as multiples of the circular seed's a0 and T0 (T_UPPER is the
 # default of StopRules.T_max, T_LOWER the corrector's floor); a branch whose
 # last point has a at or below A_COLLISION*a0 ends in a collision, whatever
@@ -239,17 +241,22 @@ def continue_branch(
     tangent; afterwards the orientation follows by continuity.  The start
     must already satisfy the residuals (correct it first if unsure); one
     evaluation checks that, gives the first tangent and, when the start's
-    theta or residual is NaN, fills in both.
+    theta or residual is NaN, fills in both.  An odd start within
+    _ON_FAMILY_TOL of the doubly symmetric form (a flow half as long checks
+    it) is traced in that form up to its first failed step.
 
     Steps after the first predict to second order.  Each corrector call
     gets a budget of _CORRECTOR_MAX_FLOWS flows.  A failed step (corrector
     failure or contraction above _MAX_CONTRACTION, flow failure, singular
-    point, tangent turn or a predictor outside a > 0, T > T_LOWER*T0)
-    halves ds and is retried; ds below ds_min ends the trace.
-    `Branch.stats` holds `failures` (the failed steps counted per reason:
-    a ConvergenceError reason such as "singular-point", a FlowError status
-    or "value-error"), `ds_final`, and, after a b = 0 crossing,
-    `b_zero_refine` ("ok" or the reason the endpoint correction failed).
+    point, tangent turn, theta step above _MAX_THETA_STEP or a predictor
+    outside a > 0, T > T_LOWER*T0) halves ds and is retried; ds below
+    ds_min ends the trace.  `Branch.stats` holds `failures` (the failed
+    steps counted per reason: a ConvergenceError reason such as
+    "singular-point", a FlowError status or "value-error"), `ds_final`,
+    `double_points`, `switch` (the failure that ended the doubly symmetric
+    form, a theta step never does; or None), `contraction_max` (over the
+    accepted steps), and, after a b = 0 crossing, `b_zero_refine` ("ok" or
+    the reason the endpoint correction failed).
 
     `Branch.termination` names the ending with one of the TERM_* labels
     (see the module docstring); `classify_endpoint` reports it unchanged.
@@ -270,11 +277,15 @@ def continue_branch(
     unit = direction * unit
     if math.isnan(start.theta) or math.isnan(start.residual):
         start = replace(start, residual=d.residual, theta=d.theta)
+    if kind is SymmetryKind.ODD:  # the doubly symmetric form, where the start lies in it
+        d = desing_eval(start.a, start.b, start.T, SymmetryKind.DOUBLE, params, config)
+        kind = SymmetryKind.DOUBLE if d.residual <= _ON_FAMILY_TOL else kind
     points = [BranchPoint(point=start, tangent=unit, x_norm=xn, arc=0.0)]
 
     ds = ds_max / 4.0
     streak = 0
     failures: dict[str, int] = {}
+    switch, contraction_max = None, 0.0
     b_zero_refine = None
     termination = None
 
@@ -304,15 +315,20 @@ def continue_branch(
             )
             if float(np.dot(unit, prev_bp.tangent)) < _COS_MIN:
                 raise ConvergenceError("tangent turned too sharply: likely branch hop", "tangent-turn")
+            if abs(corrected.theta - prev_bp.point.theta) > _MAX_THETA_STEP:
+                raise ConvergenceError("ring phase moved too far in one step", "theta-step")
         except (ConvergenceError, ValueError, FlowError) as exc:
             reason = _failure_reason(exc)
             failures[reason] = failures.get(reason, 0) + 1
+            if kind is SymmetryKind.DOUBLE and reason != "theta-step":  # the rest in the odd form
+                kind, switch = SymmetryKind.ODD, reason
             ds *= 0.5
             streak = 0
             if ds < step.ds_min:
                 termination = TERM_COLLISION if reason == SINGULAR else TERM_STEP
             continue
 
+        contraction_max = max(contraction_max, contraction)
         arc = prev_bp.arc + float(np.linalg.norm(corrected.vector() - x_prev))
         points.append(BranchPoint(point=corrected, tangent=unit, x_norm=xn, arc=arc))
 
@@ -335,10 +351,11 @@ def continue_branch(
 
     if points[-1].point.a <= a_min:
         termination = TERM_COLLISION
-    stats = {"failures": failures, "ds_final": ds}
+    stats = {"failures": failures, "ds_final": ds, "switch": switch, "contraction_max": contraction_max,
+             "double_points": sum(bp.point.kind is SymmetryKind.DOUBLE for bp in points)}
     if b_zero_refine is not None:
         stats["b_zero_refine"] = b_zero_refine
-    return Branch(kind=kind, params=params, points=points, termination=termination, stats=stats)
+    return Branch(kind=start.kind.family, params=params, points=points, termination=termination, stats=stats)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 A corrected family member closes in the reduced variables after one
 period, but each reduced period also turns the lifted configuration by 2q
-times the phase theta accumulated over [0, T] (q = 1 odd, 2 odd/even).
+times the phase theta accumulated over [0, T] (q = 2 odd/even, 1 otherwise).
 When theta is a rational angle n1*pi/n2 the lifted orbit is periodic too:
 strictly after at most n2 reduced periods, or earlier up to relabeling of
 the identical ring bodies.
@@ -126,7 +126,8 @@ def find_resonance(
     x_lo = pts[idx].point.vector()
     chord = pts[idx + 1].point.vector() - x_lo
     x0 = x_lo + gap[idx] / (gap[idx] - gap[idx + 1]) * chord
-    guess = SeedPoint(a=float(x0[0]), b=float(x0[1]), T=float(x0[2]), kind=branch.kind)
+    lo, hi = pts[idx].point.kind, pts[idx + 1].point.kind  # their form, or the family's where they differ
+    guess = SeedPoint(a=float(x0[0]), b=float(x0[1]), T=float(x0[2]), kind=lo if lo is hi else branch.kind)
     pt = newton_correct(guess, params, config, constraint=phase(angle))
     w = float(np.dot(pt.vector() - x_lo, chord) / np.dot(chord, chord))
     if not 0.0 <= w <= 1.0:
@@ -304,8 +305,8 @@ def load_trajectory(path) -> Trajectory:
 
 
 def trajectory_filename(point: SeedPoint, target: ResonanceTarget, ext: str = "csv") -> str:
-    """Deterministic name <kind>_<n1>pi<n2>_<hash>.<ext> from the seed values."""
+    """Deterministic name <family>_<n1>pi<n2>_<hash>.<ext> from the seed values."""
     digest = hashlib.sha256(
         json.dumps(point.to_dict(), sort_keys=True).encode("utf-8")
     ).hexdigest()[:8]
-    return f"{point.kind.value}_{target.tag}_{digest}.{ext}"
+    return f"{point.kind.family.value}_{target.tag}_{digest}.{ext}"

@@ -4,16 +4,19 @@ A solution launched from the symmetric initial condition (f, fdot, r, rdot)
 = (0, b, r0, 0) closes into a periodic orbit of the reduced system when it
 hits another symmetric configuration:
 
-  odd       F(a,b,T) = 0 and R_t(a,b,T) = 0   -> period 2T
-  odd/even  F_t(a,b,T) = 0 and R_t(a,b,T) = 0 -> period 4T
+  odd       F(a,b,T) = 0 and R_t(a,b,T) = 0       -> period 2T
+  odd/even  F_t(a,b,T) = 0 and R_t(a,b,T) = 0     -> period 4T
+  double    F_t(a,b,T/2) = 0 and R_t(a,b,T/2) = 0 -> period 2T
 
-The two kinds differ only in the state component of the first residual,
-`SymmetryKind.index`.  Both first residuals vanish identically in b on the
-circular family, so the corrector works with the desingularized forms F/b
-and F_t/b.  These extend smoothly across b = 0, where they become the
-b-sensitivities F_b and F_tb of the flow; parity in b removes their
-b-derivative there, and the explicit step _FD_DB recovers the remaining
-mixed derivative by one-sided differencing.
+The first residual is F or F_t, `SymmetryKind.index`.  The third kind is
+the doubly symmetric form of an odd orbit, in odd coordinates: an orbit
+mirror-symmetric about T/2 has F(T) = 0 and R_t(T) = -R_t(0) = 0, so it is
+odd, and flows half as long give its residuals.  Every first residual
+vanishes identically in b on the circular family, so the corrector works
+with the desingularized forms F/b and F_t/b.  These extend smoothly across
+b = 0, where they become the b-sensitivities F_b and F_tb of the flow;
+parity in b removes their b-derivative there, and the explicit step _FD_DB
+recovers the remaining mixed derivative by one-sided differencing.
 
 One damped Newton corrector serves every caller.  The residual pair fixes
 a curve in (a, b, T); a third row c(a, b, T) = 0 picks one point of it, and
@@ -60,10 +63,9 @@ __all__ = [
 
 # The corrector's defaults, for every caller that does not choose its own.
 CORRECTOR_TOL = 1e-10
-# Converging calls in the tests and the benchmark run at most 31 flows (the
-# deliberately off stub solve of the find_resonance bracket test; at most 10
-# elsewhere, and at most 9 inside continue_branch, which passes its own
-# bound of 12), measured with the DOP853 step and the second-order predictor.
+# Converging calls in the tests and the benchmark run at most 10 flows (at
+# most 6 inside continue_branch, which passes its own bound of 12), measured
+# with the DOP853 step, the second-order predictor and the doubly symmetric form.
 CORRECTOR_MAX_FLOWS = 64
 T_LOWER = 1e-3  # the corrector's floor on T, as a multiple of params.T0
 
@@ -85,6 +87,7 @@ class ConvergenceError(RuntimeError):
       singular-point     the residual gradients are parallel: no branch direction
       domain             a continuation predictor left a > 0, T > T_LOWER*T0
       tangent-turn       a continuation step turned the tangent too sharply
+      theta-step         a continuation step turned the ring phase too far
       off-bracket        a resonance was solved outside its bracket
     """
 
@@ -96,21 +99,27 @@ class ConvergenceError(RuntimeError):
 class SymmetryKind(enum.Enum):
     ODD = "odd"
     ODD_EVEN = "odd_even"
+    DOUBLE = "double"  # the doubly symmetric form of the odd family
 
     @property
     def q(self) -> int:
-        """1 for odd, 2 for odd/even: the period is 2q*T, the seed time T0/q."""
-        return 1 if self is SymmetryKind.ODD else 2
+        """2 for odd/even, 1 otherwise: the period is 2q*T, the seed time T0/q."""
+        return 2 if self is SymmetryKind.ODD_EVEN else 1
 
     @property
     def index(self) -> int:
-        """The state component of the first residual: 0 (F) for odd, 1 (F_t) for odd/even."""
+        """The state component of the first residual: 0 (F) for odd, 1 (F_t) otherwise."""
         return 0 if self is SymmetryKind.ODD else 1
+
+    @property
+    def family(self) -> "SymmetryKind":
+        """The family whose coordinates the kind uses: ODD for the doubly symmetric form."""
+        return SymmetryKind.ODD if self is SymmetryKind.DOUBLE else self
 
     @classmethod
     def parse(cls, text: str) -> "SymmetryKind":
         key = str(text).strip().lower().replace("-", "_").replace("/", "_")
-        for kind in cls:
+        for kind in (cls.ODD, cls.ODD_EVEN):
             if kind.value == key:
                 return kind
         raise ValueError(f"unknown symmetry kind {text!r}; expected 'odd' or 'odd_even'")
@@ -153,11 +162,12 @@ class SeedPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeedPoint":
+        kind = d["kind"] if "kind" in d else "odd"  # may be the doubly symmetric form, which parse refuses
         return cls(
             a=float(d["a"]),
             b=float(d["b"]),
             T=float(d["T"]),
-            kind=SymmetryKind.parse(d.get("kind", "odd")),
+            kind=SymmetryKind.DOUBLE if kind == SymmetryKind.DOUBLE.value else SymmetryKind.parse(kind),
             residual=float(d.get("residual", math.nan)),
             theta=float(d.get("theta", math.nan)),
         )
@@ -173,9 +183,9 @@ def require_above_floor(T: float, params: SystemParams) -> None:
 class DesingPoint:
     """Desingularized residual data at (a, b, T).
 
-    value is F/b (odd) or F_t/b (odd/even), continued across b = 0 by the
-    flow sensitivities; rt is R_t; theta is the ring phase.  The three
-    gradients are w.r.t. (a, b, T).
+    value is F/b (odd) or F_t/b (odd/even, double), continued across b = 0
+    by the flow sensitivities; rt is R_t; theta is the ring phase.  The
+    three gradients are w.r.t. (a, b, T).
     """
 
     value: float
@@ -202,30 +212,32 @@ def desing_eval(
     """The desingularized residuals and their gradients, from augmented flows:
     one flow away from b = 0, two at b = 0; ValueError at T <= T_LOWER*T0."""
     require_above_floor(T, params)
-    # y is the state at T, then its a- and b-sensitivity columns from 5 and
-    # 10 on; dy is the vector field there, the T-derivative of each.
+    # The flows run for s*T, s = 1/2 in the doubly symmetric form, which halves
+    # the T-column and doubles theta.  y is the state at s*T, then its a- and
+    # b-sensitivity columns from 5 and 10 on; dy is the vector field there.
+    s = 0.5 if kind is SymmetryKind.DOUBLE else 1.0
     i = kind.index
     if b == 0.0:
-        e = eval_at(a, 0.0, T, params, config, augmented=True)
-        value, vt = e.y[10 + i], e.dy[10 + i]
+        e = eval_at(a, 0.0, s * T, params, config, augmented=True)
+        value, vt = e.y[10 + i], s * e.dy[10 + i]
         # d(value)/da at b = 0 from a one-sided quotient; the numerator is
         # odd in b, so the O(step) term cancels.
-        e2 = eval_at(a, _FD_DB, T, params, config, augmented=True)
+        e2 = eval_at(a, _FD_DB, s * T, params, config, augmented=True)
         va = e2.y[5 + i] / _FD_DB
         vb = 0.0  # parity: the desingularized residual is even in b
     else:
-        e = eval_at(a, b, T, params, config, augmented=True)
+        e = eval_at(a, b, s * T, params, config, augmented=True)
         value = e.y[i] / b
         va = e.y[5 + i] / b
         vb = (e.y[10 + i] - value) / b
-        vt = e.dy[i] / b
+        vt = s * e.dy[i] / b
     return DesingPoint(
         value,
         e.Rt,
-        e.Theta,
+        e.Theta / s,
         grad_value=np.array([va, vb, vt]),
-        grad_rt=np.array([e.Rta, e.Rtb, e.dy[3]]),
-        grad_theta=np.array([e.Tha, e.Thb, e.dy[4]]),
+        grad_rt=np.array([e.Rta, e.Rtb, s * e.dy[3]]),
+        grad_theta=np.array([e.Tha / s, e.Thb / s, e.dy[4]]),
     )
 
 

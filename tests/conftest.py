@@ -100,6 +100,13 @@ def p_branch(p_branch_traced):
     return p_branch_traced[0]
 
 
+@pytest.fixture(scope="session")
+def q_limit_branch(params_q, cfg, q0_corrected):
+    """The heavy family from q0 down to its trivial limit (criterion 6)."""
+    d = -direction_of_increasing_b(q0_corrected, params_q, cfg)
+    return continue_branch(q0_corrected, d, params_q, cfg)
+
+
 def theta_curvature_numeric(
     params: SystemParams,
     config: IntegratorConfig | None = None,

@@ -14,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ringorbits import cli, integrate, orbits
 from ringorbits.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERIC, EXIT_OK, main
-from ringorbits.continuation import branch_to_json
+from ringorbits.continuation import StopRules, branch_to_json, continue_branch
 from ringorbits.model import write_json
+from ringorbits.shoot import SeedPoint, newton_correct
 
 P_FLAGS = ["--n", "3", "--m", "3", "--M", "7", "--r0", "11"]
 Q_FLAGS = ["--n", "3", "--m", "92", "--M", "242", "--r0", "11"]
@@ -635,6 +636,55 @@ class TestVerify:
         assert code == EXIT_OK
         assert reads == [str(cfgfile)]
         assert "theta(T)" in out
+
+
+class TestDoublySymmetricMember:
+    """The 3*pi/4 member of a branch file written by `trace`, which found
+    the branch in the doubly symmetric form."""
+
+    TRACE = ["--seed-b", "0.05", "--direction", "-", "--max-points", "6"]
+
+    @pytest.fixture
+    def seed(self, capsys, tmp_path):
+        assert run(capsys, ["trace", *P_FLAGS, *self.TRACE, "--out", str(tmp_path)])[0] == EXIT_OK
+        argv = [
+            "resonance", *P_FLAGS,
+            "--branch", str(tmp_path / "branch.json"), "--n1", "3", "--n2", "4",
+            "--samples", "64", "--out", str(tmp_path / "member"),
+        ]
+        assert run(capsys, argv)[0] == EXIT_OK
+        return json.loads(next((tmp_path / "member").glob("*.seed.json")).read_text())
+
+    def test_resonance_gives_the_in_process_member(self, seed, params_p, cfg):
+        # the same trace in process: the branch file kept each point's kind
+        start = newton_correct(SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0), params_p, cfg)
+        branch = continue_branch(start, -1, params_p, cfg, stop=StopRules(max_points=6))
+        assert [bp.point.kind.value for bp in branch.points] == ["odd"] + ["double"] * 5
+        member = orbits.find_resonance(branch, orbits.ResonanceTarget(3, 4), cfg)
+        assert seed == member.to_dict()
+        assert seed["kind"] == "double"
+
+    def test_verify_checks_the_odd_pair(self, capsys, monkeypatch, seed, params_p, cfg):
+        # F(T) and R_t(T); F_t(T) mirrors F_t(0) = b and is no residual
+        point = SeedPoint.from_dict(seed)
+        e = integrate.eval_at(point.a, point.b, point.T, params_p, cfg)
+        assert abs(e.F) < 1e-9 and abs(e.Rt) < 1e-9 and abs(e.Ft) > 0.1
+        argv = ["verify", *P_FLAGS, "--a", repr(point.a), "--b", repr(point.b), "--T", repr(point.T)]
+        for patched in (False, True):
+            if patched:  # --kind cannot name the form: hand verify the point as the file holds it
+                monkeypatch.setattr(cli, "_seed_from_args", lambda args: point)
+            code, out, _ = run(capsys, argv)
+            assert code == EXIT_OK
+            assert f"residual_1     {abs(e.F):>12.6g}" in out
+
+    def test_kind_flag_offers_only_the_families(self, capsys):
+        flags = ["--a", "0.9", "--b", "0.05", "--T", "28.7", "--kind", "double"]
+        for command in ("verify", "shoot", "orbit"):
+            code, _, err = run(capsys, [command, *P_FLAGS, *flags])
+            assert code == EXIT_CONFIG
+            assert "expected 'odd' or 'odd_even'" in err
+        for argv in (["bifurcate", "--kind", "double"], ["trace", "--seed-b", "0.05", "--kind", "double"]):
+            assert run(capsys, [*argv[:1], *P_FLAGS, *argv[1:]])[0] == EXIT_CONFIG
 
 
 class TestPlumbing:

@@ -133,11 +133,12 @@ class TestContinueBranch:
 
     def test_start_is_evaluated_once(self, p1_corrected, params_p, cfg, monkeypatch):
         # a raw copy of a corrected point: the on-family check, the first
-        # tangent, theta and the residual all come from one flow
+        # tangent, theta and the residual all come from one flow; one more
+        # flow, half as long, checks the doubly symmetric form
         raw = SeedPoint(a=p1_corrected.a, b=p1_corrected.b, T=p1_corrected.T)
         flows = count_flows(monkeypatch)
         br = continue_branch(raw, 1, params_p, cfg, stop=StopRules(max_points=1))
-        assert len(flows) == 1
+        assert [args[2] for args in flows] == [raw.T, 0.5 * raw.T]
         assert br.start == p1_corrected  # theta and residual bit for bit
         assert np.array_equal(br.points[0].tangent, tangent(p1_corrected, params_p, cfg)[0])
 
@@ -227,7 +228,10 @@ class TestContinueBranch:
         report = classify_endpoint(br)
         assert report.label == br.termination
         assert br.end.a < 1e-3 * params_q.a0
-        assert br.stats["failures"] == {}
+        # the doubly symmetric form runs out of budget on its step from
+        # a ~ 0.19, and the odd form takes the rest, crawling near the bound
+        assert br.stats["failures"] == {"theta-step": 1, "budget": 3, "domain": 4}
+        assert br.stats["switch"] == "budget"
 
     @pytest.mark.parametrize(
         "exc, ending",
@@ -254,26 +258,26 @@ class TestCorrectorBudget:
         branch, flows = p_branch_traced
         assert len(flows) == 22
         assert max(flows) <= 12
-        # one step runs onto the near-singular stretch past T = 41.6, where
-        # its first Newton updates contract by only 0.26; it is rejected
-        # and retried at half the length
-        assert branch.stats["failures"] == {"contraction": 1}
+        # the last step, past T = 41.6, turns theta by 0.23 as the family
+        # nears its fold in T; it is rejected and retried at half the length
+        assert branch.stats["failures"] == {"theta-step": 1}
         assert "b_zero_refine" not in branch.stats
 
     def test_corrector_work_stays_low(self, p_branch_traced):
-        # 112 flows with the Euler predictor, 84 with the second-order one
+        # 112 flows with the Euler predictor, 84 with the second-order one,
+        # 72 (each half as long) in the doubly symmetric form
         _, flows = p_branch_traced
-        assert sum(flows) <= 90
+        assert sum(flows) <= 72
 
     def test_light_branch_bits_are_pinned(self, p_branch):
-        # Recorded with the DOP853 step and the second-order predictor on
-        # x86-64 (not portable).
+        # Recorded with the DOP853 step, the second-order predictor and the
+        # doubly symmetric form on x86-64 (not portable).
         assert len(p_branch.points) == 22
         end = p_branch.end
         assert (end.a.hex(), end.b.hex(), end.T.hex()) == (
-            "0x1.0416b281a358ep-1",
-            "0x1.50bfff52e57dep-1",
-            "0x1.527e8aafd0676p+5",
+            "0x1.0416b281ad150p-1",
+            "0x1.50bfff52e1cd7p-1",
+            "0x1.527e8aafd068fp+5",
         )
 
     def test_refine_b_zero_reports_why_it_failed(self, params_p, cfg):
@@ -416,6 +420,59 @@ class TestThetaCurvature:
         assert abs(coarse - fine) <= 5e-2 * abs(fine)
 
 
+class TestDoublySymmetricForm:
+    """The odd family of both reference systems is doubly symmetric: it is
+    traced through its residuals at T/2, with flows half as long."""
+
+    @pytest.mark.parametrize("name", ["p_branch", "q_limit_branch"])
+    def test_every_point_meets_the_other_form(self, request, name):
+        branch = request.getfixturevalue(name)
+        params = branch.params
+        assert branch.kind is SymmetryKind.ODD
+        assert branch.start.kind is SymmetryKind.ODD
+        assert branch.stats["double_points"] == len(branch.points) - 1
+        for bp in branch.points:
+            p = bp.point
+            other = SymmetryKind.ODD if p.kind is SymmetryKind.DOUBLE else SymmetryKind.DOUBLE
+            assert desing_eval(p.a, p.b, p.T, other, params).residual <= 1e-9
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("name", ["p1_corrected", "q0_corrected"])
+    def test_first_tangent_follows_the_odd_direction(self, request, cfg, name, direction):
+        # the raw tangents of the two forms point opposite ways at q0
+        start = request.getfixturevalue(name)
+        params = request.getfixturevalue("params_p" if name == "p1_corrected" else "params_q")
+        br = continue_branch(start, direction, params, cfg, stop=StopRules(max_points=2))
+        sign = np.sign(direction * tangent(start, params, cfg)[0][0])
+        assert np.sign(br.points[0].tangent[0]) == np.sign(br.points[1].tangent[0]) == sign
+
+    def test_stored_points_are_the_corrector_returns(self, p1_corrected, params_p, cfg, monkeypatch):
+        returned = []
+        inner = continuation.newton_correct_full
+
+        def recorded(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            returned.append(result[0])
+            return result
+
+        monkeypatch.setattr(continuation, "newton_correct_full", recorded)
+        d = direction_of_increasing_b(p1_corrected, params_p, cfg)
+        br = continue_branch(p1_corrected, d, params_p, cfg, stop=StopRules(max_points=5))
+        assert {id(bp.point) for bp in br.points[1:]} <= {id(point) for point in returned}
+
+    def test_stats_say_what_the_form_did(self, p_branch, tmp_path):
+        stats = p_branch.stats
+        assert stats["double_points"] == 21
+        assert stats["switch"] is None
+        assert 0.0 < stats["contraction_max"] <= continuation._MAX_CONTRACTION
+        path = tmp_path / "branch.json"
+        branch_to_json(p_branch, path)
+        payload = json.loads(path.read_text())
+        for key in ("double_points", "switch", "contraction_max"):
+            assert payload["stats"][key] == stats[key]
+        assert [rec["kind"] for rec in payload["points"]] == ["odd"] + ["double"] * 21
+
+
 class TestSerialization:
     def test_json_roundtrip_is_exact(self, p_branch, tmp_path):
         path = tmp_path / "branch.json"
@@ -458,6 +515,6 @@ class TestSerialization:
         assert s["n_points"] == len(p_branch.points)
         assert s["endpoint_detail"] == {}
         assert "endpoint_label" not in s
-        assert set(s["stats"]) == {"failures", "ds_final"}
+        assert set(s["stats"]) == {"failures", "ds_final", "double_points", "switch", "contraction_max"}
         assert s["start"]["b"] == p_branch.start.b
         assert s["arc_length"] == p_branch.points[-1].arc

@@ -130,6 +130,18 @@ class TestFindResonance:
         if offset == 0.0:
             assert len(flows) == 1 and pt.vector().tolist() == stored.vector().tolist()
 
+    @pytest.mark.parametrize("kinds", [("double", "double"), ("double", "odd"), ("odd", "odd")])
+    def test_member_takes_the_form_of_its_bracket(self, p_branch, cfg, kinds):
+        # a bracket across the switch to the odd form solves in the family's form
+        target = ResonanceTarget(3, 4)
+        i = next(i for i, bp in enumerate(p_branch.points) if bp.point.theta > target.angle)
+        pair = [replace(bp, point=replace(bp.point, kind=SymmetryKind(k)))
+                for bp, k in zip(p_branch.points[i - 1:i + 1], kinds)]
+        pt = find_resonance(replace(p_branch, points=pair), target, cfg)
+        assert pt.kind is (SymmetryKind.DOUBLE if kinds == ("double", "double") else SymmetryKind.ODD)
+        assert abs(pt.theta - target.angle) <= CORRECTOR_TOL
+        assert np.max(np.abs(pt.vector() - find_resonance(p_branch, target, cfg).vector())) < 1e-9
+
     def test_member_outside_its_bracket_is_a_convergence_error(self, p_branch, cfg):
         # Two stored points near theta = 0.87*pi relabeled so that their
         # phases bracket 4*pi/5: the real member lies far outside their chord.

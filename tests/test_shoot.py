@@ -50,6 +50,17 @@ class TestSymmetryKind:
         # the first residual is F for odd, F_t for odd/even
         assert (SymmetryKind.ODD.index, SymmetryKind.ODD_EVEN.index) == (0, 1)
 
+    def test_doubly_symmetric_form(self):
+        # F_t at T/2, in the odd family's coordinates: period 2T
+        double = SymmetryKind.DOUBLE
+        assert (double.q, double.index, double.family) == (1, 1, SymmetryKind.ODD)
+        assert [k.family for k in (SymmetryKind.ODD, SymmetryKind.ODD_EVEN)] == [SymmetryKind.ODD, SymmetryKind.ODD_EVEN]
+        with pytest.raises(ValueError, match="expected 'odd' or 'odd_even'"):
+            SymmetryKind.parse("double")  # no family of its own, so no --kind value
+        pt = SeedPoint.from_dict({"a": 1.0, "b": 0.5, "T": 3.0, "kind": "double"})
+        assert pt.kind is double and pt.period == 6.0
+        assert SeedPoint.from_dict(pt.to_dict()) == pt
+
 
 class TestSeedPoint:
     def test_validation(self):
@@ -153,12 +164,32 @@ class TestDesing:
             assert abs(plus.rt - minus.rt) < 1e-9
 
     def test_gradients_match_finite_differences(self, params_p, cfg):
+        self._check_gradients(params_p, cfg, SymmetryKind.ODD)
+
+    def test_doubly_symmetric_gradients_match_finite_differences(self, params_p, cfg):
+        self._check_gradients(params_p, cfg, SymmetryKind.DOUBLE)
+
+    @pytest.mark.parametrize("b", [0.0, 0.4])
+    def test_doubly_symmetric_form_is_odd_even_at_half_time(self, params_p, cfg, b):
+        # the same flow to T/2: the T-column of the residual gradients halved,
+        # theta and its (a, b)-gradient doubled, all bit for bit
+        a, T = 0.95 * params_p.a0, 10.0
+        d = desing_eval(a, b, T, SymmetryKind.DOUBLE, params_p, cfg)
+        h = desing_eval(a, b, 0.5 * T, SymmetryKind.ODD_EVEN, params_p, cfg)
+        half, double = np.array([1.0, 1.0, 0.5]), np.array([2.0, 2.0, 1.0])
+        assert (d.value, d.rt, d.theta) == (h.value, h.rt, 2.0 * h.theta)
+        assert np.array_equal(d.grad_value, half * h.grad_value)
+        assert np.array_equal(d.grad_rt, half * h.grad_rt)
+        assert np.array_equal(d.grad_theta, double * h.grad_theta)
+
+    @staticmethod
+    def _check_gradients(params_p, cfg, kind):
         a, b, T = 0.95 * params_p.a0, 0.4, 10.0
-        d = desing_eval(a, b, T, SymmetryKind.ODD, params_p, cfg)
+        d = desing_eval(a, b, T, kind, params_p, cfg)
         step = 1e-6
 
         def val(aa, bb, tt):
-            dd = desing_eval(aa, bb, tt, SymmetryKind.ODD, params_p, cfg)
+            dd = desing_eval(aa, bb, tt, kind, params_p, cfg)
             return np.array([dd.value, dd.rt, dd.theta])
 
         for i, (lo, hi) in enumerate(
