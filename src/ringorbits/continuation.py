@@ -73,9 +73,9 @@ TERM_BUDGET = "budget"
 TERM_STEP = "step-failure"
 
 
-# Six flows above the observed maximum: every corrector call that converges
-# on the three reference branches runs at most 6 flows ((3, 3, 7, 11) to
-# T = 42: 5; (3, 92, 242, 11): 3 towards the circular family, 6 towards
+# Five flows above the observed maximum: every corrector call that converges
+# on the three reference branches runs at most 7 flows ((3, 3, 7, 11) to
+# T = 42: 5; (3, 92, 242, 11): 3 towards the circular family, 7 towards
 # collision), measured with the DOP853 step, the second-order predictor and
 # the doubly symmetric form.  It still cuts crawling calls: four on the
 # descent of (3, 3, 7, 11) to the circular family.  On other systems or
@@ -141,7 +141,6 @@ class BranchPoint:
 
     point: SeedPoint
     tangent: np.ndarray   # unit, sign-continuous along the branch
-    x_norm: float         # magnitude of the unnormalized tangent field
     arc: float            # cumulative arclength from the start
 
 
@@ -176,15 +175,22 @@ def _tangent_from(d: DesingPoint, where: tuple, prev: np.ndarray | None) -> tupl
     return unit, nrm
 
 
-def _on_family(point: SeedPoint, params: SystemParams, config: IntegratorConfig | None) -> DesingPoint:
-    """Residual data at a point, which must lie within _ON_FAMILY_TOL of its family."""
-    d = desing_eval(point.a, point.b, point.T, point.kind, params, config)
+def _on_family(point: SeedPoint, params: SystemParams, config) -> tuple[SymmetryKind, DesingPoint]:
+    """The form a start is traced in, and its residual data there: the doubly
+    symmetric form for an odd-family point within _ON_FAMILY_TOL of it (one
+    flow of half the length), else the family's own, which the point must meet."""
+    kind = point.kind.family
+    if kind is SymmetryKind.ODD:
+        d = desing_eval(point.a, point.b, point.T, SymmetryKind.DOUBLE, params, config)
+        if d.residual <= _ON_FAMILY_TOL:
+            return SymmetryKind.DOUBLE, d
+    d = desing_eval(point.a, point.b, point.T, kind, params, config)
     if d.residual > _ON_FAMILY_TOL:
         raise ValueError(
             f"point is not on the family: desingularized residuals {d.value:.3e}, {d.rt:.3e} "
             f"exceed {_ON_FAMILY_TOL:.1e}"
         )
-    return d
+    return kind, d
 
 
 def tangent(
@@ -192,12 +198,14 @@ def tangent(
 ) -> tuple[np.ndarray, float]:
     """Unit tangent of the family at a corrected point, with the raw magnitude.
 
-    The direction is grad(value) x grad(R_t) in (a, b, T), unoriented;
-    `continue_branch` orients its tangents by sign continuity.  Rejects
-    points whose desingularized residuals exceed _ON_FAMILY_TOL, and raises
-    ConvergenceError "singular-point" where the gradients are parallel.
+    The direction is grad(value) x grad(R_t) in (a, b, T), from the one
+    evaluation `continue_branch` starts from (`_on_family`: for an odd-family
+    point, labelled odd or double, the doubly symmetric form where it meets
+    it), so its `direction` +1 follows this tangent.  Rejects points off
+    their family, and raises ConvergenceError "singular-point" where the
+    gradients are parallel.
     """
-    d = _on_family(point, params, config)
+    _, d = _on_family(point, params, config)
     return _tangent_from(d, (point.a, point.b, point.T), None)
 
 
@@ -237,13 +245,15 @@ def continue_branch(
 ) -> Branch:
     """Trace the family through `start` in one direction.
 
-    direction (+1 or -1) orients the first step along or against the raw
-    tangent; afterwards the orientation follows by continuity.  The start
-    must already satisfy the residuals (correct it first if unsure); one
-    evaluation checks that, gives the first tangent and, when the start's
-    theta or residual is NaN, fills in both.  An odd start within
-    _ON_FAMILY_TOL of the doubly symmetric form (a flow half as long checks
-    it) is traced in that form up to its first failed step.
+    direction (+1 or -1) orients the first step along or against
+    `tangent(start)`; afterwards the orientation follows by continuity.  The
+    start must already satisfy the residuals (correct it first if unsure).
+    One evaluation (`_on_family`) checks that, picks the form and gives the
+    first tangent: a start of the odd family, labelled odd or double, within
+    _ON_FAMILY_TOL of the doubly symmetric form costs one flow of half its
+    length and is traced in that form up to the first failed step.  The
+    first branch point is the start with that form's kind, residual and
+    theta.
 
     Steps after the first predict to second order.  Each corrector call
     gets a budget of _CORRECTOR_MAX_FLOWS flows.  A failed step (corrector
@@ -270,17 +280,10 @@ def continue_branch(
         raise ValueError(f"ds_min {step.ds_min!r} exceeds ds_max {ds_max!r}")
     a_min, a_max, T_min = A_COLLISION * params.a0, A_BOUND * params.a0, T_LOWER * params.T0
     T_max = stop.T_max if stop.T_max is not None else T_UPPER * params.T0
-    kind = start.kind
-
-    d = _on_family(start, params, config)
-    unit, xn = _tangent_from(d, (start.a, start.b, start.T), None)
-    unit = direction * unit
-    if math.isnan(start.theta) or math.isnan(start.residual):
-        start = replace(start, residual=d.residual, theta=d.theta)
-    if kind is SymmetryKind.ODD:  # the doubly symmetric form, where the start lies in it
-        d = desing_eval(start.a, start.b, start.T, SymmetryKind.DOUBLE, params, config)
-        kind = SymmetryKind.DOUBLE if d.residual <= _ON_FAMILY_TOL else kind
-    points = [BranchPoint(point=start, tangent=unit, x_norm=xn, arc=0.0)]
+    kind, d = _on_family(start, params, config)
+    unit, _ = _tangent_from(d, (start.a, start.b, start.T), None)
+    start = replace(start, kind=kind, residual=d.residual, theta=d.theta)
+    points = [BranchPoint(point=start, tangent=direction * unit, arc=0.0)]
 
     ds = ds_max / 4.0
     streak = 0
@@ -310,9 +313,7 @@ def continue_branch(
             )
             if contraction > _MAX_CONTRACTION:
                 raise ConvergenceError(f"Newton contraction {contraction:.3g} is too slow", "contraction")
-            unit, xn = _tangent_from(
-                dcorr, (corrected.a, corrected.b, corrected.T), prev_bp.tangent
-            )
+            unit, _ = _tangent_from(dcorr, (corrected.a, corrected.b, corrected.T), prev_bp.tangent)
             if float(np.dot(unit, prev_bp.tangent)) < _COS_MIN:
                 raise ConvergenceError("tangent turned too sharply: likely branch hop", "tangent-turn")
             if abs(corrected.theta - prev_bp.point.theta) > _MAX_THETA_STEP:
@@ -330,7 +331,7 @@ def continue_branch(
 
         contraction_max = max(contraction_max, contraction)
         arc = prev_bp.arc + float(np.linalg.norm(corrected.vector() - x_prev))
-        points.append(BranchPoint(point=corrected, tangent=unit, x_norm=xn, arc=arc))
+        points.append(BranchPoint(point=corrected, tangent=unit, arc=arc))
 
         prev_b = prev_bp.point.b
         crossed = prev_b * corrected.b < 0.0
@@ -339,7 +340,7 @@ def continue_branch(
             refined, b_zero_refine = _refine_b_zero(prev_bp.point, corrected, params, config)
             if refined is not None:
                 arc2 = arc + float(np.linalg.norm(refined.vector() - corrected.vector()))
-                points.append(BranchPoint(point=refined, tangent=unit, x_norm=xn, arc=arc2))
+                points.append(BranchPoint(point=refined, tangent=unit, arc=arc2))
             termination = TERM_B_ZERO
         elif not (a_min < corrected.a < a_max and T_min < corrected.T < T_max):
             termination = TERM_BOUND
@@ -419,7 +420,6 @@ def branch_to_json(branch: Branch, path) -> None:
         {
             **bp.point.to_dict(),
             "tangent": [float(v) for v in bp.tangent],
-            "x_norm": bp.x_norm,
             "arc": bp.arc,
         }
         for bp in branch.points
@@ -433,11 +433,10 @@ def branch_from_json(path) -> Branch:
         payload = json.load(fh)
     kind = SymmetryKind.parse(payload["kind"])
     params = SystemParams.from_dict(payload["params"])
-    points = [
+    points = [  # points written before x_norm was dropped still hold it, unread
         BranchPoint(
             point=SeedPoint.from_dict(rec),
             tangent=np.array(rec["tangent"]),
-            x_norm=float(rec["x_norm"]),
             arc=float(rec["arc"]),
         )
         for rec in payload["points"]

@@ -64,7 +64,7 @@ __all__ = [
 # The corrector's defaults, for every caller that does not choose its own.
 CORRECTOR_TOL = 1e-10
 # Converging calls in the tests and the benchmark run at most 10 flows (at
-# most 6 inside continue_branch, which passes its own bound of 12), measured
+# most 7 inside continue_branch, which passes its own bound of 12), measured
 # with the DOP853 step, the second-order predictor and the doubly symmetric form.
 CORRECTOR_MAX_FLOWS = 64
 T_LOWER = 1e-3  # the corrector's floor on T, as a multiple of params.T0

@@ -111,6 +111,13 @@ class TestBifurcate:
         assert code == EXIT_CONFIG
         assert "not found" in err
 
+    def test_config_file_that_is_not_json(self, capsys, tmp_path):
+        cfgfile = tmp_path / "sys.json"
+        cfgfile.write_text("n = 3")
+        code, _, err = run(capsys, ["bifurcate", "--config", str(cfgfile)])
+        assert code == EXIT_CONFIG
+        assert "cannot read config file" in err
+
     def test_invalid_mass(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -254,6 +261,7 @@ P_SYSTEM = {"n": 3, "m": 3.0, "M": 7.0, "r0": 11.0}
             ["resonance", *P_FLAGS, "--n1", "3", "--n2", "4", "--branch"],
             {"kind": "odd", "params": {**P_SYSTEM, "m": 10**400}, "points": []},
         ),
+        (["bifurcate", "--config"], [3, 3, 7, 11]),  # JSON, but not an object
     ],
 )
 def test_malformed_file_exits_before_any_flow(capsys, monkeypatch, tmp_path, command, content):
@@ -659,7 +667,7 @@ class TestDoublySymmetricMember:
         # the same trace in process: the branch file kept each point's kind
         start = newton_correct(SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0), params_p, cfg)
         branch = continue_branch(start, -1, params_p, cfg, stop=StopRules(max_points=6))
-        assert [bp.point.kind.value for bp in branch.points] == ["odd"] + ["double"] * 5
+        assert [bp.point.kind.value for bp in branch.points] == ["double"] * 6
         member = orbits.find_resonance(branch, orbits.ResonanceTarget(3, 4), cfg)
         assert seed == member.to_dict()
         assert seed["kind"] == "double"

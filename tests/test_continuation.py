@@ -1,6 +1,7 @@
 """Tangent field, arclength tracing, endpoint classification, serialization."""
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,7 +63,8 @@ class TestTangent:
         # the family leaves the seed straight along b
         assert abs(unit[0]) < 1e-9 and abs(unit[2]) < 1e-9
         assert abs(abs(unit[1]) - 1.0) < 1e-12
-        assert abs(xn - 1.4632977439775088) < 1e-9
+        # the raw magnitude of the doubly symmetric form, which the seed meets
+        assert abs(xn - 0.10053744954007608) < 1e-9
 
     def test_prev_fixes_orientation(self, params_p, cfg):
         seed = SeedPoint(a=params_p.a0, b=0.0, T=params_p.T0)
@@ -132,14 +134,15 @@ class TestContinueBranch:
             continue_branch(stray, 1, params_p, cfg)
 
     def test_start_is_evaluated_once(self, p1_corrected, params_p, cfg, monkeypatch):
-        # a raw copy of a corrected point: the on-family check, the first
-        # tangent, theta and the residual all come from one flow; one more
-        # flow, half as long, checks the doubly symmetric form
+        # a raw copy of a corrected point: the on-family check, the form, the
+        # first tangent, theta and the residual all come from one flow, half
+        # as long, in the doubly symmetric form
         raw = SeedPoint(a=p1_corrected.a, b=p1_corrected.b, T=p1_corrected.T)
+        d = desing_eval(raw.a, raw.b, raw.T, SymmetryKind.DOUBLE, params_p, cfg)
         flows = count_flows(monkeypatch)
         br = continue_branch(raw, 1, params_p, cfg, stop=StopRules(max_points=1))
-        assert [args[2] for args in flows] == [raw.T, 0.5 * raw.T]
-        assert br.start == p1_corrected  # theta and residual bit for bit
+        assert [args[2] for args in flows] == [0.5 * raw.T]
+        assert br.start == replace(p1_corrected, kind=SymmetryKind.DOUBLE, residual=d.residual, theta=d.theta)
         assert np.array_equal(br.points[0].tangent, tangent(p1_corrected, params_p, cfg)[0])
 
     def test_branch_pointwise_invariants(self, p_branch, params_p):
@@ -252,6 +255,16 @@ class TestContinueBranch:
         assert len(br.points) == 1
         assert sum(br.stats["failures"].values()) == 9  # ds_max/4 halved below 1e-3
 
+    def test_a_value_error_in_a_step_is_labelled(self, p1_corrected, params_p, cfg, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("T is at or below the floor")
+
+        monkeypatch.setattr(continuation, "newton_correct_full", fail)
+        br = continue_branch(p1_corrected, 1, params_p, cfg, step=StepControl(ds_min=1e-3))
+        assert br.stats["failures"] == {"value-error": 9}
+        assert br.stats["switch"] == "value-error"  # the doubly symmetric start gave way
+        assert br.termination == TERM_STEP
+
 
 class TestCorrectorBudget:
     def test_no_corrector_call_exceeds_twelve_flows(self, p_branch_traced):
@@ -275,9 +288,9 @@ class TestCorrectorBudget:
         assert len(p_branch.points) == 22
         end = p_branch.end
         assert (end.a.hex(), end.b.hex(), end.T.hex()) == (
-            "0x1.0416b281ad150p-1",
-            "0x1.50bfff52e1cd7p-1",
-            "0x1.527e8aafd068fp+5",
+            "0x1.0416b281ad14bp-1",
+            "0x1.50bfff52e1cdap-1",
+            "0x1.527e8aafd0691p+5",
         )
 
     def test_refine_b_zero_reports_why_it_failed(self, params_p, cfg):
@@ -429,8 +442,8 @@ class TestDoublySymmetricForm:
         branch = request.getfixturevalue(name)
         params = branch.params
         assert branch.kind is SymmetryKind.ODD
-        assert branch.start.kind is SymmetryKind.ODD
-        assert branch.stats["double_points"] == len(branch.points) - 1
+        assert branch.start.kind is SymmetryKind.DOUBLE
+        assert branch.stats["double_points"] == len(branch.points)
         for bp in branch.points:
             p = bp.point
             other = SymmetryKind.ODD if p.kind is SymmetryKind.DOUBLE else SymmetryKind.DOUBLE
@@ -438,13 +451,52 @@ class TestDoublySymmetricForm:
 
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("name", ["p1_corrected", "q0_corrected"])
-    def test_first_tangent_follows_the_odd_direction(self, request, cfg, name, direction):
-        # the raw tangents of the two forms point opposite ways at q0
+    def test_first_tangent_follows_tangent_start(self, request, cfg, name, direction):
         start = request.getfixturevalue(name)
         params = request.getfixturevalue("params_p" if name == "p1_corrected" else "params_q")
         br = continue_branch(start, direction, params, cfg, stop=StopRules(max_points=2))
-        sign = np.sign(direction * tangent(start, params, cfg)[0][0])
-        assert np.sign(br.points[0].tangent[0]) == np.sign(br.points[1].tangent[0]) == sign
+        unit = direction * tangent(start, params, cfg)[0]
+        assert np.array_equal(br.points[0].tangent, unit)
+        assert np.sign(br.points[1].tangent[0]) == np.sign(unit[0])
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("name", ["p1_corrected", "q0_corrected"])
+    def test_orientation_does_not_depend_on_the_label(self, request, cfg, name, direction):
+        # the raw tangents of the odd and the doubly symmetric form point
+        # opposite ways at q0: both labels are read in the doubly symmetric form
+        start = request.getfixturevalue(name)
+        params = request.getfixturevalue("params_p" if name == "p1_corrected" else "params_q")
+        odd, double = (replace(start, kind=kind) for kind in (SymmetryKind.ODD, SymmetryKind.DOUBLE))
+        assert np.array_equal(tangent(odd, params, cfg)[0], tangent(double, params, cfg)[0])
+        first = [
+            continue_branch(p, direction, params, cfg, stop=StopRules(max_points=2)).points[1]
+            for p in (odd, double)
+        ]
+        assert first[0].point == first[1].point
+        assert np.array_equal(first[0].tangent, first[1].tangent)
+
+    def test_double_labelled_start_costs_one_half_flow(self, p1_corrected, params_p, cfg, monkeypatch):
+        # as an odd-labelled one does (test_start_is_evaluated_once)
+        start = replace(p1_corrected, kind=SymmetryKind.DOUBLE)
+        flows = count_flows(monkeypatch)
+        br = continue_branch(start, 1, params_p, cfg, stop=StopRules(max_points=1))
+        assert [args[2] for args in flows] == [0.5 * start.T]
+        assert br.start.kind is SymmetryKind.DOUBLE
+
+    def test_odd_even_start_costs_one_flow_in_its_form(self, p1_corrected, params_p, cfg, monkeypatch):
+        # the odd/even member at half the time: the same flow as the doubly symmetric pair
+        start = SeedPoint(a=p1_corrected.a, b=p1_corrected.b, T=0.5 * p1_corrected.T, kind=SymmetryKind.ODD_EVEN)
+        flows = count_flows(monkeypatch)
+        br = continue_branch(start, 1, params_p, cfg, stop=StopRules(max_points=1))
+        assert [args[2] for args in flows] == [start.T]
+        assert br.kind is br.start.kind is SymmetryKind.ODD_EVEN
+
+    def test_off_family_start_is_tried_in_both_forms(self, p1_corrected, params_p, cfg, monkeypatch):
+        stray = SeedPoint(a=p1_corrected.a, b=p1_corrected.b, T=p1_corrected.T + 1.0)
+        flows = count_flows(monkeypatch)
+        with pytest.raises(ValueError, match="not on the family"):
+            continue_branch(stray, 1, params_p, cfg)
+        assert [args[2] for args in flows] == [0.5 * stray.T, stray.T]
 
     def test_stored_points_are_the_corrector_returns(self, p1_corrected, params_p, cfg, monkeypatch):
         returned = []
@@ -462,7 +514,7 @@ class TestDoublySymmetricForm:
 
     def test_stats_say_what_the_form_did(self, p_branch, tmp_path):
         stats = p_branch.stats
-        assert stats["double_points"] == 21
+        assert stats["double_points"] == 22
         assert stats["switch"] is None
         assert 0.0 < stats["contraction_max"] <= continuation._MAX_CONTRACTION
         path = tmp_path / "branch.json"
@@ -470,7 +522,7 @@ class TestDoublySymmetricForm:
         payload = json.loads(path.read_text())
         for key in ("double_points", "switch", "contraction_max"):
             assert payload["stats"][key] == stats[key]
-        assert [rec["kind"] for rec in payload["points"]] == ["odd"] + ["double"] * 21
+        assert [rec["kind"] for rec in payload["points"]] == ["double"] * 22
 
 
 class TestSerialization:
@@ -485,8 +537,19 @@ class TestSerialization:
         for orig, back in zip(p_branch.points, again.points):
             assert back.point == orig.point
             assert np.array_equal(back.tangent, orig.tangent)
-            assert back.x_norm == orig.x_norm
             assert back.arc == orig.arc
+
+    def test_files_with_x_norm_still_load(self, p_branch, tmp_path):
+        # branch points written before x_norm was dropped carry it
+        path = tmp_path / "old.json"
+        branch_to_json(p_branch, path)
+        payload = json.loads(path.read_text())
+        assert "x_norm" not in payload["points"][0]
+        for rec in payload["points"]:
+            rec["x_norm"] = 1.0
+        path.write_text(json.dumps(payload))
+        again = branch_from_json(path)
+        assert [bp.point for bp in again.points] == [bp.point for bp in p_branch.points]
 
     def test_csv_dump(self, p_branch, tmp_path):
         path = tmp_path / "branch.csv"

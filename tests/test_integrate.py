@@ -345,6 +345,26 @@ class TestGeneratedStep:
         assert (res.status, res.n_steps, res.n_rejected) == (OK, 19, 1)
         assert [v.hex() for v in res.y] == ["-0x1.aa226575371a7p-2", "-0x1.d18f6ead1b459p-1"]
 
+    def test_non_finite_field_at_the_new_state_rejects_the_trial(self, first_step_01):
+        # with the first step fixed, call 13 is the field at the first
+        # trial's new state; every stage of that trial was finite
+        calls, times, seen = itertools.count(1), [], []
+
+        def once(t, y):
+            times.append(t)
+            if next(calls) == 13:
+                seen.append(list(y))
+                return [math.nan, math.nan]
+            return harmonic(t, y)
+
+        res = flow(once, [1.0, 0.0], 2.0, IntegratorConfig())
+        clean = flow(harmonic, [1.0, 0.0], 2.0, IntegratorConfig(dense=True))
+        first = clean.dense.sample(clean.dense.grid[1:2])[0]  # the state the clean flow accepts first
+        assert seen == [first.tolist()]
+        assert (res.status, res.n_rejected, clean.n_rejected) == (OK, 1, 0)
+        # the trial is retried from t = 0 at the largest shrink, about a third
+        assert times[13] == ig._STAGE_ROWS[0][0] * (0.1 / (1.0 / ig._MAX_SHRINK))
+
     def test_singular_wall_ends_with_the_same_bracket(self, first_step_01):
         def wall(t, y):
             if t > 1.0:

@@ -122,6 +122,10 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="n must be an integer"):
             SystemParams.from_dict({"n": n, "m": 1.0, "M": 1.0, "r0": 1.0})
 
+    def test_from_dict_names_the_missing_keys(self):
+        with pytest.raises(ValueError, match=r"missing parameter keys: \['M', 'r0'\]"):
+            SystemParams.from_dict({"n": 3, "m": 1.0})
+
     def test_from_dict_normalises_an_integral_n(self):
         p = SystemParams.from_dict({"n": 3.0, "m": 1.0, "M": 1.0, "r0": 1.0})
         assert type(p.n) is int and p.n == 3

@@ -16,7 +16,7 @@ import pytest
 import ringorbits
 from ringorbits.bifurcate import BifurcationReport
 from ringorbits.cli import build_parser
-from ringorbits.continuation import EndpointReport, StepControl, StopRules, continue_branch, tangent
+from ringorbits.continuation import BranchPoint, EndpointReport, StepControl, StopRules, continue_branch, tangent
 from ringorbits.integrate import EvalPoint, IntegratorConfig, eval_at, flow
 from ringorbits.orbits import find_resonance, reconstruct
 from ringorbits.shoot import (
@@ -52,6 +52,7 @@ EXCEPTION_CLASSES = {"ConvergenceError", "FlowError", "ResonanceNotFound"}
 RECORD_FIELDS = {
     EvalPoint: ("y", "dy"),
     EndpointReport: ("label", "detail"),
+    BranchPoint: ("point", "tangent", "arc"),
     BifurcationReport: (
         "a0", "b", "T_star", "s", "nondegenerate", "margin", "theta0", "T_exact", "xi2",
     ),

@@ -3,10 +3,13 @@ import io
 import json
 import math
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ringorbits.integrate import IntegratorConfig, eval_at, flow
+from ringorbits import shoot
+from ringorbits.integrate import SINGULAR, FlowError, IntegratorConfig, eval_at, flow
 from ringorbits.model import make_reduced_rhs, reduced_initial, write_json
 from ringorbits.shoot import (
     _FD_DB,
@@ -384,6 +387,34 @@ class TestNewton:
         with pytest.raises(ValueError, match=name):
             newton_correct(seed, params_p, cfg, **{name: value})
         assert flows == []
+
+    def test_repeated_row_is_a_singular_jacobian(self, params_p, cfg, monkeypatch):
+        # a constraint row equal to grad(value) makes the bordered Jacobian singular
+        flows = count_flows(monkeypatch)
+        seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        with pytest.raises(ConvergenceError) as info:
+            newton_correct(seed, params_p, cfg, constraint=lambda x, d: (0.0, d.grad_value))
+        assert info.value.reason == "singular-jacobian"
+        assert len(flows) == 1
+
+    def test_line_search_damps_a_trial_whose_flow_fails(self, p1_corrected, params_p, cfg, monkeypatch):
+        # the first full trial runs into the ring-collapse guard; the line
+        # search halves it as it halves a trial that does not decrease the residual
+        trials, inner = [], shoot.desing_eval
+
+        def collapse_once(a, b, T, kind, params, config=None):
+            trials.append(np.array([a, b, T]))
+            if len(trials) == 2:
+                raise FlowError(SimpleNamespace(status=SINGULAR), "ring collapsed")
+            return inner(a, b, T, kind, params, config)
+
+        monkeypatch.setattr(shoot, "desing_eval", collapse_once)
+        seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        point = newton_correct(seed, params_p, cfg, tol=1e-12)
+        assert point.residual <= 1e-12
+        assert abs(point.a - p1_corrected.a) < 1e-9 and abs(point.T - p1_corrected.T) < 1e-9
+        full, half = trials[1] - trials[0], trials[2] - trials[0]
+        assert np.allclose(half, 0.5 * full, rtol=1e-9, atol=1e-15)
 
     def test_hyperplane_constraint_enforced(self, p1_corrected, params_p, cfg):
         x_ref = p1_corrected.vector()
