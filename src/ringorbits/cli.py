@@ -162,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=cont.StopRules.max_points)
     p.add_argument("--ds-max", type=float, help="max arclength step")
     p.add_argument("--ds-min", type=float, default=cont.StepControl.ds_min)
-    p.add_argument("--b-tol", type=float, default=cont.StopRules.b_tol, help="stop threshold near b = 0")
     p.add_argument("--prefix", default="branch", help="output file prefix")
 
     p = sub.add_parser("resonance", help="pick a rational-phase point off a traced branch")
@@ -254,7 +253,7 @@ def _cmd_trace(args) -> int:
     if (args.seed_file is None) == (args.seed_b is None):
         raise ValueError("trace needs exactly one of --seed-file or --seed-b")
     step = cont.StepControl(ds_max=args.ds_max, ds_min=args.ds_min)
-    stop = cont.StopRules(max_points=args.max_points, b_tol=args.b_tol)
+    stop = cont.StopRules(max_points=args.max_points)
     _check_out(args, f"{args.prefix}.csv")
     if args.seed_file:
         try:

@@ -15,12 +15,13 @@ is corrected in its doubly symmetric form up to the first failed step.
 `continue_branch` is the one place that names how a branch ended, as
 `Branch.termination`, one of the TERM_* labels: a crossing of b = 0 is a
 trivial limit (the endpoint is refined by a fixed-b correction onto the
-circular family); an end point with a at or below A_COLLISION*a0, or a
-trace whose steps die in the integrator's ring-collapse guard, is a
-collision; leaving the a or T bounds is unbounded; the point budget and a
-step length below ds_min are budget and step-failure.  The corrector takes
-no trial at or below T_LOWER*T0, so a branch that runs down to that floor
-ends in step-failure, or budget if its points run out first.
+circular family), and so is a point corrected onto b = 0 exactly; an end
+point with a at or below A_COLLISION*a0, or a trace whose steps die in the
+integrator's ring-collapse guard, is a collision; leaving the a or T
+bounds is unbounded; the point budget and a step length below ds_min are
+budget and step-failure.  The corrector takes no trial at or below
+T_LOWER*T0, so a branch that runs down to that floor ends in step-failure,
+or budget if its points run out first.
 """
 
 from __future__ import annotations
@@ -73,23 +74,14 @@ TERM_BUDGET = "budget"
 TERM_STEP = "step-failure"
 
 
-# Five flows above the observed maximum: every corrector call that converges
-# on the three reference branches runs at most 7 flows ((3, 3, 7, 11) to
-# T = 42: 5; (3, 92, 242, 11): 3 towards the circular family, 7 towards
-# collision), measured with the DOP853 step, the second-order predictor and
-# the doubly symmetric form.  It still cuts crawling calls: four on the
-# descent of (3, 3, 7, 11) to the circular family.  On other systems or
-# tolerances a call that would converge in 13 or more flows is rejected
-# too, and its step is retried at half the length.
+# A few flows above what the converging calls of a step need (ROADMAP item 9
+# records the flows per call): a call that needs more is crawling, and its
+# step is retried at half the length.
 _CORRECTOR_MAX_FLOWS = 12
 
 # Step policy: the first step is ds_max/4, and ds grows by _GROW after
-# _GROW_AFTER accepted steps in a row.  A step across which the unit tangent
-# turns by more than about 60 degrees (cosine below _COS_MIN) is rejected:
-# near-tangent families pass very close to each other in (a, b, T), and an
-# abrupt tangent swing is the signature of the corrector hopping onto the
-# wrong curve.
-_GROW, _GROW_AFTER, _COS_MIN = 1.3, 4, 0.5
+# _GROW_AFTER accepted steps in a row.
+_GROW, _GROW_AFTER = 1.3, 4
 # Largest accepted Newton contraction |dx_1|/|dx_0| of a continuation step
 # (Allgower & Georg, Introduction to Numerical Continuation Methods, 6.1).
 _MAX_CONTRACTION = 0.25
@@ -123,16 +115,13 @@ class StopRules:
     """Termination thresholds for `continue_branch`; T_max defaults to T_UPPER*T0."""
 
     max_points: int = 20000
-    b_tol: float = 1e-3
     T_max: float | None = None
 
     def __post_init__(self):
         if self.max_points < 1:
             raise ValueError(f"max_points must be positive, got {self.max_points!r}")
-        for name in ("b_tol", "T_max"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
+        if self.T_max is not None and not (math.isfinite(self.T_max) and self.T_max >= 0):
+            raise ValueError(f"T_max must be finite and nonnegative, got {self.T_max!r}")
 
 
 @dataclass(frozen=True)
@@ -220,12 +209,12 @@ def _failure_reason(exc: Exception) -> str:
 
 
 def _refine_b_zero(lo: SeedPoint, hi: SeedPoint, params, config) -> tuple[SeedPoint | None, str]:
-    """Correct the interpolated b = 0 crossing between two branch points.
+    """Correct the interpolated b = 0 crossing between two branch points,
+    whose b have opposite signs.
 
     Returns the corrected point and "ok", or None and the failure reason.
     """
-    db = hi.b - lo.b
-    w = 0.5 if db == 0.0 else min(max(-lo.b / db, 0.0), 1.0)
+    w = lo.b / (lo.b - hi.b)
     a = lo.a + w * (hi.a - lo.a)
     T = lo.T + w * (hi.T - lo.T)
     try:
@@ -258,15 +247,15 @@ def continue_branch(
     Steps after the first predict to second order.  Each corrector call
     gets a budget of _CORRECTOR_MAX_FLOWS flows.  A failed step (corrector
     failure or contraction above _MAX_CONTRACTION, flow failure, singular
-    point, tangent turn, theta step above _MAX_THETA_STEP or a predictor
-    outside a > 0, T > T_LOWER*T0) halves ds and is retried; ds below
-    ds_min ends the trace.  `Branch.stats` holds `failures` (the failed
-    steps counted per reason: a ConvergenceError reason such as
-    "singular-point", a FlowError status or "value-error"), `ds_final`,
-    `double_points`, `switch` (the failure that ended the doubly symmetric
-    form, a theta step never does; or None), `contraction_max` (over the
-    accepted steps), and, after a b = 0 crossing, `b_zero_refine` ("ok" or
-    the reason the endpoint correction failed).
+    point, theta step above _MAX_THETA_STEP or a predictor outside a > 0,
+    T > T_LOWER*T0) halves ds and is retried; ds below ds_min ends the
+    trace.  `Branch.stats` holds `failures` (the failed steps counted per
+    reason: a ConvergenceError reason such as "singular-point", a FlowError
+    status or "value-error"), `ds_final`, `double_points`, `switch` (the
+    failure that ended the doubly symmetric form, a theta step never does;
+    or None), `contraction_max` (over the accepted steps), and, after a
+    b = 0 crossing, `b_zero_refine` ("ok" or the reason the endpoint
+    correction failed).
 
     `Branch.termination` names the ending with one of the TERM_* labels
     (see the module docstring); `classify_endpoint` reports it unchanged.
@@ -314,8 +303,6 @@ def continue_branch(
             if contraction > _MAX_CONTRACTION:
                 raise ConvergenceError(f"Newton contraction {contraction:.3g} is too slow", "contraction")
             unit, _ = _tangent_from(dcorr, (corrected.a, corrected.b, corrected.T), prev_bp.tangent)
-            if float(np.dot(unit, prev_bp.tangent)) < _COS_MIN:
-                raise ConvergenceError("tangent turned too sharply: likely branch hop", "tangent-turn")
             if abs(corrected.theta - prev_bp.point.theta) > _MAX_THETA_STEP:
                 raise ConvergenceError("ring phase moved too far in one step", "theta-step")
         except (ConvergenceError, ValueError, FlowError) as exc:
@@ -333,14 +320,13 @@ def continue_branch(
         arc = prev_bp.arc + float(np.linalg.norm(corrected.vector() - x_prev))
         points.append(BranchPoint(point=corrected, tangent=unit, arc=arc))
 
-        prev_b = prev_bp.point.b
-        crossed = prev_b * corrected.b < 0.0
-        approaching_zero = abs(corrected.b) <= stop.b_tol and abs(corrected.b) < abs(prev_b)
-        if crossed or approaching_zero:
+        if prev_bp.point.b * corrected.b < 0.0:
             refined, b_zero_refine = _refine_b_zero(prev_bp.point, corrected, params, config)
             if refined is not None:
                 arc2 = arc + float(np.linalg.norm(refined.vector() - corrected.vector()))
                 points.append(BranchPoint(point=refined, tangent=unit, arc=arc2))
+            termination = TERM_B_ZERO
+        elif corrected.b == 0.0:  # landed on the circular family: nothing to refine
             termination = TERM_B_ZERO
         elif not (a_min < corrected.a < a_max and T_min < corrected.T < T_max):
             termination = TERM_BOUND

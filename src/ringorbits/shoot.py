@@ -63,9 +63,9 @@ __all__ = [
 
 # The corrector's defaults, for every caller that does not choose its own.
 CORRECTOR_TOL = 1e-10
-# Converging calls in the tests and the benchmark run at most 10 flows (at
-# most 7 inside continue_branch, which passes its own bound of 12), measured
-# with the DOP853 step, the second-order predictor and the doubly symmetric form.
+# Generous against what converging calls need (ROADMAP item 9 records the
+# flows per call), so only a corrector that is lost runs out; the
+# continuation step passes its own, tighter bound.
 CORRECTOR_MAX_FLOWS = 64
 T_LOWER = 1e-3  # the corrector's floor on T, as a multiple of params.T0
 
@@ -86,7 +86,6 @@ class ConvergenceError(RuntimeError):
       singular-jacobian  the bordered Jacobian is numerically singular
       singular-point     the residual gradients are parallel: no branch direction
       domain             a continuation predictor left a > 0, T > T_LOWER*T0
-      tangent-turn       a continuation step turned the tangent too sharply
       theta-step         a continuation step turned the ring phase too far
       off-bracket        a resonance was solved outside its bracket
     """

@@ -405,8 +405,6 @@ class TestTrace:
         [
             (["--max-points", "0"], "max_points must be positive"),
             (["--max-points=-3"], "max_points must be positive"),
-            (["--b-tol", "nan"], "b_tol must be finite and nonnegative"),
-            (["--b-tol=-0.1"], "b_tol must be finite and nonnegative"),
         ],
     )
     def test_bad_stop_rule_exits_before_any_flow(self, capsys, tmp_path, monkeypatch, flag, message):
@@ -419,6 +417,18 @@ class TestTrace:
         assert code == EXIT_CONFIG
         assert message in err
         assert not (tmp_path / "bad.json").exists()
+
+    def test_there_is_no_b_tol_flag(self, capsys, tmp_path, monkeypatch):
+        # a branch ends at b = 0 only by crossing it or landing on it
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran before the flags were parsed")
+
+        monkeypatch.setattr(integrate, "flow", no_flow)
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", *P_FLAGS, "--seed-b", "0.05", "--b-tol", "1e-3", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --b-tol" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestResonance:

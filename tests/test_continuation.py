@@ -293,6 +293,13 @@ class TestCorrectorBudget:
             "0x1.527e8aafd0691p+5",
         )
 
+    def test_refine_b_zero_interpolates_the_crossing(self, params_p, monkeypatch):
+        guesses = []
+        monkeypatch.setattr(continuation, "newton_correct", lambda guess, *args: guesses.append(guess) or guess)
+        lo, hi = SeedPoint(a=1.0, b=0.01, T=20.0), SeedPoint(a=2.0, b=-0.03, T=24.0)
+        assert _refine_b_zero(lo, hi, params_p, None) == (SeedPoint(a=1.25, b=0.0, T=21.0), "ok")
+        assert guesses == [SeedPoint(a=1.25, b=0.0, T=21.0)]
+
     def test_refine_b_zero_reports_why_it_failed(self, params_p, cfg):
         far = {"a": 3.0 * params_p.a0, "T": 0.3 * params_p.T0}
         lo, hi = SeedPoint(b=0.01, **far), SeedPoint(b=-0.01, **far)
@@ -360,9 +367,7 @@ class TestStepAndStopDefaults:
         # the first step is ds_max/4, and ds_max defaults to 0.05*max(1, T0)
         br = continue_branch(p1_corrected, 1, params_p, cfg, stop=StopRules(max_points=1))
         assert abs(4.0 * br.stats["ds_final"] - 0.05 * params_p.T0) < 1e-12
-        assert (
-            continuation._GROW, continuation._GROW_AFTER, continuation._COS_MIN, continuation._MAX_CONTRACTION
-        ) == (1.3, 4, 0.5, 0.25)
+        assert (continuation._GROW, continuation._GROW_AFTER, continuation._MAX_CONTRACTION) == (1.3, 4, 0.25)
 
     @pytest.mark.parametrize("field", ["ds_min", "ds_max"])
     @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
@@ -387,7 +392,7 @@ class TestStepAndStopDefaults:
 
     def test_stop_rules_resolution(self):
         rules = StopRules()
-        assert (rules.max_points, rules.b_tol, rules.T_max) == (20000, 1e-3, None)
+        assert (rules.max_points, rules.T_max) == (20000, None)
         # multiples of a0 and T0: a_min, a_max, T_min and the default of T_max
         assert (A_COLLISION, A_BOUND, T_LOWER, T_UPPER) == (1e-3, 1e3, 1e-3, 50.0)
 
@@ -396,13 +401,12 @@ class TestStepAndStopDefaults:
         [
             dict(max_points=0),
             dict(max_points=-3),
-            dict(b_tol=-1e-3),
-            dict(b_tol=math.nan),
-            dict(b_tol=math.inf),
             dict(T_max=-1.0),
             dict(T_max=math.nan),
             dict(T_max=math.inf),
         ],
+        # kw2-kw4 were the cases of the removed b_tol; the others keep their ids
+        ids=["kw0", "kw1", "kw5", "kw6", "kw7"],
     )
     def test_stop_rules_are_validated(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
@@ -412,13 +416,42 @@ class TestStepAndStopDefaults:
         # the a <= A_COLLISION*a0 rule holds at the b = 0 exit too: a refined
         # endpoint below it ends the branch in a collision
         low = SeedPoint(a=0.999 * A_COLLISION * params_p.a0, b=0.0, T=params_p.T0)
-        monkeypatch.setattr(continuation, "_refine_b_zero", lambda *args: (low, "ok"))
+        crossings = []
+
+        def refine(lo, hi, *args):
+            crossings.append((lo.b, hi.b))
+            return low, "ok"
+
+        monkeypatch.setattr(continuation, "_refine_b_zero", refine)
         d = -direction_of_increasing_b(p1_corrected, params_p, cfg)
-        br = continue_branch(p1_corrected, d, params_p, cfg, stop=StopRules(b_tol=1.0))
+        br = continue_branch(p1_corrected, d, params_p, cfg)
+        assert len(crossings) == 1 and crossings[0][0] > 0.0 > crossings[0][1]  # a real crossing
         assert br.stats["b_zero_refine"] == "ok"
         assert br.end == low
         assert br.termination == TERM_COLLISION
         assert classify_endpoint(br) == continuation.EndpointReport(TERM_COLLISION, {})
+
+    def test_landing_on_b_zero_is_a_trivial_limit(self, p1_corrected, params_p, cfg, monkeypatch):
+        # a step corrected onto b = 0.0 exactly ends the branch there, with
+        # no crossing to refine
+        inner = continuation.newton_correct_full
+
+        def landed(*args, **kwargs):
+            point, data, contraction = inner(*args, **kwargs)
+            return replace(point, b=0.0), data, contraction
+
+        def no_refine(*args):
+            raise AssertionError("a landing has no crossing to refine")
+
+        monkeypatch.setattr(continuation, "newton_correct_full", landed)
+        monkeypatch.setattr(continuation, "_refine_b_zero", no_refine)
+        d = -direction_of_increasing_b(p1_corrected, params_p, cfg)
+        br = continue_branch(p1_corrected, d, params_p, cfg)
+        assert br.termination == TERM_B_ZERO
+        assert len(br.points) == 2
+        assert br.start.b == p1_corrected.b != 0.0
+        assert br.end.b == 0.0
+        assert "b_zero_refine" not in br.stats
 
 
 class TestThetaCurvature:

@@ -6,6 +6,7 @@ of the records that carry results are listed here; a new option, error or
 field is a one-line edit to these tables.  Policy values that no caller
 tunes are module constants.
 """
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -22,6 +23,7 @@ from ringorbits.orbits import find_resonance, reconstruct
 from ringorbits.shoot import (
     CORRECTOR_MAX_FLOWS,
     CORRECTOR_TOL,
+    ConvergenceError,
     desing_eval,
     newton_correct,
     newton_correct_full,
@@ -30,7 +32,7 @@ from ringorbits.shoot import (
 SETTABLE_FIELDS = {
     IntegratorConfig: ("rel_tol", "abs_tol", "h_max", "dense"),
     StepControl: ("ds_min", "ds_max"),
-    StopRules: ("max_points", "b_tol", "T_max"),
+    StopRules: ("max_points", "T_max"),
 }
 
 KEYWORD_PARAMETERS = {
@@ -69,8 +71,8 @@ def test_settable_fields(cls):
     assert tuple(f.name for f in dataclasses.fields(cls)) == SETTABLE_FIELDS[cls]
 
 
-def test_settable_surface_is_nine():
-    assert sum(map(len, SETTABLE_FIELDS.values())) == 9
+def test_settable_surface_is_eight():
+    assert sum(map(len, SETTABLE_FIELDS.values())) == 8
 
 
 @pytest.mark.parametrize("fn", list(KEYWORD_PARAMETERS), ids=lambda f: f.__name__)
@@ -106,6 +108,20 @@ def test_exception_classes():
         and obj.__module__ == module.__name__
     }
     assert found == EXCEPTION_CLASSES
+
+
+def test_failure_reasons_match_the_documented_table():
+    """The literal reason of every ConvergenceError(message, reason) the
+    package raises is a row of the table in ConvergenceError's docstring,
+    and every row is raised somewhere."""
+    raised = set()
+    for module in [ringorbits, *PACKAGE_MODULES]:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConvergenceError":
+                assert len(node.args) == 2 and isinstance(node.args[1], ast.Constant), ast.unparse(node)
+                raised.add(node.args[1].value)
+    table = ConvergenceError.__doc__.split("classifies the failure:")[1]
+    assert raised == {line.split()[0] for line in table.strip().splitlines()}
 
 
 @pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda c: c.__name__)

@@ -397,6 +397,19 @@ class TestNewton:
         assert info.value.reason == "singular-jacobian"
         assert len(flows) == 1
 
+    def test_non_finite_row_is_a_singular_jacobian(self, params_p, cfg, monkeypatch):
+        # a NaN gradient row: the condition number cannot be computed (the SVD
+        # does not converge), which counts as singular
+        nan_row = np.full(3, np.nan)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cond(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], nan_row]))
+        flows = count_flows(monkeypatch)
+        seed = SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0)
+        with pytest.raises(ConvergenceError) as info:
+            newton_correct(seed, params_p, cfg, constraint=lambda x, d: (0.0, nan_row))
+        assert info.value.reason == "singular-jacobian"
+        assert len(flows) == 1
+
     def test_line_search_damps_a_trial_whose_flow_fails(self, p1_corrected, params_p, cfg, monkeypatch):
         # the first full trial runs into the ring-collapse guard; the line
         # search halves it as it halves a trial that does not decrease the residual
