@@ -17,7 +17,7 @@ from .continuation import (
     continue_branch,
     tangent,
 )
-from .integrate import EvalPoint, FlowResult, IntegratorConfig, eval_at, flow
+from .integrate import FlowResult, IntegratorConfig, eval_at, flow
 from .model import (
     CartesianState,
     SystemParams,
@@ -43,7 +43,6 @@ __all__ = [
     "BranchPoint",
     "CartesianState",
     "EndpointReport",
-    "EvalPoint",
     "FlowResult",
     "IntegratorConfig",
     "ResonanceTarget",

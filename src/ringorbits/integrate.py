@@ -56,7 +56,6 @@ __all__ = [
     "FlowResult",
     "FlowError",
     "flow",
-    "EvalPoint",
     "eval_at",
     "OK",
     "SINGULAR",
@@ -251,9 +250,21 @@ class DenseOutput:
         return out
 
 
+def _component(i: int) -> property:
+    return property(lambda self: float(self.y[i]), doc=f"y[{i}] as a float")
+
+
 @dataclass
 class FlowResult:
-    """Outcome of one call to `flow`."""
+    """Outcome of one call to `flow`.
+
+    On a flow of `eval_at`, y is the state (F, Ft, R, Rt, Theta): the axial
+    separation and its velocity, the ring radius and its radial velocity,
+    and the accumulated phase; an augmented flow appends the a- and
+    b-sensitivity columns, 15 components in all.  Each component reads by
+    its name as a float; on a plain flow the sensitivity names raise
+    IndexError.
+    """
 
     status: str
     t: float
@@ -262,6 +273,8 @@ class FlowResult:
     n_rejected: int
     dy: np.ndarray  # the vector field at (t, y)
     dense: DenseOutput | None = None
+
+    F, Ft, R, Rt, Theta, Fa, Fta, Ra, Rta, Tha, Fb, Ftb, Rb, Rtb, Thb = map(_component, range(15))
 
     def require_ok(self) -> "FlowResult":
         if self.status != OK:
@@ -471,28 +484,6 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
                 return finish(SINGULAR)
 
 
-def _component(i: int) -> property:
-    return property(lambda self: self.y[i], doc=f"y[{i}]")
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """The state y at time T of the flow that `eval_at` runs, and the vector
-    field dy there.
-
-    y holds 5 floats, the state (F, Ft, R, Rt, Theta): the axial separation
-    and its velocity, the ring radius and its radial velocity, and the
-    accumulated phase.  An augmented flow appends the a- and b-sensitivity
-    columns, 15 floats in all.  Each component reads by its name; on a plain
-    flow the sensitivity names raise IndexError.
-    """
-
-    y: tuple[float, ...]
-    dy: tuple[float, ...]
-
-    F, Ft, R, Rt, Theta, Fa, Fta, Ra, Rta, Tha, Fb, Ftb, Rb, Rtb, Thb = map(_component, range(15))
-
-
 def eval_at(
     a: float,
     b: float,
@@ -500,11 +491,12 @@ def eval_at(
     params: SystemParams,
     config: IntegratorConfig | None = None,
     augmented: bool = False,
-) -> EvalPoint:
+) -> FlowResult:
     """Flow the symmetric initial condition (0, b, r0, 0, 0) for time T.
 
     The angular parameter a enters through the momentum C = r0*a.  With
     augmented=True the flow carries the sensitivity columns w.r.t. a and b.
+    Returns the completed flow; FlowError if it stopped early.
     """
     if T < 0:
         raise ValueError(f"evaluation time must be nonnegative, got {T!r}")
@@ -513,5 +505,4 @@ def eval_at(
         rhs, y0 = make_variational_rhs(params, C), augmented_initial(b, params)
     else:
         rhs, y0 = make_reduced_rhs(params, C), reduced_initial(b, params)
-    res = flow(rhs, y0, T, config).require_ok()
-    return EvalPoint(tuple(res.y.tolist()), tuple(res.dy.tolist()))
+    return flow(rhs, y0, T, config).require_ok()

@@ -80,6 +80,7 @@ class SystemParams:
     def __post_init__(self):
         if self.n != int(self.n) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # not 3.0 or np.int64(3): range() and JSON need an int
         for name in ("m", "M", "r0"):
             v = getattr(self, name)
             if not math.isfinite(v):

@@ -190,14 +190,16 @@ def reconstruct(
       lz_drift         relative drift of the z angular momentum
       closure_error    max over bodies of |dx| + |dv| between endpoints
       closure_error_relabel  same, minimized over ring relabelings
-    A point with T <= T_LOWER*T0 raises ValueError before any flow, and
-    an orbit with a diagnostic that is not finite raises ValueError.
+    A point with T <= T_LOWER*T0, or periods or samples_per_period that is
+    not a whole number of at least 1 or 2, raises ValueError before any
+    flow, and an orbit with a diagnostic that is not finite raises ValueError.
     """
     require_above_floor(point.T, params)
-    if periods < 1:
+    if not (float(periods).is_integer() and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods!r}")
-    if samples_per_period < 2:
-        raise ValueError("need at least two samples per period")
+    if not (float(samples_per_period).is_integer() and samples_per_period >= 2):
+        raise ValueError(f"need at least two samples per period, got {samples_per_period!r}")
+    periods, samples_per_period = int(periods), int(samples_per_period)
     config = config or IntegratorConfig()
     t_end = periods * point.period
     cfg = replace(config, dense=True, h_max=config.h_max if config.h_max is not None else point.T / 16.0)

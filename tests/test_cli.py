@@ -9,12 +9,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ringorbits import cli, integrate, orbits
 from ringorbits.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_NUMERIC, EXIT_OK, main
-from ringorbits.continuation import StopRules, branch_to_json, continue_branch
+from ringorbits.continuation import StopRules, branch_summary, branch_to_json, continue_branch
 from ringorbits.model import write_json
 from ringorbits.shoot import SeedPoint, newton_correct
 
@@ -681,6 +682,23 @@ class TestDoublySymmetricMember:
         member = orbits.find_resonance(branch, orbits.ResonanceTarget(3, 4), cfg)
         assert seed == member.to_dict()
         assert seed["kind"] == "double"
+
+    def test_outputs_hold_no_numpy_scalars(self, seed, tmp_path, params_p, cfg):
+        # repr writes a NumPy scalar as np.float64(...), and json hides it;
+        # the records are checked in process, the files as written
+        files = [tmp_path / "branch.csv", tmp_path / "branch.json", *(tmp_path / "member").glob("*.seed.json")]
+        assert len(files) == 3 and not any("np." in path.read_text() for path in files)
+        start = newton_correct(SeedPoint(a=params_p.a0, b=0.05, T=params_p.T0), params_p, cfg)
+        branch = continue_branch(start, -1, params_p, cfg, stop=StopRules(max_points=6))
+        member = orbits.find_resonance(branch, orbits.ResonanceTarget(3, 4), cfg)
+        records = [branch_summary(branch), *(bp.point.to_dict() for bp in branch.points), member.to_dict()]
+
+        def scalars(value):
+            if isinstance(value, dict):
+                return [s for v in value.values() for s in scalars(v)]
+            return [value] if isinstance(value, np.generic) else []
+
+        assert [s for record in records for s in scalars(record)] == []
 
     def test_verify_checks_the_odd_pair(self, capsys, monkeypatch, seed, params_p, cfg):
         # F(T) and R_t(T); F_t(T) mirrors F_t(0) = b and is no residual

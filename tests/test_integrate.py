@@ -17,6 +17,7 @@ from ringorbits.integrate import (
     OK,
     SINGULAR,
     FlowError,
+    FlowResult,
     IntegratorConfig,
     _step_function,
     eval_at,
@@ -584,7 +585,21 @@ class TestEvalAt:
             rhs, y0 = ig.make_reduced_rhs(params_p, C), reduced_initial(b, params_p)
         res = flow(rhs, y0, T, cfg)
         assert in_eval == len(calls) - in_eval
-        assert pt.dy == tuple(rhs(res.t, res.y))
+        assert pt.dy.tolist() == list(rhs(res.t, res.y))
+
+    def test_returns_its_flow(self, params_p):
+        # the record of the flow itself: its counts, and its dense output when asked
+        cfg = IntegratorConfig(dense=True)
+        a, b, T = params_p.a0, 0.1, 3.0
+        pt = eval_at(a, b, T, params_p, cfg)
+        res = flow(make_reduced_rhs(params_p, params_p.r0 * a), reduced_initial(b, params_p), T, cfg)
+        assert type(pt) is FlowResult and pt.status == OK
+        assert (pt.t, pt.n_steps, pt.n_rejected) == (res.t, res.n_steps, res.n_rejected)
+        grid = res.dense.grid
+        mid = (grid[1:] + grid[:-1]) / 2
+        assert np.array_equal(pt.dense.grid, grid)
+        assert np.array_equal(pt.dense.sample(mid), res.dense.sample(mid))
+        assert type(pt.Theta) is float and pt.Theta == pt.y[4]
 
     @pytest.mark.parametrize("augmented", [False, True])
     def test_collapse_reaches_the_flow_as_nan(self, params_p, monkeypatch, augmented):

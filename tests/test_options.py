@@ -18,7 +18,7 @@ import ringorbits
 from ringorbits.bifurcate import BifurcationReport
 from ringorbits.cli import build_parser
 from ringorbits.continuation import BranchPoint, EndpointReport, StepControl, StopRules, continue_branch, tangent
-from ringorbits.integrate import EvalPoint, IntegratorConfig, eval_at, flow
+from ringorbits.integrate import FlowResult, IntegratorConfig, eval_at, flow
 from ringorbits.orbits import find_resonance, reconstruct
 from ringorbits.shoot import (
     CORRECTOR_MAX_FLOWS,
@@ -52,7 +52,7 @@ EXCEPTION_CLASSES = {"ConvergenceError", "FlowError", "ResonanceNotFound"}
 
 # Records whose fields must not echo what their caller already holds.
 RECORD_FIELDS = {
-    EvalPoint: ("y", "dy"),
+    FlowResult: ("status", "t", "y", "n_steps", "n_rejected", "dy", "dense"),
     EndpointReport: ("label", "detail"),
     BranchPoint: ("point", "tangent", "arc"),
     BifurcationReport: (

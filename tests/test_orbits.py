@@ -219,6 +219,25 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(q0_corrected, params_q, samples_per_period=1)
 
+    @pytest.mark.parametrize("kw", [{"periods": 2.5}, {"samples_per_period": 64.5}, {"periods": math.nan}])
+    def test_non_integer_counts_rejected_before_any_flow(self, q0_corrected, params_q, monkeypatch, kw):
+        flows = []
+        monkeypatch.setattr(orbits, "flow", lambda *a, **k: flows.append(a))
+        with pytest.raises(ValueError, match="periods must be a positive integer|samples per period"):
+            reconstruct(q0_corrected, params_q, **kw)
+        assert flows == []
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3)], ids=["float", "int64"])
+    def test_an_integral_n_reconstructs_and_exports_as_an_int(self, n, cfg, tmp_path):
+        # range() in the lift and in closure_order, and the JSON writers, need an int
+        params = SystemParams(n=n, m=3.0, M=7.0, r0=11.0)
+        assert type(params.n) is int and params == SystemParams(n=3, m=3.0, M=7.0, r0=11.0)
+        assert closure_order(ResonanceTarget(3, 4), params.n) == (4, 4)
+        traj = reconstruct(SeedPoint(a=params.a0, b=0.0, T=params.T0), params, samples_per_period=8, config=cfg)
+        assert traj.positions.shape == (9, 4, 3)
+        export(traj, "json", tmp_path / "orbit.json")
+        assert '"n": 3,' in (tmp_path / "orbit.json").read_text()
+
     @pytest.mark.filterwarnings("error")
     def test_orbit_out_of_float_range_raises_without_warnings(self, params_p, cfg):
         # the axial body flies off at b = 1e300: energies overflow to inf

@@ -3,13 +3,17 @@
 `perfbench` wraps package functions by (module, attribute) from outside
 `src/`, and skips a binding it cannot find, so a renamed function would
 silently drop out of the traced counts.  These tests load the two table
-modules without running anything and check every entry.
+modules without running anything and check every entry, and check the
+names `param_sweep` reads off an augmented `eval_at`.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from ringorbits.integrate import eval_at, flow
+from ringorbits.model import augmented_initial, make_variational_rhs
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,3 +53,14 @@ def test_compared_labels_are_termination_labels():
     labels = {getattr(cont, name) for name in dir(cont) if name.startswith("TERM_")}
     assert isinstance(getattr(cont, "TERM_BOUND", None), str)
     assert {"trivial-limit", "collision"} <= labels
+
+
+def test_sweep_reads_floats_and_counts_off_eval_at(params_p, cfg):
+    # param_sweep reads these components by name; as Python floats they
+    # keep NumPy scalars out of what callers write with repr
+    a, b, T = params_p.a0, 0.1, 3.0
+    ev = eval_at(a, b, T, params_p, cfg, augmented=True)
+    names = ("F", "Ft", "R", "Rt", "Theta", "Fa", "Ra", "Fb", "Rb")
+    assert [type(getattr(ev, name)) for name in names] == [float] * len(names)
+    res = flow(make_variational_rhs(params_p, params_p.r0 * a), augmented_initial(b, params_p), T, cfg)
+    assert (ev.n_steps, ev.n_rejected) == (res.n_steps, res.n_rejected)
