@@ -7,10 +7,10 @@ sqrt((lam*m + M)/r0^3).  Their ratio
 
     s = sqrt((lam*m + M)/(n*m + M))
 
-controls everything here.  With q = 1 for the odd family and q = 2 for
-the odd/even family (`SymmetryKind.q`), the family branches at
-T* = T0/q (T0 is half the axial period), and the branching is
-nondegenerate as long as s is not a positive integer multiple of q.
+controls everything here.  The odd family branches at T* = T0 (half the
+axial period), and the branching is nondegenerate as long as s is not a
+positive integer.  Its doubly symmetric form, which reads the residuals
+at T/2, degenerates only where s is an even integer.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ def resonance_ratio(params: SystemParams) -> float:
 
 
 def degeneracy_margin(s: float, kind: SymmetryKind) -> float:
-    """Distance-from-resonance margin |2 sin(pi s/q)|, which vanishes on the
-    multiples of q."""
-    return abs(2.0 * math.sin(math.pi * s / kind.q))
+    """Distance-from-resonance margin |2 sin(pi s*f)| of the form that reads
+    its residuals at f*T (`SymmetryKind.fraction`): it vanishes on the
+    integers for odd and on the even integers for double."""
+    return abs(2.0 * math.sin(math.pi * s * kind.fraction))
 
 
 def _fmt_number(x: float) -> str:
@@ -53,12 +54,13 @@ def _fmt_number(x: float) -> str:
 
 @dataclass(frozen=True)
 class BifurcationReport:
-    """Seed of a symmetric family on the circular solution.
+    """Seed (a0, 0, T_star) of the odd family on the circular solution.
 
-    T_star is T0/q (T0 for the odd family, T0/2 for the odd/even family);
-    theta0 = a0*T_star/r0 is the ring phase accumulated over [0, T_star].
-    xi2 is the branch curvature of the phase along the odd family (None
-    for odd/even, where no closed form is carried).
+    T_star is T0; theta0 = a0*T_star/r0 is the ring phase accumulated over
+    [0, T_star].  margin is the odd form's degeneracy margin and
+    margin_double the doubly symmetric form's.  xi2 is the branch
+    curvature of the phase (None where it cannot be formed in floating
+    point).
     """
 
     a0: float
@@ -67,42 +69,38 @@ class BifurcationReport:
     s: float
     nondegenerate: bool
     margin: float
+    margin_double: float
     theta0: float
     T_exact: str
     xi2: float | None = None
 
 
-def bifurcation_point(params: SystemParams, kind: SymmetryKind = SymmetryKind.ODD) -> BifurcationReport:
-    """Closed-form bifurcation data for the requested symmetry kind.
+def bifurcation_point(params: SystemParams) -> BifurcationReport:
+    """Closed-form bifurcation data of the odd family.
 
     The seed is degenerate when s lies within INTEGER_TOL of a positive
-    integer multiple of q; there the margin vanishes.
+    integer; there the odd margin vanishes.
     """
-    q = kind.q
     a0 = params.a0
-    T_star = params.T0 / q
+    T_star = params.T0
     s = resonance_ratio(params)
     p = round(s)
-    degenerate = abs(s - p) < INTEGER_TOL and p >= 1 and p % q == 0
-    theta0 = a0 * T_star / params.r0
-    # T0 = pi*sqrt(r0^3/(n*m+M)) written with r0 factored out of the root.
-    root = f"{_fmt_number(params.r0)}*sqrt({_fmt_number(params.r0)}/{_fmt_number(params.mass_sum)})*pi"
-    T_exact = root if q == 1 else f"(1/{q})*{root}"
-    xi2 = None
-    if kind is SymmetryKind.ODD:
-        try:
-            xi2 = xi_second_derivative(params)
-        except ValueError:
-            xi2 = None
+    degenerate = abs(s - p) < INTEGER_TOL and p >= 1
+    try:
+        xi2 = xi_second_derivative(params)
+    except ValueError:
+        xi2 = None
     return BifurcationReport(
         a0=a0,
         b=0.0,
         T_star=T_star,
         s=s,
         nondegenerate=not degenerate,
-        margin=degeneracy_margin(s, kind),
-        theta0=theta0,
-        T_exact=T_exact,
+        margin=degeneracy_margin(s, SymmetryKind.ODD),
+        margin_double=degeneracy_margin(s, SymmetryKind.DOUBLE),
+        theta0=a0 * T_star / params.r0,
+        # T0 = pi*sqrt(r0^3/(n*m+M)) written with r0 factored out of the root.
+        T_exact=f"{_fmt_number(params.r0)}*sqrt({_fmt_number(params.r0)}/{_fmt_number(params.mass_sum)})*pi",
         xi2=xi2,
     )
 

@@ -33,7 +33,7 @@ from .orbits import (
     reconstruct,
     trajectory_filename,
 )
-from .shoot import CORRECTOR_MAX_FLOWS, CORRECTOR_TOL, ConvergenceError, SeedPoint, SymmetryKind
+from .shoot import CORRECTOR_MAX_FLOWS, CORRECTOR_TOL, ConvergenceError, SeedPoint
 from .shoot import newton_correct, require_above_floor
 
 OUT_ENV = "RINGORBITS_OUT"
@@ -129,8 +129,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 def _add_seed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True, help="angular parameter")
     p.add_argument("--b", type=float, required=True, help="initial axial velocity")
-    p.add_argument("--T", type=float, required=True, help="quarter/half period T")
-    p.add_argument("--kind", default="odd", help="symmetry kind: odd or odd_even")
+    p.add_argument("--T", type=float, required=True, help="return time T (period 2T)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bifurcate", help="closed-form family seeds on the circular solution")
     _add_param_flags(p)
-    p.add_argument("--kind", default="odd", help="odd or odd_even")
     p.add_argument("--json-out", help="also write the report as JSON to this file")
 
     p = sub.add_parser("shoot", help="Newton-correct a seed point at fixed b")
@@ -157,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--seed-file", help="JSON seed point (as written by shoot)")
     p.add_argument("--seed-b", type=float, help="auto-seed: correct (a0, b, T*) at this b")
-    p.add_argument("--kind", default="odd", help="odd or odd_even (auto-seed only)")
     p.add_argument("--direction", choices=["+", "-"], default="+")
     p.add_argument("--max-points", type=int, default=cont.StopRules.max_points)
     p.add_argument("--ds-max", type=float, help="max arclength step")
@@ -209,25 +206,23 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_bifurcate(args) -> int:
     params, _ = _system_from(args)
-    kind = SymmetryKind.parse(args.kind)
-    rep = bifurcation_point(params, kind)
-    print(f"kind          {kind.value}")
+    rep = bifurcation_point(params)
     print(f"a0            {_g(rep.a0)}  (= sqrt((lambda_n*m + M)/r0))")
     print(f"T*            {_g(rep.T_star)}  (= {rep.T_exact})")
     print(f"s             {_g(rep.s)}  (radial/axial frequency ratio)")
-    print(f"nondegenerate {rep.nondegenerate}  margin {_g(rep.margin)}")
+    print(f"nondegenerate {rep.nondegenerate}  margin {_g(rep.margin)}  (doubly symmetric {_g(rep.margin_double)})")
     print(f"theta(T*)     {_g(rep.theta0)}")
     if rep.xi2 is not None:
         print(f"xi'(0)        0  (parity)")
         print(f"xi''(0)       {_g(rep.xi2)}")
     if args.json_out:
-        payload = {**asdict(rep), "kind": kind.value, "params": params.to_dict()}
+        payload = {**asdict(rep), "params": params.to_dict()}
         _write_json(payload, _out_dir(args) / args.json_out)
     return EXIT_OK
 
 
 def _seed_from_args(args) -> SeedPoint:
-    return SeedPoint(a=args.a, b=args.b, T=args.T, kind=SymmetryKind.parse(args.kind))
+    return SeedPoint(a=args.a, b=args.b, T=args.T)
 
 
 def _cmd_shoot(args) -> int:
@@ -262,9 +257,8 @@ def _cmd_trace(args) -> int:
         except _MALFORMED as exc:
             raise ValueError(f"cannot read seed file {args.seed_file}: {exc}")
     else:
-        kind = SymmetryKind.parse(args.kind)
-        rep = bifurcation_point(params, kind)
-        guess = SeedPoint(a=rep.a0, b=args.seed_b, T=rep.T_star, kind=kind)
+        rep = bifurcation_point(params)
+        guess = SeedPoint(a=rep.a0, b=args.seed_b, T=rep.T_star)
         start = newton_correct(guess, params, config)
     direction = 1 if args.direction == "+" else -1
     branch = cont.continue_branch(start, direction, params, config, step=step, stop=stop)
@@ -300,7 +294,7 @@ def _cmd_resonance(args) -> int:
         raise ValueError("need at least two samples per period")
     _check_out(args)
     point = find_resonance(branch, target, config)
-    k_strict, k_relabel = closure_order(target, params.n, branch.kind)
+    k_strict, k_relabel = closure_order(target, params.n)
     periods = k_strict if args.strict_closure else k_relabel
     traj = reconstruct(point, params, periods=periods, samples_per_period=args.samples, config=config)
     out = _out_dir(args)
@@ -334,12 +328,11 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--res-tol must be finite and positive, got {args.res_tol!r}")
     require_above_floor(point.T, params)
     e = eval_at(point.a, point.b, point.T, params, config)
-    r1, r2 = e.y[point.kind.family.index], e.Rt  # the residuals at T of the point's family
     traj = reconstruct(point, params, periods=1, samples_per_period=256, config=config)
     d = traj.diagnostics
     checks = [
-        ("residual_1", abs(r1), args.res_tol),
-        ("residual_2", abs(r2), args.res_tol),
+        ("residual_1", abs(e.F), args.res_tol),
+        ("residual_2", abs(e.Rt), args.res_tol),
         ("energy_drift", d["energy_drift"], 1e-9),
         ("momentum_max", d["momentum_max"], 1e-9),
         ("com_max", d["com_max"], 1e-9),

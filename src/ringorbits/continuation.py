@@ -9,8 +9,9 @@ adapting the step length to corrector failures.  Each corrector call may
 run at most _CORRECTOR_MAX_FLOWS flows: a correction that needs more is
 crawling, and halving the step is cheaper than letting it finish or fail
 late.  So is one whose Newton contraction |dx_1|/|dx_0| exceeds
-_MAX_CONTRACTION: its predictor was too far from the curve.  An odd family
-is corrected in its doubly symmetric form up to the first failed step.
+_MAX_CONTRACTION: its predictor was too far from the curve.  Every branch
+is of the odd family, and is corrected in its doubly symmetric form up to
+the first failed step.
 
 `continue_branch` is the one place that names how a branch ended, as
 `Branch.termination`, one of the TERM_* labels: a crossing of b = 0 is a
@@ -36,6 +37,7 @@ from .bifurcate import bifurcation_point
 from .integrate import SINGULAR, FlowError, IntegratorConfig
 from .model import SystemParams, write_json
 from .shoot import (
+    OLD_KIND_HINT,
     T_LOWER,
     ConvergenceError,
     DesingPoint,
@@ -135,9 +137,8 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Result of one continuation run."""
+    """Result of one continuation run along the odd family."""
 
-    kind: SymmetryKind
     params: SystemParams
     points: list[BranchPoint]
     termination: str
@@ -166,20 +167,16 @@ def _tangent_from(d: DesingPoint, where: tuple, prev: np.ndarray | None) -> tupl
 
 def _on_family(point: SeedPoint, params: SystemParams, config) -> tuple[SymmetryKind, DesingPoint]:
     """The form a start is traced in, and its residual data there: the doubly
-    symmetric form for an odd-family point within _ON_FAMILY_TOL of it (one
-    flow of half the length), else the family's own, which the point must meet."""
-    kind = point.kind.family
-    if kind is SymmetryKind.ODD:
-        d = desing_eval(point.a, point.b, point.T, SymmetryKind.DOUBLE, params, config)
+    symmetric form if the point is within _ON_FAMILY_TOL of it (one flow of
+    half the length), else the odd form, which the point must meet."""
+    for kind in (SymmetryKind.DOUBLE, SymmetryKind.ODD):
+        d = desing_eval(point.a, point.b, point.T, kind, params, config)
         if d.residual <= _ON_FAMILY_TOL:
-            return SymmetryKind.DOUBLE, d
-    d = desing_eval(point.a, point.b, point.T, kind, params, config)
-    if d.residual > _ON_FAMILY_TOL:
-        raise ValueError(
-            f"point is not on the family: desingularized residuals {d.value:.3e}, {d.rt:.3e} "
-            f"exceed {_ON_FAMILY_TOL:.1e}"
-        )
-    return kind, d
+            return kind, d
+    raise ValueError(
+        f"point is not on the family: desingularized residuals {d.value:.3e}, {d.rt:.3e} "
+        f"exceed {_ON_FAMILY_TOL:.1e}"
+    )
 
 
 def tangent(
@@ -188,10 +185,10 @@ def tangent(
     """Unit tangent of the family at a corrected point, with the raw magnitude.
 
     The direction is grad(value) x grad(R_t) in (a, b, T), from the one
-    evaluation `continue_branch` starts from (`_on_family`: for an odd-family
-    point, labelled odd or double, the doubly symmetric form where it meets
-    it), so its `direction` +1 follows this tangent.  Rejects points off
-    their family, and raises ConvergenceError "singular-point" where the
+    evaluation `continue_branch` starts from (`_on_family`: for a point
+    labelled odd or double, the doubly symmetric form where it meets it), so
+    its `direction` +1 follows this tangent.  Rejects points off the
+    family, and raises ConvergenceError "singular-point" where the
     gradients are parallel.
     """
     _, d = _on_family(point, params, config)
@@ -238,7 +235,7 @@ def continue_branch(
     `tangent(start)`; afterwards the orientation follows by continuity.  The
     start must already satisfy the residuals (correct it first if unsure).
     One evaluation (`_on_family`) checks that, picks the form and gives the
-    first tangent: a start of the odd family, labelled odd or double, within
+    first tangent: a start, labelled odd or double, within
     _ON_FAMILY_TOL of the doubly symmetric form costs one flow of half its
     length and is traced in that form up to the first failed step.  The
     first branch point is the start with that form's kind, residual and
@@ -342,7 +339,7 @@ def continue_branch(
              "double_points": sum(bp.point.kind is SymmetryKind.DOUBLE for bp in points)}
     if b_zero_refine is not None:
         stats["b_zero_refine"] = b_zero_refine
-    return Branch(kind=start.kind.family, params=params, points=points, termination=termination, stats=stats)
+    return Branch(params=params, points=points, termination=termination, stats=stats)
 
 
 @dataclass(frozen=True)
@@ -358,13 +355,13 @@ def classify_endpoint(branch: Branch) -> EndpointReport:
     """Report the ending `continue_branch` named in `branch.termination`.
 
     For a trivial limit the detail holds the closed-form bifurcation point
-    of the same kind (seed_a, seed_T) and the end point's gaps to it
+    (seed_a, seed_T) and the end point's gaps to it
     (delta_a, delta_T); for every other ending it is empty.
     """
     detail: dict = {}
     if branch.termination == TERM_B_ZERO:
         end = branch.end
-        ref = bifurcation_point(branch.params, branch.kind)
+        ref = bifurcation_point(branch.params)
         detail = {
             "seed_a": ref.a0,
             "seed_T": ref.T_star,
@@ -387,7 +384,6 @@ def branch_to_csv(branch: Branch, path) -> None:
 
 def branch_summary(branch: Branch) -> dict:
     return {
-        "kind": branch.kind.value,
         "params": branch.params.to_dict(),
         "n_points": len(branch.points),
         "termination": branch.termination,
@@ -415,9 +411,11 @@ def branch_to_json(branch: Branch, path) -> None:
 
 
 def branch_from_json(path) -> Branch:
+    """Reload a branch_to_json file; a file written with a "kind" key must name "odd"."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    kind = SymmetryKind.parse(payload["kind"])
+    if "kind" in payload and payload["kind"] != "odd":
+        raise ValueError(f"branch kind {payload['kind']!r} is not read: every branch is odd ({OLD_KIND_HINT})")
     params = SystemParams.from_dict(payload["params"])
     points = [  # points written before x_norm was dropped still hold it, unread
         BranchPoint(
@@ -428,7 +426,6 @@ def branch_from_json(path) -> Branch:
         for rec in payload["points"]
     ]
     return Branch(
-        kind=kind,
         params=params,
         points=points,
         # files written before the TERM_* labels were renamed carry the

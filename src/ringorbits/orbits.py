@@ -1,11 +1,10 @@
 """Resonant orbit selection, full-space reconstruction and export.
 
 A corrected family member closes in the reduced variables after one
-period, but each reduced period also turns the lifted configuration by 2q
-times the phase theta accumulated over [0, T] (q = 2 odd/even, 1 otherwise).
-When theta is a rational angle n1*pi/n2 the lifted orbit is periodic too:
-strictly after at most n2 reduced periods, or earlier up to relabeling of
-the identical ring bodies.
+period 2T, but each reduced period also turns the lifted configuration by
+twice the phase theta accumulated over [0, T].  When theta is a rational
+angle n1*pi/n2 the lifted orbit is periodic too: strictly after at most n2
+reduced periods, or earlier up to relabeling of the identical ring bodies.
 """
 
 from __future__ import annotations
@@ -71,19 +70,18 @@ class ResonanceTarget:
         return f"{self.n1}pi{self.n2}"
 
 
-def closure_order(target: ResonanceTarget, n: int, kind: SymmetryKind = SymmetryKind.ODD) -> tuple[int, int]:
+def closure_order(target: ResonanceTarget, n: int) -> tuple[int, int]:
     """Reduced periods until the lifted orbit closes: (strict, up to relabeling).
 
-    A reduced period spans 2q*T (q = kind.q), so it turns the ring by
-    2q*theta = 2q*n1*pi/n2.  Strict closure needs k*q*n1/n2 to be an
-    integer, so k = n2/gcd(q, n2) as n1/n2 is in lowest terms; with the n
-    identical ring bodies relabeled, a turn by any multiple of 2*pi/n also
-    closes, so k = n2/gcd(q*n, n2).
+    A reduced period spans 2T, so it turns the ring by 2*theta =
+    2*n1*pi/n2.  Strict closure needs k*n1/n2 to be an integer, so k = n2
+    as n1/n2 is in lowest terms; with the n identical ring bodies
+    relabeled, a turn by any multiple of 2*pi/n also closes, so
+    k = n2/gcd(n, n2).
     """
     if n < 2:
         raise ValueError(f"need at least two ring bodies, got n={n}")
-    q = kind.q
-    return target.n2 // math.gcd(q, target.n2), target.n2 // math.gcd(q * n, target.n2)
+    return target.n2, target.n2 // math.gcd(n, target.n2)
 
 
 def find_resonance(
@@ -126,8 +124,8 @@ def find_resonance(
     x_lo = pts[idx].point.vector()
     chord = pts[idx + 1].point.vector() - x_lo
     x0 = x_lo + gap[idx] / (gap[idx] - gap[idx + 1]) * chord
-    lo, hi = pts[idx].point.kind, pts[idx + 1].point.kind  # their form, or the family's where they differ
-    guess = SeedPoint(a=float(x0[0]), b=float(x0[1]), T=float(x0[2]), kind=lo if lo is hi else branch.kind)
+    lo, hi = pts[idx].point.kind, pts[idx + 1].point.kind  # their form, or odd where they differ
+    guess = SeedPoint(a=float(x0[0]), b=float(x0[1]), T=float(x0[2]), kind=lo if lo is hi else SymmetryKind.ODD)
     pt = newton_correct(guess, params, config, constraint=phase(angle))
     w = float(np.dot(pt.vector() - x_lo, chord) / np.dot(chord, chord))
     if not 0.0 <= w <= 1.0:
@@ -182,7 +180,7 @@ def reconstruct(
 ) -> Trajectory:
     """Flow a corrected point over whole periods and lift every sample.
 
-    The reduced period is 2T (odd) or 4T (odd/even).  Diagnostics, all
+    The reduced period is 2T.  Diagnostics, all
     maxima over the samples:
       energy_drift     relative spread of the full-system energy
       momentum_max     largest |total momentum| component
@@ -307,8 +305,8 @@ def load_trajectory(path) -> Trajectory:
 
 
 def trajectory_filename(point: SeedPoint, target: ResonanceTarget, ext: str = "csv") -> str:
-    """Deterministic name <family>_<n1>pi<n2>_<hash>.<ext> from the seed values."""
+    """Deterministic name odd_<n1>pi<n2>_<hash>.<ext> from the seed values."""
     digest = hashlib.sha256(
         json.dumps(point.to_dict(), sort_keys=True).encode("utf-8")
     ).hexdigest()[:8]
-    return f"{point.kind.family.value}_{target.tag}_{digest}.{ext}"
+    return f"odd_{target.tag}_{digest}.{ext}"

@@ -5,10 +5,9 @@ A solution launched from the symmetric initial condition (f, fdot, r, rdot)
 hits another symmetric configuration:
 
   odd       F(a,b,T) = 0 and R_t(a,b,T) = 0       -> period 2T
-  odd/even  F_t(a,b,T) = 0 and R_t(a,b,T) = 0     -> period 4T
   double    F_t(a,b,T/2) = 0 and R_t(a,b,T/2) = 0 -> period 2T
 
-The first residual is F or F_t, `SymmetryKind.index`.  The third kind is
+The first residual is F or F_t, `SymmetryKind.index`.  The second kind is
 the doubly symmetric form of an odd orbit, in odd coordinates: an orbit
 mirror-symmetric about T/2 has F(T) = 0 and R_t(T) = -R_t(0) = 0, so it is
 odd, and flows half as long give its residuals.  Every first residual
@@ -75,6 +74,9 @@ _FD_DB = 1e-5
 
 _MAX_HALVINGS = 8
 
+# How a point of the odd/even kind, which is no longer read, converts.
+OLD_KIND_HINT = "an 'odd_even' point (a, b, T) is the point (a, b, 2T) of kind 'double'"
+
 
 class ConvergenceError(RuntimeError):
     """A corrector, or a continuation step built on it, did not converge.
@@ -97,31 +99,17 @@ class ConvergenceError(RuntimeError):
 
 class SymmetryKind(enum.Enum):
     ODD = "odd"
-    ODD_EVEN = "odd_even"
     DOUBLE = "double"  # the doubly symmetric form of the odd family
 
     @property
-    def q(self) -> int:
-        """2 for odd/even, 1 otherwise: the period is 2q*T, the seed time T0/q."""
-        return 2 if self is SymmetryKind.ODD_EVEN else 1
-
-    @property
     def index(self) -> int:
-        """The state component of the first residual: 0 (F) for odd, 1 (F_t) otherwise."""
+        """The state component of the first residual: 0 (F) for odd, 1 (F_t) for double."""
         return 0 if self is SymmetryKind.ODD else 1
 
     @property
-    def family(self) -> "SymmetryKind":
-        """The family whose coordinates the kind uses: ODD for the doubly symmetric form."""
-        return SymmetryKind.ODD if self is SymmetryKind.DOUBLE else self
-
-    @classmethod
-    def parse(cls, text: str) -> "SymmetryKind":
-        key = str(text).strip().lower().replace("-", "_").replace("/", "_")
-        for kind in (cls.ODD, cls.ODD_EVEN):
-            if kind.value == key:
-                return kind
-        raise ValueError(f"unknown symmetry kind {text!r}; expected 'odd' or 'odd_even'")
+    def fraction(self) -> float:
+        """The share of T the residuals are read at: 1/2 for double, 1 for odd."""
+        return 0.5 if self is SymmetryKind.DOUBLE else 1.0
 
 
 @dataclass(frozen=True)
@@ -154,19 +142,24 @@ class SeedPoint:
 
     @property
     def period(self) -> float:
-        return 2 * self.kind.q * self.T
+        return 2 * self.T
 
     def to_dict(self) -> dict:
         return {**asdict(self), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeedPoint":
-        kind = d["kind"] if "kind" in d else "odd"  # may be the doubly symmetric form, which parse refuses
+        try:
+            kind = SymmetryKind(d["kind"] if "kind" in d else "odd")
+        except ValueError:
+            raise ValueError(
+                f"unknown symmetry kind {d['kind']!r}; expected 'odd' or 'double' ({OLD_KIND_HINT})"
+            ) from None
         return cls(
             a=float(d["a"]),
             b=float(d["b"]),
             T=float(d["T"]),
-            kind=SymmetryKind.DOUBLE if kind == SymmetryKind.DOUBLE.value else SymmetryKind.parse(kind),
+            kind=kind,
             residual=float(d.get("residual", math.nan)),
             theta=float(d.get("theta", math.nan)),
         )
@@ -182,7 +175,7 @@ def require_above_floor(T: float, params: SystemParams) -> None:
 class DesingPoint:
     """Desingularized residual data at (a, b, T).
 
-    value is F/b (odd) or F_t/b (odd/even, double), continued across b = 0
+    value is F/b (odd) or F_t/b (double), continued across b = 0
     by the flow sensitivities; rt is R_t; theta is the ring phase.  The
     three gradients are w.r.t. (a, b, T).
     """
@@ -214,8 +207,7 @@ def desing_eval(
     # The flows run for s*T, s = 1/2 in the doubly symmetric form, which halves
     # the T-column and doubles theta.  y is the state at s*T, then its a- and
     # b-sensitivity columns from 5 and 10 on; dy is the vector field there.
-    s = 0.5 if kind is SymmetryKind.DOUBLE else 1.0
-    i = kind.index
+    s, i = kind.fraction, kind.index
     if b == 0.0:
         e = eval_at(a, 0.0, s * T, params, config, augmented=True)
         value, vt = e.y[10 + i], s * e.dy[10 + i]

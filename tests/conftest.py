@@ -121,12 +121,11 @@ def theta_curvature_numeric(
     to tau = 0 by a linear fit in tau^2; the first derivative from the
     outermost symmetric pair.
     """
-    kind = SymmetryKind.ODD
-    seed = bifurcation_point(params, kind)
+    seed = bifurcation_point(params)
     a0, T0 = seed.a0, seed.T_star
     b_max = _CURVATURE_B * math.sqrt(params.mass_sum / params.r0)
 
-    d0 = desing_eval(a0, 0.0, T0, kind, params, config)
+    d0 = desing_eval(a0, 0.0, T0, SymmetryKind.ODD, params, config)
     theta0 = d0.theta
 
     def x_b(d):
@@ -137,10 +136,10 @@ def theta_curvature_numeric(
         taus, thetas = [], []
         tau = 0.0
         b_prev, xb_prev = 0.0, x_b(d0)
-        guess = SeedPoint(a=a0, b=0.0, T=T0, kind=kind)
+        guess = SeedPoint(a=a0, b=0.0, T=T0)
         for j in range(1, n_points + 1):
             b = sign * b_max * j / n_points
-            guess = SeedPoint(a=guess.a, b=b, T=guess.T, kind=kind)
+            guess = SeedPoint(a=guess.a, b=b, T=guess.T)
             pt, d, _ = newton_correct_full(guess, params, config, tol=_CURVATURE_TOL)
             xb = x_b(d)
             tau += (b - b_prev) * 0.5 * (1.0 / xb + 1.0 / xb_prev)

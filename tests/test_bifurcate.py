@@ -54,30 +54,28 @@ class TestDegeneracyMargin:
         assert degeneracy_margin(2.0, SymmetryKind.ODD) < 1e-15
 
     def test_odd_even_only_cares_about_even_integers(self):
-        assert degeneracy_margin(2.0, SymmetryKind.ODD_EVEN) < 1e-15
-        assert abs(degeneracy_margin(1.0, SymmetryKind.ODD_EVEN) - 2.0) < 1e-15
+        # the doubly symmetric form reads the odd/even residuals at T/2
+        assert degeneracy_margin(2.0, SymmetryKind.DOUBLE) < 1e-15
+        assert abs(degeneracy_margin(1.0, SymmetryKind.DOUBLE) - 2.0) < 1e-15
 
 
 class TestNondegeneracy:
     def test_reference_systems_are_clean(self, params_p, params_q):
         for p in (params_p, params_q):
-            for kind in SymmetryKind:
-                rep = bifurcation_point(p, kind)
-                assert rep.nondegenerate
-                assert rep.margin > 0.1
+            rep = bifurcation_point(p)
+            assert rep.nondegenerate
+            assert rep.margin > 0.1 and rep.margin_double > 0.1
 
     def test_huge_central_mass_pinches_the_odd_margin(self):
         # s -> 1 as M -> inf; at M = 2e9 the ratio sits within 1e-9 of 1
         p = SystemParams(n=3, m=1.0, M=2e9, r0=11.0)
         s = resonance_ratio(p)
         assert abs(s - 1.0) < 1e-9
-        odd = bifurcation_point(p, SymmetryKind.ODD)
-        assert not odd.nondegenerate
-        assert odd.margin < 1e-8
-        # 1 is not an even integer: the odd/even seed stays usable
-        odd_even = bifurcation_point(p, SymmetryKind.ODD_EVEN)
-        assert odd_even.nondegenerate
-        assert abs(odd_even.margin - 2.0) < 1e-8
+        rep = bifurcation_point(p)
+        assert not rep.nondegenerate
+        assert rep.margin < 1e-8
+        # 1 is not an even integer: the doubly symmetric form stays clear of it
+        assert abs(rep.margin_double - 2.0) < 1e-8
 
     @pytest.mark.parametrize(
         "n,s,margin",
@@ -86,16 +84,16 @@ class TestNondegeneracy:
     def test_ratio_crosses_one_where_lambda_crosses_n(self, n, s, margin):
         # with M = 0, s = sqrt(lam/n): lam_n < n up to n = 472, lam_n > n from 473
         p = SystemParams(n=n, m=1.0, M=0.0, r0=1.0)
-        odd = bifurcation_point(p, SymmetryKind.ODD)
-        assert odd.s == pytest.approx(s, rel=1e-6)
-        assert odd.margin == pytest.approx(margin, rel=1e-6)
-        assert odd.nondegenerate
-        assert bifurcation_point(p, SymmetryKind.ODD_EVEN).nondegenerate
+        rep = bifurcation_point(p)
+        assert rep.s == pytest.approx(s, rel=1e-6)
+        assert rep.margin == pytest.approx(margin, rel=1e-6)
+        assert rep.margin_double == pytest.approx(2.0, abs=1e-6)
+        assert rep.nondegenerate
 
 
 class TestBifurcationPoint:
     def test_light_system_exact_values(self, params_p):
-        rep = bifurcation_point(params_p, SymmetryKind.ODD)
+        rep = bifurcation_point(params_p)
         assert rep.T_star == params_p.T0
         assert abs(rep.a0 - math.sqrt((math.sqrt(3.0) + 7.0) / 11.0)) < 1e-14
         assert abs(rep.T_star - math.pi * 11.0 * math.sqrt(11.0) / 4.0) < 1e-10
@@ -115,13 +113,13 @@ class TestBifurcationPoint:
         assert rep.T_exact == "11*sqrt(11/518)*pi"
         assert abs(rep.T_star - 11.0 * math.sqrt(11.0 / 518.0) * math.pi) < 1e-12
 
-    def test_odd_even_seed_halves_the_time(self, params_p):
-        odd = bifurcation_point(params_p, SymmetryKind.ODD)
-        oe = bifurcation_point(params_p, SymmetryKind.ODD_EVEN)
-        assert oe.T_star == odd.T_star / 2.0
-        assert oe.T_exact == "(1/2)*11*sqrt(11/16)*pi"
-        assert oe.xi2 is None
-        assert oe.a0 == odd.a0
+    def test_one_seed_carries_both_margins(self, params_p):
+        # the odd/even seed (a0, 0, T0/2) is the doubly symmetric form of (a0, 0, T0)
+        rep = bifurcation_point(params_p)
+        assert (rep.T_star, rep.T_exact) == (params_p.T0, "11*sqrt(11/16)*pi")
+        assert rep.margin == degeneracy_margin(rep.s, SymmetryKind.ODD)
+        assert rep.margin_double == abs(2.0 * math.sin(math.pi * rep.s / 2.0))
+        assert rep.xi2 is not None
 
     def test_theta0_matches_integrated_phase(self, params_p, params_q, cfg):
         for p in (params_p, params_q):

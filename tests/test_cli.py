@@ -62,7 +62,7 @@ class TestBifurcate:
         assert "a0            0.890967" in out
         assert "T*            28.6536" in out
         assert "theta(T*)     2.32086" in out
-        assert "nondegenerate True" in out
+        assert "nondegenerate True  margin 1.4633  (doubly symmetric 1.83395)" in out
         assert "xi''(0)" in out
 
     def test_heavy_system_summary(self, capsys):
@@ -71,12 +71,6 @@ class TestBifurcate:
         assert "a0            5.17965" in out
         assert "T*            5.03586" in out
         assert "11*sqrt(11/518)*pi" in out
-
-    def test_odd_even_kind_spelled_with_dash(self, capsys):
-        code, out, _ = run(capsys, ["bifurcate", *P_FLAGS, "--kind", "odd-even"])
-        assert code == EXIT_OK
-        assert "kind          odd_even" in out
-        assert "T*            14.3268" in out
 
     def test_json_out(self, capsys, tmp_path):
         code, out, _ = run(
@@ -88,7 +82,9 @@ class TestBifurcate:
         assert abs(payload["a0"] - 0.8909673398548792) < 1e-12
         assert abs(payload["T_star"] - 28.653581209259357) < 1e-9
         assert payload["nondegenerate"] is True
+        assert payload["margin_double"] == abs(2.0 * math.sin(0.5 * math.pi * payload["s"]))
         assert payload["params"]["n"] == 3
+        assert "kind" not in payload
 
     def test_huge_mass_sum_prints_as_a_float_in_the_exact_time(self, capsys):
         code, out, _ = run(capsys, ["bifurcate", "--n", "3", "--m", "1e200", "--M", "7", "--r0", "11"])
@@ -263,6 +259,12 @@ P_SYSTEM = {"n": 3, "m": 3.0, "M": 7.0, "r0": 11.0}
             {"kind": "odd", "params": {**P_SYSTEM, "m": 10**400}, "points": []},
         ),
         (["bifurcate", "--config"], [3, 3, 7, 11]),  # JSON, but not an object
+        # the odd/even kind is no longer read, in a seed or a branch file
+        (["trace", *P_FLAGS, "--seed-file"], {"a": 0.89, "b": 0.05, "T": 14.3, "kind": "odd_even"}),
+        (
+            ["resonance", *P_FLAGS, "--n1", "3", "--n2", "4", "--branch"],
+            {"kind": "odd_even", "params": P_SYSTEM, "points": []},
+        ),
     ],
 )
 def test_malformed_file_exits_before_any_flow(capsys, monkeypatch, tmp_path, command, content):
@@ -278,6 +280,8 @@ def test_malformed_file_exits_before_any_flow(capsys, monkeypatch, tmp_path, com
     assert code == EXIT_CONFIG
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+    if isinstance(content, dict) and content.get("kind") == "odd_even":
+        assert "an 'odd_even' point (a, b, T) is the point (a, b, 2T) of kind 'double'" in err
 
 
 @pytest.mark.parametrize(
@@ -707,20 +711,21 @@ class TestDoublySymmetricMember:
         assert abs(e.F) < 1e-9 and abs(e.Rt) < 1e-9 and abs(e.Ft) > 0.1
         argv = ["verify", *P_FLAGS, "--a", repr(point.a), "--b", repr(point.b), "--T", repr(point.T)]
         for patched in (False, True):
-            if patched:  # --kind cannot name the form: hand verify the point as the file holds it
+            if patched:  # no flag names the form: hand verify the point as the file holds it
                 monkeypatch.setattr(cli, "_seed_from_args", lambda args: point)
             code, out, _ = run(capsys, argv)
             assert code == EXIT_OK
             assert f"residual_1     {abs(e.F):>12.6g}" in out
 
     def test_kind_flag_offers_only_the_families(self, capsys):
-        flags = ["--a", "0.9", "--b", "0.05", "--T", "28.7", "--kind", "double"]
-        for command in ("verify", "shoot", "orbit"):
-            code, _, err = run(capsys, [command, *P_FLAGS, *flags])
-            assert code == EXIT_CONFIG
-            assert "expected 'odd' or 'odd_even'" in err
-        for argv in (["bifurcate", "--kind", "double"], ["trace", "--seed-b", "0.05", "--kind", "double"]):
-            assert run(capsys, [*argv[:1], *P_FLAGS, *argv[1:]])[0] == EXIT_CONFIG
+        # every point is of the odd family, so no subcommand takes --kind
+        seed = ["--a", "0.9", "--b", "0.05", "--T", "28.7"]
+        for argv in (["verify", *seed], ["shoot", *seed], ["orbit", *seed], ["bifurcate"],
+                     ["trace", "--seed-b", "0.05"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv[:1], *P_FLAGS, *argv[1:], "--kind", "odd"])
+            assert exc.value.code == EXIT_CONFIG
+            assert "unrecognized arguments: --kind odd" in capsys.readouterr().err
 
 
 class TestPlumbing:

@@ -474,7 +474,6 @@ class TestDoublySymmetricForm:
     def test_every_point_meets_the_other_form(self, request, name):
         branch = request.getfixturevalue(name)
         params = branch.params
-        assert branch.kind is SymmetryKind.ODD
         assert branch.start.kind is SymmetryKind.DOUBLE
         assert branch.stats["double_points"] == len(branch.points)
         for bp in branch.points:
@@ -516,14 +515,6 @@ class TestDoublySymmetricForm:
         assert [args[2] for args in flows] == [0.5 * start.T]
         assert br.start.kind is SymmetryKind.DOUBLE
 
-    def test_odd_even_start_costs_one_flow_in_its_form(self, p1_corrected, params_p, cfg, monkeypatch):
-        # the odd/even member at half the time: the same flow as the doubly symmetric pair
-        start = SeedPoint(a=p1_corrected.a, b=p1_corrected.b, T=0.5 * p1_corrected.T, kind=SymmetryKind.ODD_EVEN)
-        flows = count_flows(monkeypatch)
-        br = continue_branch(start, 1, params_p, cfg, stop=StopRules(max_points=1))
-        assert [args[2] for args in flows] == [start.T]
-        assert br.kind is br.start.kind is SymmetryKind.ODD_EVEN
-
     def test_off_family_start_is_tried_in_both_forms(self, p1_corrected, params_p, cfg, monkeypatch):
         stray = SeedPoint(a=p1_corrected.a, b=p1_corrected.b, T=p1_corrected.T + 1.0)
         flows = count_flows(monkeypatch)
@@ -563,8 +554,8 @@ class TestSerialization:
         path = tmp_path / "branch.json"
         branch_to_json(p_branch, path)
         again = branch_from_json(path)
+        assert "kind" not in json.loads(path.read_text())  # every branch is odd
         assert again.termination == p_branch.termination
-        assert again.kind is p_branch.kind
         assert again.params == p_branch.params
         assert len(again.points) == len(p_branch.points)
         for orig, back in zip(p_branch.points, again.points):
@@ -583,6 +574,20 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         again = branch_from_json(path)
         assert [bp.point for bp in again.points] == [bp.point for bp in p_branch.points]
+
+    @pytest.mark.parametrize("kind", ["odd", "odd_even", "double"])
+    def test_files_with_a_kind_load_only_if_odd(self, p_branch, tmp_path, kind):
+        # branch files written before every branch was odd name their kind
+        path = tmp_path / "old.json"
+        branch_to_json(p_branch, path)
+        payload = json.loads(path.read_text())
+        payload["kind"] = kind
+        path.write_text(json.dumps(payload))
+        if kind == "odd":
+            assert [bp.point for bp in branch_from_json(path).points] == [bp.point for bp in p_branch.points]
+        else:
+            with pytest.raises(ValueError, match=r"point \(a, b, 2T\) of kind 'double'"):
+                branch_from_json(path)
 
     def test_csv_dump(self, p_branch, tmp_path):
         path = tmp_path / "branch.csv"
@@ -610,7 +615,7 @@ class TestSerialization:
         assert s["termination"] == p_branch.termination == "unbounded"
         assert s["n_points"] == len(p_branch.points)
         assert s["endpoint_detail"] == {}
-        assert "endpoint_label" not in s
+        assert "endpoint_label" not in s and "kind" not in s
         assert set(s["stats"]) == {"failures", "ds_final", "double_points", "switch", "contraction_max"}
         assert s["start"]["b"] == p_branch.start.b
         assert s["arc_length"] == p_branch.points[-1].arc

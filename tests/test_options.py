@@ -15,15 +15,16 @@ import pkgutil
 import pytest
 
 import ringorbits
-from ringorbits.bifurcate import BifurcationReport
+from ringorbits.bifurcate import BifurcationReport, bifurcation_point
 from ringorbits.cli import build_parser
 from ringorbits.continuation import BranchPoint, EndpointReport, StepControl, StopRules, continue_branch, tangent
 from ringorbits.integrate import FlowResult, IntegratorConfig, eval_at, flow
-from ringorbits.orbits import find_resonance, reconstruct
+from ringorbits.orbits import closure_order, find_resonance, reconstruct
 from ringorbits.shoot import (
     CORRECTOR_MAX_FLOWS,
     CORRECTOR_TOL,
     ConvergenceError,
+    SymmetryKind,
     desing_eval,
     newton_correct,
     newton_correct_full,
@@ -45,6 +46,8 @@ KEYWORD_PARAMETERS = {
     tangent: ("config",),
     find_resonance: ("config",),
     reconstruct: ("periods", "samples_per_period", "config"),
+    bifurcation_point: (),
+    closure_order: (),
 }
 
 
@@ -56,7 +59,7 @@ RECORD_FIELDS = {
     EndpointReport: ("label", "detail"),
     BranchPoint: ("point", "tangent", "arc"),
     BifurcationReport: (
-        "a0", "b", "T_star", "s", "nondegenerate", "margin", "theta0", "T_exact", "xi2",
+        "a0", "b", "T_star", "s", "nondegenerate", "margin", "margin_double", "theta0", "T_exact", "xi2",
     ),
 }
 
@@ -79,6 +82,11 @@ def test_settable_surface_is_eight():
 def test_keyword_parameters(fn):
     params = inspect.signature(fn).parameters.values()
     assert tuple(p.name for p in params if p.default is not p.empty) == KEYWORD_PARAMETERS[fn]
+
+
+def test_two_symmetry_kinds():
+    # the odd form and its doubly symmetric form; no odd/even kind
+    assert [k.value for k in SymmetryKind] == ["odd", "double"]
 
 
 def test_keyword_surface_is_twenty():

@@ -10,6 +10,7 @@ import pytest
 
 from ringorbits import orbits
 from ringorbits.continuation import Branch, BranchPoint
+from ringorbits.integrate import eval_at
 from ringorbits.model import SystemParams
 from ringorbits.orbits import (
     ResonanceNotFound,
@@ -71,18 +72,22 @@ class TestClosureOrder:
     @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 2), (3, 4), (4, 5), (5, 6), (7, 3), (1, 8)])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_odd_even_against_brute_force(self, n1, n2, n):
-        # an odd/even reduced period spans 4T: it turns the ring by 4*theta
-        target = ResonanceTarget(n1, n2)
-        assert closure_order(target, n, SymmetryKind.ODD_EVEN) == brute_force_orders(n1, n2, n, q=2)
+        # an odd/even member (a, b, T) with phase n1*pi/n2, whose reduced
+        # period 4T turned the ring by 4*theta, is the odd member (a, b, 2T)
+        # with phase 2*n1*pi/n2: the same closure order
+        g = math.gcd(2 * n1, n2)
+        target = ResonanceTarget(2 * n1 // g, n2 // g)
+        assert closure_order(target, n) == brute_force_orders(n1, n2, n, q=2)
 
     def test_odd_even_half_pi_member_closes_after_one_period(self, p_branch, params_p, cfg):
-        # the odd pi member at half its time is an odd/even member with
-        # theta = pi/2; 4*theta turns the ring by a whole turn
+        # the odd pi member, corrected in the doubly symmetric form, has the
+        # phase pi/2 at half its time; 2*theta turns the ring by a whole turn
         odd = find_resonance(p_branch, ResonanceTarget(1, 1), cfg)
-        guess = SeedPoint(a=odd.a, b=odd.b, T=0.5 * odd.T, kind=SymmetryKind.ODD_EVEN)
-        member = newton_correct(guess, params_p, cfg)
-        assert abs(member.theta - 0.5 * math.pi) <= 1e-9
-        k_strict, k_relabel = closure_order(ResonanceTarget(1, 2), params_p.n, member.kind)
+        member = newton_correct(replace(odd, kind=SymmetryKind.DOUBLE), params_p, cfg)
+        assert abs(member.theta - math.pi) <= 1e-9
+        half = eval_at(member.a, member.b, 0.5 * member.T, params_p, cfg)
+        assert abs(half.Theta - 0.5 * math.pi) <= 1e-9
+        k_strict, k_relabel = closure_order(ResonanceTarget(1, 1), params_p.n)
         assert (k_strict, k_relabel) == (1, 1)
         traj = reconstruct(member, params_p, periods=k_strict, samples_per_period=64, config=cfg)
         assert traj.diagnostics["closure_error"] < 1e-6
@@ -132,7 +137,7 @@ class TestFindResonance:
 
     @pytest.mark.parametrize("kinds", [("double", "double"), ("double", "odd"), ("odd", "odd")])
     def test_member_takes_the_form_of_its_bracket(self, p_branch, cfg, kinds):
-        # a bracket across the switch to the odd form solves in the family's form
+        # a bracket across the switch to the odd form solves in the odd form
         target = ResonanceTarget(3, 4)
         i = next(i for i, bp in enumerate(p_branch.points) if bp.point.theta > target.angle)
         pair = [replace(bp, point=replace(bp.point, kind=SymmetryKind(k)))
@@ -149,7 +154,6 @@ class TestFindResonance:
         near = [bp for bp in p_branch.points if 0.86 * math.pi < bp.point.theta < 0.9 * math.pi]
         shift = 0.5 * (near[0].point.theta + near[1].point.theta) - target.angle
         stub = Branch(
-            kind=p_branch.kind,
             params=p_branch.params,
             points=[replace(bp, point=replace(bp.point, theta=bp.point.theta - shift)) for bp in near[:2]],
             termination="budget",
@@ -164,7 +168,6 @@ class TestFindResonance:
 
     def test_short_branch_rejected(self, p_branch):
         stub = Branch(
-            kind=p_branch.kind,
             params=p_branch.params,
             points=p_branch.points[:1],
             termination="budget",

@@ -28,38 +28,31 @@ from conftest import count_flows
 
 
 class TestSymmetryKind:
-    @pytest.mark.parametrize(
-        "text,kind",
-        [
-            ("odd", SymmetryKind.ODD),
-            ("ODD", SymmetryKind.ODD),
-            ("odd_even", SymmetryKind.ODD_EVEN),
-            ("odd-even", SymmetryKind.ODD_EVEN),
-            ("odd/even", SymmetryKind.ODD_EVEN),
-            ("  Odd-Even ", SymmetryKind.ODD_EVEN),
-        ],
-    )
+    @pytest.mark.parametrize("text,kind", [("odd", SymmetryKind.ODD), ("double", SymmetryKind.DOUBLE)])
     def test_parse(self, text, kind):
-        assert SymmetryKind.parse(text) is kind
+        assert SeedPoint.from_dict({"a": 1.0, "b": 0.0, "T": 2.0, "kind": text}).kind is kind
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            SymmetryKind.parse("even")
+        with pytest.raises(ValueError, match="expected 'odd' or 'double'"):
+            SeedPoint.from_dict({"a": 1.0, "b": 0.0, "T": 2.0, "kind": "even"})
+        # the odd/even kind is refused with its conversion to the doubly symmetric form
+        with pytest.raises(ValueError, match=r"point \(a, b, 2T\) of kind 'double'"):
+            SeedPoint.from_dict({"a": 1.0, "b": 0.0, "T": 2.0, "kind": "odd_even"})
 
     def test_period_multiples(self):
-        assert (SymmetryKind.ODD.q, SymmetryKind.ODD_EVEN.q) == (1, 2)
+        # both forms name the odd return time: the period is 2T, the residuals
+        # are read at T and T/2
+        assert [SeedPoint(a=1.0, b=0.0, T=3.0, kind=k).period for k in SymmetryKind] == [6.0, 6.0]
+        assert (SymmetryKind.ODD.fraction, SymmetryKind.DOUBLE.fraction) == (1.0, 0.5)
 
     def test_residual_components(self):
-        # the first residual is F for odd, F_t for odd/even
-        assert (SymmetryKind.ODD.index, SymmetryKind.ODD_EVEN.index) == (0, 1)
+        # the first residual is F for odd, F_t for double
+        assert (SymmetryKind.ODD.index, SymmetryKind.DOUBLE.index) == (0, 1)
 
     def test_doubly_symmetric_form(self):
         # F_t at T/2, in the odd family's coordinates: period 2T
         double = SymmetryKind.DOUBLE
-        assert (double.q, double.index, double.family) == (1, 1, SymmetryKind.ODD)
-        assert [k.family for k in (SymmetryKind.ODD, SymmetryKind.ODD_EVEN)] == [SymmetryKind.ODD, SymmetryKind.ODD_EVEN]
-        with pytest.raises(ValueError, match="expected 'odd' or 'odd_even'"):
-            SymmetryKind.parse("double")  # no family of its own, so no --kind value
+        assert (double.index, double.fraction) == (1, 0.5)
         pt = SeedPoint.from_dict({"a": 1.0, "b": 0.5, "T": 3.0, "kind": "double"})
         assert pt.kind is double and pt.period == 6.0
         assert SeedPoint.from_dict(pt.to_dict()) == pt
@@ -91,7 +84,7 @@ class TestSeedPoint:
 
     def test_period(self):
         assert SeedPoint(a=1.0, b=0.0, T=3.0).period == 6.0
-        assert SeedPoint(a=1.0, b=0.0, T=3.0, kind=SymmetryKind.ODD_EVEN).period == 12.0
+        assert SeedPoint(a=1.0, b=0.0, T=3.0, kind=SymmetryKind.DOUBLE).period == 6.0
 
     @staticmethod
     def roundtrip(p):
@@ -105,7 +98,7 @@ class TestSeedPoint:
         assert self.roundtrip(p) == p
 
     def test_json_roundtrip_with_nan_fields(self):
-        p = SeedPoint(a=1.5, b=0.2, T=4.0, kind=SymmetryKind.ODD_EVEN)
+        p = SeedPoint(a=1.5, b=0.2, T=4.0, kind=SymmetryKind.DOUBLE)
         q = self.roundtrip(p)
         assert (q.a, q.b, q.T, q.kind) == (p.a, p.b, p.T, p.kind)
         assert math.isnan(q.residual) and math.isnan(q.theta)
@@ -136,8 +129,9 @@ class TestResidual:
         assert max(abs(e2.F), abs(e2.Rt)) < 5e-4
 
     def test_odd_even_uses_axial_velocity(self, params_p, cfg):
-        pt = SeedPoint(a=params_p.a0, b=0.3, T=4.0, kind=SymmetryKind.ODD_EVEN)
-        e = eval_at(pt.a, pt.b, pt.T, params_p, cfg)
+        # the doubly symmetric form reads the odd/even residual F_t
+        pt = SeedPoint(a=params_p.a0, b=0.3, T=8.0, kind=SymmetryKind.DOUBLE)
+        e = eval_at(pt.a, pt.b, pt.kind.fraction * pt.T, params_p, cfg)
         assert e.y[pt.kind.index] == e.Ft
 
 
@@ -148,12 +142,13 @@ class TestDesing:
         assert abs(at_zero.value - nearby.value) < 1e-6
         assert abs(at_zero.rt - nearby.rt) < 1e-6
 
-    @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.ODD_EVEN])
+    @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.DOUBLE])
     def test_value_times_b_recovers_raw_residual(self, params_p, cfg, kind):
         a, b, T = 0.95 * params_p.a0, 0.4, 10.0
         d = desing_eval(a, b, T, kind, params_p, cfg)
-        # desing_eval reads the augmented flow; its base components are the raw pair
-        e = eval_at(a, b, T, params_p, cfg, augmented=True)
+        # desing_eval reads the augmented flow to fraction*T; its base
+        # components are the raw pair
+        e = eval_at(a, b, kind.fraction * T, params_p, cfg, augmented=True)
         raw_first, raw_rt = e.y[kind.index], e.Rt
         assert abs(d.value * b - raw_first) <= 1e-12 * max(abs(raw_first), 1e-30)
         assert d.rt == raw_rt
@@ -174,16 +169,9 @@ class TestDesing:
 
     @pytest.mark.parametrize("b", [0.0, 0.4])
     def test_doubly_symmetric_form_is_odd_even_at_half_time(self, params_p, cfg, b):
-        # the same flow to T/2: the T-column of the residual gradients halved,
-        # theta and its (a, b)-gradient doubled, all bit for bit
         a, T = 0.95 * params_p.a0, 10.0
         d = desing_eval(a, b, T, SymmetryKind.DOUBLE, params_p, cfg)
-        h = desing_eval(a, b, 0.5 * T, SymmetryKind.ODD_EVEN, params_p, cfg)
-        half, double = np.array([1.0, 1.0, 0.5]), np.array([2.0, 2.0, 1.0])
-        assert (d.value, d.rt, d.theta) == (h.value, h.rt, 2.0 * h.theta)
-        assert np.array_equal(d.grad_value, half * h.grad_value)
-        assert np.array_equal(d.grad_rt, half * h.grad_rt)
-        assert np.array_equal(d.grad_theta, double * h.grad_theta)
+        assert_same_as_odd_even_at_half_time(d, a, b, T, params_p, cfg)
 
     @staticmethod
     def _check_gradients(params_p, cfg, kind):
@@ -208,12 +196,12 @@ class TestDesing:
             assert abs(fd[2] - d.grad_theta[i]) < 1e-4 * max(1.0, abs(fd[2]))
 
 
-def reference_desing_eval(a, b, T, kind, params, config):
+def reference_desing_eval(a, b, T, odd, params, config):
     """`desing_eval` as it was before it read the residual's state component
-    off the kind, kept as its oracle: the same arithmetic without its floor
-    check and comments, with the endpoint field values Rtt and Thetat that
-    it read by name taken as dy[3] and dy[4]."""
-    odd = kind is SymmetryKind.ODD
+    off the kind, kept as its oracle: the odd form (odd=True) or the
+    odd/even form, F_t and R_t at T, with the same arithmetic without its
+    floor check and comments, and with the endpoint field values Rtt and
+    Thetat that it read by name taken as dy[3] and dy[4]."""
     mu = params.mass_sum
     if b == 0.0:
         e = eval_at(a, 0.0, T, params, config, augmented=True)
@@ -244,6 +232,23 @@ def desing_floats(d):
     return [d.value, d.rt, d.theta, *d.grad_value.tolist(), *d.grad_rt.tolist(), *d.grad_theta.tolist()]
 
 
+def assert_same_as_odd_even_at_half_time(d, a, b, T, params, config):
+    """The doubly symmetric data `d` at (a, b, T) is the odd/even oracle's at
+    (a, b, T/2), with the T-column of the residual gradients halved and theta
+    and its (a, b)-gradient doubled, all exact in floating point."""
+    h = reference_desing_eval(a, b, 0.5 * T, False, params, config)
+    half, double = np.array([1.0, 1.0, 0.5]), np.array([2.0, 2.0, 1.0])
+    old = desing_floats(DesingPoint(h.value, h.rt, 2.0 * h.theta, half * h.grad_value,
+                                    half * h.grad_rt, double * h.grad_theta))
+    new = desing_floats(d)
+    # d(F_t/b)/dT is now the field's F_tt/b, or F_tbt at b = 0, where the
+    # oracle has -mu*(F/b)/h^3: the same quantity with its division by b
+    # moved, and h^3 as the field computes it
+    k = 5  # grad_value[2]
+    assert [v.hex() for v in new[:k] + new[k + 1:]] == [v.hex() for v in old[:k] + old[k + 1:]]
+    assert abs(new[k] - old[k]) <= 2 * math.ulp(old[k])
+
+
 class TestDesingReference:
     """`desing_eval` against the branching form it replaced."""
 
@@ -255,22 +260,17 @@ class TestDesingReference:
         pt = request.getfixturevalue(f"{request.param}_corrected")
         return (params_p if request.param == "p1" else params_q), pt.a, pt.b, pt.T
 
-    @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.ODD_EVEN])
+    @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.DOUBLE])
     @pytest.mark.parametrize("at_zero", [True, False], ids=["b0", "b"])
     def test_same_floats(self, point, cfg, kind, at_zero):
         params, a, b, T = point
         b = 0.0 if at_zero else b
-        new = desing_floats(desing_eval(a, b, T, kind, params, cfg))
-        old = desing_floats(reference_desing_eval(a, b, T, kind, params, cfg))
+        d = desing_eval(a, b, T, kind, params, cfg)
         if kind is SymmetryKind.ODD:
-            assert [v.hex() for v in new] == [v.hex() for v in old]
+            old = desing_floats(reference_desing_eval(a, b, T, True, params, cfg))
+            assert [v.hex() for v in desing_floats(d)] == [v.hex() for v in old]
         else:
-            # d(F_t/b)/dT is now the field's F_tt/b, or F_tbt at b = 0, where
-            # it was -mu*(F/b)/h^3: the same quantity with its division by b
-            # moved, and h^3 as the field computes it
-            k = 5  # grad_value[2]
-            assert [v.hex() for v in new[:k] + new[k + 1:]] == [v.hex() for v in old[:k] + old[k + 1:]]
-            assert abs(new[k] - old[k]) <= 2 * math.ulp(old[k])
+            assert_same_as_odd_even_at_half_time(d, a, b, T, params, cfg)
 
 
 class TestNewton:
@@ -451,10 +451,9 @@ class TestNewton:
         )
         assert q0_corrected.b == 3.79392
 
-    @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.ODD_EVEN])
+    @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.DOUBLE])
     def test_circular_family_keeps_b_exactly_zero(self, params_p, cfg, kind):
-        T = params_p.T0 if kind is SymmetryKind.ODD else 0.5 * params_p.T0
-        seed = SeedPoint(a=1.01 * params_p.a0, b=0.0, T=0.99 * T, kind=kind)
+        seed = SeedPoint(a=1.01 * params_p.a0, b=0.0, T=0.99 * params_p.T0, kind=kind)
         out = newton_correct(seed, params_p, cfg, tol=1e-11)
         assert out.b == 0.0
         assert out.residual <= 1e-11
@@ -504,15 +503,17 @@ class TestClosure:
         assert abs(e.Ft + p1_corrected.b) < 1e-6  # axial velocity reverses sign
 
     def test_odd_even_orbit(self, params_p, cfg):
-        seed = SeedPoint(a=params_p.a0, b=0.02, T=params_p.T0 / 2.0, kind=SymmetryKind.ODD_EVEN)
+        # the odd/even orbit is the odd family's member met in its doubly
+        # symmetric form, corrected in odd coordinates
+        seed = SeedPoint(a=params_p.a0, b=0.02, T=params_p.T0, kind=SymmetryKind.DOUBLE)
         out = newton_correct(seed, params_p, cfg, tol=1e-12)
         # quarter-period: both velocities vanish
-        e = eval_at(out.a, out.b, out.T, params_p, cfg)
+        e = eval_at(out.a, out.b, 0.5 * out.T, params_p, cfg)
         assert abs(e.Ft) < 1e-8 and abs(e.Rt) < 1e-8
         # half-period: an odd-symmetric crossing
-        e2 = eval_at(out.a, out.b, 2.0 * out.T, params_p, cfg)
+        e2 = eval_at(out.a, out.b, out.T, params_p, cfg)
         assert abs(e2.F) < 1e-8 and abs(e2.Rt) < 1e-8
         # full period: closure in all four mechanical components
         rhs = make_reduced_rhs(params_p, params_p.r0 * out.a)
-        res = flow(rhs, reduced_initial(out.b, params_p), 4.0 * out.T, IntegratorConfig()).require_ok()
+        res = flow(rhs, reduced_initial(out.b, params_p), 2.0 * out.T, IntegratorConfig()).require_ok()
         assert np.max(np.abs(res.y[:4] - reduced_initial(out.b, params_p)[:4])) < 1e-8
