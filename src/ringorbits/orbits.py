@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -245,10 +246,19 @@ _EXPORT_BLOCK = 256
 
 
 def _write_blocks(fh, n: int, cut, item: str, sep: str) -> None:
-    """Write n samples through the per-sample %s template item; cut(slice) is a block's array."""
+    """Write n samples through the per-sample %s template item; cut(slice) is a block's array.
+
+    A column of a block is one float slot over its samples.  Columns with
+    the same bit patterns (so 0.0 and -0.0 stay apart) are formatted once:
+    a lifted orbit repeats t per body, the axial body's zeros and the ring's z and vz.
+    """
     for i in range(0, n, _EXPORT_BLOCK):
         block = cut(slice(i, i + _EXPORT_BLOCK))
-        fh.write((sep if i else "") + sep.join([item] * len(block)) % tuple(map(repr, block.ravel().tolist())))
+        cols = block.reshape(len(block), -1).T
+        keys = [col.tobytes() for col in cols]
+        text = {key: list(map(repr, col.tolist())) for key, col in dict(zip(keys, cols)).items()}
+        cells = chain.from_iterable(zip(*map(text.__getitem__, keys)))  # back in sample order
+        fh.write((sep if i else "") + sep.join([item] * len(block)) % tuple(cells))
 
 
 def export(traj: Trajectory, fmt: str, path) -> None:

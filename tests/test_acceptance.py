@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from ringorbits.bifurcate import bifurcation_point, xi_second_derivative
 from ringorbits.continuation import (
@@ -19,7 +18,6 @@ from ringorbits.continuation import (
     StopRules,
     classify_endpoint,
     continue_branch,
-    tangent,
 )
 from ringorbits.integrate import IntegratorConfig, eval_at, flow
 from ringorbits.model import (

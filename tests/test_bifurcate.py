@@ -9,7 +9,7 @@ from ringorbits.bifurcate import (
     resonance_ratio,
     xi_second_derivative,
 )
-from ringorbits.integrate import IntegratorConfig, eval_at
+from ringorbits.integrate import eval_at
 from ringorbits.model import SystemParams
 from ringorbits.shoot import SymmetryKind
 

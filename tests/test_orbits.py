@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from ringorbits import orbits
-from ringorbits.continuation import Branch, BranchPoint
+from ringorbits.continuation import Branch
 from ringorbits.integrate import eval_at
-from ringorbits.model import SystemParams
+from ringorbits.model import SystemParams, cartesian_lift
 from ringorbits.orbits import (
     ResonanceNotFound,
     ResonanceTarget,
@@ -329,6 +329,23 @@ def synthetic_traj(n_samples, n_bodies=4):
     )
 
 
+def lifted_traj(n_samples):
+    """Random reduced states lifted by `cartesian_lift`: every sample holds the axial
+    body's zeros, one z and one vz for the whole ring, and t once per body."""
+    rng = np.random.default_rng(1)
+    params = SystemParams(n=3, m=3.0, M=7.0, r0=11.0)
+    states = rng.standard_normal((n_samples, 5)) + [0.0, 0.0, 11.0, 0.0, 0.0]
+    states[0, :2] = 0.0  # f = fdot = 0, as a reconstruction starts: the ring's z and vz are -0.0
+    state = cartesian_lift(states, params, 9.5)
+    return replace(
+        synthetic_traj(n_samples),
+        positions=state.positions,
+        velocities=state.velocities,
+        masses=state.masses,
+        params=params,
+    )
+
+
 def assert_same_bytes(traj, fmt, tmp_path):
     export(traj, fmt, tmp_path / f"new.{fmt}")
     reference_export(traj, fmt, tmp_path / f"old.{fmt}")
@@ -358,6 +375,35 @@ class TestExportBytes:
         traj.times[:] = special
         traj.positions.reshape(-1)[: len(special)] = special
         traj.velocities.reshape(-1)[-len(special):] = special[::-1]
+        assert_same_bytes(traj, fmt, tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_samples", [1, orbits._EXPORT_BLOCK - 1, orbits._EXPORT_BLOCK + 1])
+    def test_lifted_samples(self, tmp_path, fmt, n_samples):
+        assert_same_bytes(lifted_traj(n_samples), fmt, tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signed_zeros_and_repeats_in_one_block(self, tmp_path, fmt):
+        traj = synthetic_traj(4, n_bodies=3)
+        p, v = traj.positions, traj.velocities
+        p[:, 0, 0] = 0.0
+        p[:, 1, 0] = -0.0  # a column equal to the one above as floats, not as bits
+        p[:, 2, 0] = [0.0, -0.0, 0.0, -0.0]
+        p[:, 2, 1] = [-0.0, 0.0, -0.0, 0.0]
+        v[:, 1, 2] = p[:, 1, 1]  # a whole column repeated
+        v[0, 0, :] = traj.times[1]  # one value across columns of one sample
+        assert_same_bytes(traj, fmt, tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_arrays_that_are_not_c_contiguous(self, tmp_path, fmt):
+        base = lifted_traj(2 * orbits._EXPORT_BLOCK + 3)
+        traj = replace(
+            base,
+            times=base.times[::2],
+            positions=base.positions[::2],
+            velocities=np.asfortranarray(base.velocities[::2]),
+        )
+        assert not traj.positions.flags.c_contiguous and not traj.velocities.flags.c_contiguous
         assert_same_bytes(traj, fmt, tmp_path)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
