@@ -196,13 +196,8 @@ def tangent(
 
 
 def _failure_reason(exc: Exception) -> str:
-    """Label of a failed step: the ConvergenceError reason, the FlowError
-    status, or "value-error"."""
-    if isinstance(exc, ConvergenceError):
-        return exc.reason
-    if isinstance(exc, FlowError):
-        return exc.status
-    return "value-error"
+    """Label of a failed step: its ConvergenceError or FlowError reason, or "value-error"."""
+    return exc.reason if isinstance(exc, (ConvergenceError, FlowError)) else "value-error"
 
 
 def _refine_b_zero(lo: SeedPoint, hi: SeedPoint, params, config) -> tuple[SeedPoint | None, str]:
@@ -247,11 +242,11 @@ def continue_branch(
     point, theta step above _MAX_THETA_STEP or a predictor outside a > 0,
     T > T_LOWER*T0) halves ds and is retried; ds below ds_min ends the
     trace.  `Branch.stats` holds `failures` (the failed steps counted per
-    reason: a ConvergenceError reason such as "singular-point", a FlowError
-    status or "value-error"), `ds_final`, `double_points`, `switch` (the
-    failure that ended the doubly symmetric form, a theta step never does;
-    or None), `contraction_max` (over the accepted steps), and, after a
-    b = 0 crossing, `b_zero_refine` ("ok" or the reason the endpoint
+    reason: a ConvergenceError or FlowError reason such as "singular-point"
+    or "singular", or "value-error"), `ds_final`, `double_points`, `switch`
+    (the failure that ended the doubly symmetric form, a theta step never
+    does; or None), `contraction_max` (over the accepted steps), and, after
+    a b = 0 crossing, `b_zero_refine` ("ok" or the reason the endpoint
     correction failed).
 
     `Branch.termination` names the ending with one of the TERM_* labels

@@ -283,15 +283,12 @@ class FlowResult:
 
 
 class FlowError(RuntimeError):
-    """Raised when a flow needed by a calling algorithm did not finish."""
+    """Raised when a flow needed by a calling algorithm did not finish; `reason` is its status."""
 
     def __init__(self, result: FlowResult, message: str):
         super().__init__(message)
         self.result = result
-
-    @property
-    def status(self) -> str:
-        return self.result.status
+        self.reason = result.status
 
 
 def _step_source(n: int) -> str:
@@ -373,7 +370,7 @@ def _initial_step(rhs, y0, f0, span, atol, rtol, h_max):
     # Deterministic two-probe heuristic for the first trial step from t = 0.
     # Each RMS norm adds its squares left to right.  A probe where the field
     # is not finite, or a derivative whose norm overflows, gets a short first
-    # step.
+    # step.  flow passes h_max <= span, so h_max alone caps the step.
     sc = [atol + rtol * abs(v) for v in y0]
 
     def rms(v):
@@ -385,7 +382,7 @@ def _initial_step(rhs, y0, f0, span, atol, rtol, h_max):
     d0 = rms(y0)
     d1 = rms(f0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span, h_max)
+    h0 = min(h0, h_max)
     if h0 == 0.0:  # d1 overflowed
         return 1e-12 * span
     f1 = rhs(h0, [y + h0 * f for y, f in zip(y0, f0)])
@@ -394,7 +391,7 @@ def _initial_step(rhs, y0, f0, span, atol, rtol, h_max):
         return max(h0 * 1e-3, 1e-12 * span)
     dmax = max(d1, d2)
     h1 = (0.01 / dmax) ** 0.125 if dmax > 1e-15 else max(1e-6, h0 * 1e-3)
-    return min(100.0 * h0, h1, span, h_max)
+    return min(100.0 * h0, h1, h_max)
 
 
 def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowResult:
@@ -435,7 +432,7 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
     h_max = min(h_max, t_end)
     h_floor = 1e-14 * max(t_end, 1.0)
     step = _step_function(len(y))
-    h = min(_initial_step(rhs, y, k1, t_end, atol, rtol, h_max), h_max)
+    h = _initial_step(rhs, y, k1, t_end, atol, rtol, h_max)
 
     facold = 1e-4
     rejected = False

@@ -159,22 +159,23 @@ def augmented_initial(b: float, params: SystemParams) -> np.ndarray:
     return y
 
 
+def _field_constants(params: SystemParams, C: float) -> tuple[float, ...]:
+    """Both fields' constants lam*m, M + n*m, kappa^2, M, r0, C, C^2 and collision
+    floor, as Python floats: no numpy scalar enters the integrator's loop."""
+    C = float(C)
+    return (float(params.lam * params.m), float(params.mass_sum), float(params.kappa**2),
+            float(params.M), float(params.r0), C, C * C, float(R_FLOOR_FRACTION * params.r0))
+
+
 def make_reduced_rhs(params: SystemParams, C: float):
     """Return rhs(t, y) for the 5-component reduced state, y = (f, fdot, r, rdot, theta).
 
     C is the angular momentum r^2 * thetadot = r0 * a.  Returns NaN in every
     component when the ring radius is at or below the collision floor (at
-    r = 0 the equations would divide by zero).  The derivative comes back
-    as a tuple of Python floats: every closure constant is a float, so no
-    numpy scalar enters the integrator's loop.
+    r = 0 the equations would divide by zero), and otherwise a tuple of
+    Python floats (`_field_constants`).
     """
-    lam_m = float(params.lam * params.m)
-    mu = float(params.mass_sum)
-    kap2 = float(params.kappa**2)
-    M = float(params.M)
-    C = float(C)
-    C2 = C * C
-    r_floor = float(R_FLOOR_FRACTION * params.r0)
+    lam_m, mu, kap2, M, _, C, C2, r_floor = _field_constants(params, C)
     sqrt, nan = math.sqrt, math.nan
 
     def rhs(t, y):
@@ -197,14 +198,7 @@ def make_variational_rhs(params: SystemParams, C: float):
     dependence of the equations on a through C = r0*a.  Returns a tuple of
     floats, NaN below the collision floor, as `make_reduced_rhs` does.
     """
-    lam_m = float(params.lam * params.m)
-    mu = float(params.mass_sum)
-    kap2 = float(params.kappa**2)
-    M = float(params.M)
-    r0 = float(params.r0)
-    C = float(C)
-    C2 = C * C
-    r_floor = float(R_FLOOR_FRACTION * params.r0)
+    lam_m, mu, kap2, M, r0, C, C2, r_floor = _field_constants(params, C)
     sqrt, nan = math.sqrt, math.nan
 
     def rhs(t, y):

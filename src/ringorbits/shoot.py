@@ -349,7 +349,7 @@ def newton_correct_full(
                     pass  # trial stepped into a collision: damp further
                 else:
                     new = float(np.max(np.abs(res_new)))
-                    if new < old or new <= tol:
+                    if new < old:
                         x, d, res, row = trial, d_new, res_new, row_new
                         accepted = True
                         break

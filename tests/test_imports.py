@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and every
+private module-level name of the package is read somewhere in `src/`."""
 import ast
 from pathlib import Path
 
@@ -25,3 +26,38 @@ def test_no_module_imports_a_name_it_does_not_use():
     modules = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
     modules += sorted((ROOT / "tests").glob("*.py"))
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def private_definitions(path: Path) -> dict[str, int]:
+    """Module-level functions, classes and constants of one module whose
+    names start with a single underscore, with their lines."""
+    defined = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names if name[:1] == "_" and name[:2] != "__")
+    return defined
+
+
+def test_every_private_name_of_the_package_is_read():
+    # a private helper or constant that nothing reads is dead code
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    read = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in modules
+        for name, line in private_definitions(path).items()
+        if name not in read
+    ]
+    assert unread == []

@@ -123,7 +123,7 @@ class TestFlow:
         assert res.t < 100.0
         with pytest.raises(FlowError) as err:
             res.require_ok()
-        assert err.value.status == BUDGET
+        assert err.value.reason == BUDGET
 
     def test_singular_status_brackets_the_collapse(self, params_p):
         # nearly no angular momentum: the ring falls onto the axis
@@ -623,7 +623,7 @@ class TestEvalAt:
         monkeypatch.setattr(ig, "make_variational_rhs", recording(make_variational_rhs))
         with pytest.raises(FlowError) as err:
             eval_at(params_p.a0 * 1e-5, 0.0, 100.0, params_p, augmented=augmented)
-        assert err.value.status == SINGULAR
+        assert err.value.reason == SINGULAR
         assert nan_calls
 
     def test_negative_time_rejected(self, params_p):
