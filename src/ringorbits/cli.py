@@ -34,7 +34,7 @@ from .orbits import (
     trajectory_filename,
 )
 from .shoot import CORRECTOR_MAX_FLOWS, CORRECTOR_TOL, ConvergenceError, SeedPoint
-from .shoot import newton_correct, require_above_floor
+from .shoot import newton_correct
 
 OUT_ENV = "RINGORBITS_OUT"
 
@@ -257,9 +257,7 @@ def _cmd_trace(args) -> int:
         except _MALFORMED as exc:
             raise ValueError(f"cannot read seed file {args.seed_file}: {exc}")
     else:
-        rep = bifurcation_point(params)
-        guess = SeedPoint(a=rep.a0, b=args.seed_b, T=rep.T_star)
-        start = newton_correct(guess, params, config)
+        start = newton_correct(SeedPoint(a=params.a0, b=args.seed_b, T=params.T0), params, config)
     direction = 1 if args.direction == "+" else -1
     branch = cont.continue_branch(start, direction, params, config, step=step, stop=stop)
     report = cont.classify_endpoint(branch)
@@ -326,9 +324,8 @@ def _cmd_verify(args) -> int:
     point = _seed_from_args(args)
     if not (math.isfinite(args.res_tol) and args.res_tol > 0):
         raise ValueError(f"--res-tol must be finite and positive, got {args.res_tol!r}")
-    require_above_floor(point.T, params)
-    e = eval_at(point.a, point.b, point.T, params, config)
     traj = reconstruct(point, params, periods=1, samples_per_period=256, config=config)
+    e = eval_at(point.a, point.b, point.T, params, config)
     d = traj.diagnostics
     checks = [
         ("residual_1", abs(e.F), args.res_tol),

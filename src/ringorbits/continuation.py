@@ -153,11 +153,12 @@ class Branch:
         return self.points[-1].point
 
 
-def _tangent_from(d: DesingPoint, where: tuple, prev: np.ndarray | None) -> tuple[np.ndarray, float]:
+def _tangent_from(d: DesingPoint, point: SeedPoint, prev: np.ndarray | None) -> tuple[np.ndarray, float]:
     X = np.cross(d.grad_value, d.grad_rt)
     nrm = float(np.linalg.norm(X))
     scale = float(np.linalg.norm(d.grad_value) * np.linalg.norm(d.grad_rt))
     if nrm <= 1e-12 * max(scale, 1e-300):
+        where = (point.a, point.b, point.T)
         raise ConvergenceError(f"residual gradients are parallel at (a, b, T) = {where!r}", "singular-point")
     unit = X / nrm
     if prev is not None and float(np.dot(unit, prev)) < 0.0:
@@ -165,14 +166,14 @@ def _tangent_from(d: DesingPoint, where: tuple, prev: np.ndarray | None) -> tupl
     return unit, nrm
 
 
-def _on_family(point: SeedPoint, params: SystemParams, config) -> tuple[SymmetryKind, DesingPoint]:
-    """The form a start is traced in, and its residual data there: the doubly
-    symmetric form if the point is within _ON_FAMILY_TOL of it (one flow of
-    half the length), else the odd form, which the point must meet."""
+def _on_family(point: SeedPoint, params: SystemParams, config) -> tuple[SymmetryKind, DesingPoint, tuple]:
+    """The form a start is traced in, its residual data and its tangent there:
+    the doubly symmetric form if the point is within _ON_FAMILY_TOL of it (one
+    flow of half the length), else the odd form, which the point must meet."""
     for kind in (SymmetryKind.DOUBLE, SymmetryKind.ODD):
         d = desing_eval(point.a, point.b, point.T, kind, params, config)
         if d.residual <= _ON_FAMILY_TOL:
-            return kind, d
+            return kind, d, _tangent_from(d, point, None)
     raise ValueError(
         f"point is not on the family: desingularized residuals {d.value:.3e}, {d.rt:.3e} "
         f"exceed {_ON_FAMILY_TOL:.1e}"
@@ -184,15 +185,13 @@ def tangent(
 ) -> tuple[np.ndarray, float]:
     """Unit tangent of the family at a corrected point, with the raw magnitude.
 
-    The direction is grad(value) x grad(R_t) in (a, b, T), from the one
-    evaluation `continue_branch` starts from (`_on_family`: for a point
-    labelled odd or double, the doubly symmetric form where it meets it), so
-    its `direction` +1 follows this tangent.  Rejects points off the
-    family, and raises ConvergenceError "singular-point" where the
-    gradients are parallel.
+    The direction is grad(value) x grad(R_t) in (a, b, T), from the start
+    evaluation that `continue_branch` shares (`_on_family`: the doubly
+    symmetric form where the point meets it), so its `direction` +1 follows
+    this tangent.  Rejects points off the family, and raises ConvergenceError
+    "singular-point" where the gradients are parallel.
     """
-    _, d = _on_family(point, params, config)
-    return _tangent_from(d, (point.a, point.b, point.T), None)
+    return _on_family(point, params, config)[2]
 
 
 def _failure_reason(exc: Exception) -> str:
@@ -261,8 +260,7 @@ def continue_branch(
         raise ValueError(f"ds_min {step.ds_min!r} exceeds ds_max {ds_max!r}")
     a_min, a_max, T_min = A_COLLISION * params.a0, A_BOUND * params.a0, T_LOWER * params.T0
     T_max = stop.T_max if stop.T_max is not None else T_UPPER * params.T0
-    kind, d = _on_family(start, params, config)
-    unit, _ = _tangent_from(d, (start.a, start.b, start.T), None)
+    kind, d, (unit, _) = _on_family(start, params, config)
     start = replace(start, kind=kind, residual=d.residual, theta=d.theta)
     points = [BranchPoint(point=start, tangent=direction * unit, arc=0.0)]
 
@@ -294,7 +292,7 @@ def continue_branch(
             )
             if contraction > _MAX_CONTRACTION:
                 raise ConvergenceError(f"Newton contraction {contraction:.3g} is too slow", "contraction")
-            unit, _ = _tangent_from(dcorr, (corrected.a, corrected.b, corrected.T), prev_bp.tangent)
+            unit, _ = _tangent_from(dcorr, corrected, prev_bp.tangent)
             if abs(corrected.theta - prev_bp.point.theta) > _MAX_THETA_STEP:
                 raise ConvergenceError("ring phase moved too far in one step", "theta-step")
         except (ConvergenceError, ValueError, FlowError) as exc:
@@ -320,7 +318,7 @@ def continue_branch(
             termination = TERM_B_ZERO
         elif corrected.b == 0.0:  # landed on the circular family: nothing to refine
             termination = TERM_B_ZERO
-        elif not (a_min < corrected.a < a_max and T_min < corrected.T < T_max):
+        elif not (a_min < corrected.a < a_max and corrected.T < T_max):
             termination = TERM_BOUND
         else:
             streak += 1

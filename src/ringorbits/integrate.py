@@ -28,7 +28,7 @@ exactly.  A trial step fails when its error estimate, its new state or the
 field there is not finite, which is how a right-hand side reports a
 collision inside the step: it returns NaN (the fields of `model` do so
 below the ring-collapse floor).  A failed trial is retried at a third of
-the step until the step size underflows, at which point the flow stops
+the step until the step falls below 1e-14*max(1, t_end); the flow then stops
 with status "singular" at the last accepted time.
 """
 
@@ -402,8 +402,8 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
     whose values at accepted step times equal the stored states exactly.
     rhs receives the state as a list of floats and returns a sequence of
     the same length, non-finite where the state is out of its domain.  A
-    non-finite end time, initial state or initial derivative raises
-    ValueError before any step.
+    negative end time, or a non-finite end time, initial state or initial
+    derivative, raises ValueError before any step.
     """
     config = config or IntegratorConfig()
     t_end = float(t_end)
@@ -493,10 +493,9 @@ def eval_at(
 
     The angular parameter a enters through the momentum C = r0*a.  With
     augmented=True the flow carries the sensitivity columns w.r.t. a and b.
-    Returns the completed flow; FlowError if it stopped early.
+    Returns the completed flow; FlowError if it stopped early, and
+    ValueError from `flow` before any step for T < 0.
     """
-    if T < 0:
-        raise ValueError(f"evaluation time must be nonnegative, got {T!r}")
     C = params.r0 * a
     if augmented:
         rhs, y0 = make_variational_rhs(params, C), augmented_initial(b, params)

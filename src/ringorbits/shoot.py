@@ -324,39 +324,36 @@ def newton_correct_full(
             )
         dv = desing_eval(xv[0], xv[1], xv[2], kind, params, config)
         c, row = constraint(xv, dv)
-        return dv, np.array([dv.value, dv.rt, c]), row
+        res = np.array([dv.value, dv.rt, c])
+        return dv, res, row, float(np.max(np.abs(res)))
 
-    x = np.array([guess.a, guess.b, guess.T])
-    d, res, row = evaluate(x)
+    x = guess.vector()
+    d, res, row, norm = evaluate(x)
     T_min = T_LOWER * params.T0
     update_norms = []
-    while float(np.max(np.abs(res))) > tol:
+    while norm > tol:
         J = np.array([d.grad_value, d.grad_rt, row])
         if _too_ill_conditioned(J):
             raise ConvergenceError("corrector Jacobian is numerically singular", "singular-jacobian")
         step = np.linalg.solve(J, -res)
         update_norms.append(float(np.linalg.norm(step)))
 
-        old = float(np.max(np.abs(res)))
         lam = 1.0
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
             if trial[0] > 0 and trial[2] > T_min:
                 try:
-                    d_new, res_new, row_new = evaluate(trial)
+                    d_new, res_new, row_new, new = evaluate(trial)
                 except FlowError:
                     pass  # trial stepped into a collision: damp further
                 else:
-                    new = float(np.max(np.abs(res_new)))
-                    if new < old:
-                        x, d, res, row = trial, d_new, res_new, row_new
-                        accepted = True
+                    if new < norm:
+                        x, d, res, row, norm = trial, d_new, res_new, row_new, new
                         break
             lam *= 0.5
-        if not accepted:
+        else:
             raise ConvergenceError(
-                f"line search stalled after {_MAX_HALVINGS} halvings; residual {old:.3e}",
+                f"line search stalled after {_MAX_HALVINGS} halvings; residual {norm:.3e}",
                 "line-search",
             )
     point = SeedPoint(

@@ -70,7 +70,7 @@ class TestTangent:
         seed = SeedPoint(a=params_p.a0, b=0.0, T=params_p.T0)
         unit, _ = tangent(seed, params_p, cfg)
         d = desing_eval(seed.a, seed.b, seed.T, seed.kind, params_p, cfg)
-        flipped, _ = _tangent_from(d, (seed.a, seed.b, seed.T), -unit)
+        flipped, _ = _tangent_from(d, seed, -unit)
         assert np.allclose(flipped, -unit, atol=1e-15)
 
     def test_off_family_point_rejected(self, params_p, cfg):

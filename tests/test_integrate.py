@@ -626,7 +626,15 @@ class TestEvalAt:
         assert err.value.reason == SINGULAR
         assert nan_calls
 
-    def test_negative_time_rejected(self, params_p):
-        with pytest.raises(ValueError):
-            eval_at(params_p.a0, 0.0, -1.0, params_p)
+    def test_negative_time_rejected(self, params_p, monkeypatch):
+        # `flow` refuses t_end < 0 before it calls the field, so eval_at
+        # needs no check of its own
+        def field(t, y):
+            raise AssertionError("the field was called")
+
+        monkeypatch.setattr(ig, "make_reduced_rhs", lambda *args: field)
+        monkeypatch.setattr(ig, "make_variational_rhs", lambda *args: field)
+        for augmented in (False, True):
+            with pytest.raises(ValueError):
+                eval_at(params_p.a0, 0.0, -1.0, params_p, augmented=augmented)
 

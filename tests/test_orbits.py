@@ -167,13 +167,15 @@ class TestFindResonance:
             find_resonance(p_branch, ResonanceTarget(3, 2), cfg)
 
     def test_short_branch_rejected(self, p_branch):
-        stub = Branch(
-            params=p_branch.params,
-            points=p_branch.points[:1],
-            termination="budget",
-        )
-        with pytest.raises(ResonanceNotFound):
-            find_resonance(stub, ResonanceTarget(3, 4))
+        # with no point, the bracket search would end in a bare ValueError
+        for n_points in (0, 1):
+            stub = Branch(
+                params=p_branch.params,
+                points=p_branch.points[:n_points],
+                termination="budget",
+            )
+            with pytest.raises(ResonanceNotFound):
+                find_resonance(stub, ResonanceTarget(3, 4))
 
 
 class TestReconstruct:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ringorbits.continuation import StopRules, continue_branch
 from ringorbits.integrate import eval_at, flow
 from ringorbits.model import augmented_initial, make_variational_rhs
 
@@ -64,3 +65,20 @@ def test_sweep_reads_floats_and_counts_off_eval_at(params_p, cfg):
     assert [type(getattr(ev, name)) for name in names] == [float] * len(names)
     res = flow(make_variational_rhs(params_p, params_p.r0 * a), augmented_initial(b, params_p), T, cfg)
     assert (ev.n_steps, ev.n_rejected) == (res.n_steps, res.n_rejected)
+
+
+def test_every_branch_point_ends_at_its_own_corrector_mark(p1_corrected, params_p, cfg):
+    # light_pipeline cuts one operation per branch point, ending at the mark
+    # where continuation's corrector returned that very point object; a
+    # stored copy would fall back to the call's end mark, and `ops_per_s`
+    # and `op_ms_p90` would time something else
+    direction = workloads._increasing_b(p1_corrected, params_p, cfg)
+    clock = workloads.Clock()
+    with workloads.segment_marks(clock):
+        begin = clock.mark()
+        branch = continue_branch(p1_corrected, direction, params_p, cfg, stop=StopRules(max_points=5))
+        end = clock.mark()
+    out = workloads.PassOutput()
+    workloads._branch_ops(out, clock, branch, begin, end)
+    assert len(out.ops) == len(branch.points) - 1 == 4
+    assert all(clock.tags.get(last) is bp.point for (_, last), bp in zip(out.ops, branch.points[1:]))
