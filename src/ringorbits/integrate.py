@@ -11,25 +11,29 @@ interpolant; its three extra stages per step are paid only with dense output.
 
 The step runs on Python floats, not on numpy arrays: the systems here have
 5 or 15 components, and at that size numpy's per-call overhead costs more
-than the arithmetic.  The trial step is generated as source once per state
-dimension, the first time a flow of that dimension runs (`_step_function`):
-every component of every stage is written out on local variables, which
-costs a third less per step than looping over lists of components.  Each
+than the arithmetic.  The trial step is generated as source on first use
+(`_step_function`), with every component of every stage written out on
+local variables: a third cheaper per step than loops over lists.  The step
+of a state dimension calls the right-hand side at each stage; the step of a
+`model` field, generated once per field, writes stages 2 to 12 inline on
+the components the field reads, its constants passed as arguments.  Each
 component is computed with the operations numpy applies to whole vectors,
 in the same order (left-to-right stage sums, then the product with h, then
 the sum with y), and the error norms add their squares left to right, so
-the floats are those of the array form in the tests bit for bit.  The
-generated source is registered in linecache, so tracebacks and inspect show
-its lines.  Dense output keeps each accepted state, step size and stage as
-raw doubles and builds the interpolants of all steps when the flow ends.
+the floats are those of the array form in the tests bit for bit, inline or
+called.  The generated source is registered in linecache, so tracebacks
+and inspect show its lines.  Dense output keeps each accepted state, step
+size and stage as raw doubles and builds the interpolants of all steps
+when the flow ends.
 
 `flow` integrates forward from t = 0 and clamps the final step onto t_end
 exactly.  A trial step fails when its error estimate, its new state or the
 field there is not finite, which is how a right-hand side reports a
 collision inside the step: it returns NaN (the fields of `model` do so
-below the ring-collapse floor).  A failed trial is retried at a third of
-the step until the step falls below 1e-14*max(1, t_end); the flow then stops
-with status "singular" at the last accepted time.
+below the ring-collapse floor, where a stage written inline gives a NaN
+error).  A failed trial is retried at a third of the step until the step
+falls below 1e-14*max(1, t_end); the flow then stops with status
+"singular" at the last accepted time.
 """
 
 from __future__ import annotations
@@ -291,12 +295,13 @@ class FlowError(RuntimeError):
         self.reason = result.status
 
 
-def _step_source(n: int) -> str:
+def _step_source(n: int, field=None) -> str:
     """Source of one DOP853 trial step on n components, written out per component.
 
     Every stage sum runs left to right, then takes the product with h and
     the sum with y, as the array expressions y + h * (a1 * k1 + ...) do;
-    the squared scaled errors are added left to right.
+    the squared scaled errors are added left to right.  A `model` field
+    is written into stages 2 to 12; below its floor the error is NaN.
     """
 
     def combo(row, i):
@@ -305,8 +310,15 @@ def _step_source(n: int) -> str:
     def unpack(name, source):
         return f"    {''.join(f'{name}{i}, ' for i in range(n))}= {source}"
 
-    lines = ["def step(rhs, t, h, y, k1, atol, rtol):", unpack("y", "y"), unpack("k1_", "k1")]
+    constants = f"{field.constants}, " if field else ""
+    lines = [f"def step({constants}rhs, t, h, y, k1, atol, rtol):", unpack("y", "y"), unpack("k1_", "k1")]
     for s, (c, row) in enumerate(_STAGE_ROWS, start=2):
+        if field:
+            lines += [f"    {v} = y{i} + h * ({combo(row, i)})" for i, v in enumerate(field.inputs) if v]
+            lines += [f"    if {field.floor}:", "        return None, nan, None"]
+            lines += [f"    {line}" for line in field.lines]
+            lines += [f"    k{s}_{i} = {v}" for i, v in enumerate(field.outputs)]
+            continue
         lines.append(f"    k{s} = rhs(t + {c!r} * h, [")
         lines += [f"        y{i} + h * ({combo(row, i)})," for i in range(n)]
         lines += ["    ])", unpack(f"k{s}_", f"k{s}")]
@@ -322,27 +334,29 @@ def _step_source(n: int) -> str:
         ]
     for total, v in (("err5", "e"), ("err3", "g")):
         lines.append(f"    {total} = {' + '.join(f'{v}{i} * {v}{i}' for i in range(n))}")
+    kept = [f"({''.join(f'k{s}_{i}, ' for i in range(n))})" if field else f"k{s}" for s in range(6, 13)]
     lines += [
         "    deno = (err5 + 0.01 * err3) or 1.0",
         f"    err = h * err5 / sqrt({n} * deno)",
-        f"    return [{', '.join(f'z{i}' for i in range(n))}], err, (k6, k7, k8, k9, k10, k11, k12)",
+        f"    return [{', '.join(f'z{i}' for i in range(n))}], err, ({', '.join(kept)})",
     ]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _step_function(n: int):
+def _step_function(n: int, field=None):
     """The generated trial step for n components, compiled on first use.
 
     step(rhs, t, h, y, k1, atol, rtol) returns (ynew, err, (k6, ..., k12)),
     with the stages that dense output keeps; a non-finite stage makes err
-    non-finite, and an exception of rhs propagates.  Its source is
-    registered in linecache, so tracebacks and inspect.getsource show it.
+    non-finite, and an exception of rhs propagates.  The step of a `model`
+    field takes the field's constants first and never calls rhs.  Its source
+    is registered in linecache, so tracebacks and inspect.getsource show it.
     """
-    source = _step_source(n)
-    filename = f"<ringorbits.integrate step n={n}>"
+    source = _step_source(n, field)
+    filename = f"<ringorbits.integrate step n={n}{' fused' if field else ''}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(keepends=True), filename)
-    namespace = {"__name__": __name__, "sqrt": math.sqrt}
+    namespace = {"__name__": __name__, "sqrt": math.sqrt, "nan": math.nan}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["step"]
 
@@ -431,7 +445,8 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
     h_max = float(config.h_max) if config.h_max is not None else t_end / 16.0
     h_max = min(h_max, t_end)
     h_floor = 1e-14 * max(t_end, 1.0)
-    step = _step_function(len(y))
+    field = getattr(rhs, "field", None)  # a field of `model` is written into the step
+    step = functools.partial(_step_function(len(y), field), *rhs.constants) if field else _step_function(len(y))
     h = _initial_step(rhs, y, k1, t_end, atol, rtol, h_max)
 
     facold = 1e-4

@@ -11,6 +11,7 @@ the dynamical core is the (f, r) system plus a quadrature for theta.
 from __future__ import annotations
 
 import json
+import linecache
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -160,11 +161,68 @@ def augmented_initial(b: float, params: SystemParams) -> np.ndarray:
 
 
 def _field_constants(params: SystemParams, C: float) -> tuple[float, ...]:
-    """Both fields' constants lam*m, M + n*m, kappa^2, M, r0, C, C^2 and collision
-    floor, as Python floats: no numpy scalar enters the integrator's loop."""
+    """The constants of `_Field` as Python floats: no numpy scalar enters the integrator's loop."""
     C = float(C)
     return (float(params.lam * params.m), float(params.mass_sum), float(params.kappa**2),
             float(params.M), float(params.r0), C, C * C, float(R_FLOOR_FRACTION * params.r0))
+
+
+@dataclass(frozen=True)
+class _Field:
+    """A vector field written once as source: the state components it reads
+    (None for one it never reads), the lines that compute it from them and
+    from `constants`, and the expression of each component, all NaN where
+    `floor` holds.  `_field_maker` compiles it; `integrate` writes it inline."""
+
+    inputs: tuple[str | None, ...]
+    lines: tuple[str, ...]
+    outputs: tuple[str, ...]
+    # lam*m, M + n*m, kappa^2, M, r0, C, C^2 and the collision floor
+    constants = "lam_m, mu, kap2, M, r0, C, C2, r_floor"
+    floor = "r <= r_floor"
+
+
+_REDUCED = _Field(
+    ("f", "fdot", "r", "rdot", None),
+    ("r2 = r * r", "h2 = r2 + kap2 * f * f", "h3 = h2 * sqrt(h2)"),
+    ("fdot", "-mu * f / h3", "rdot", "C2 / (r2 * r) - lam_m / r2 - M * r / h3", "C / r2"),
+)
+# The reduced field, then the a- and b-sensitivity columns: Gf .. Sr is the
+# Jacobian of the (fdot, rdot) equations w.r.t. (f, r), and Sa .. Qa the
+# explicit dependence on a through C = r0*a.
+_VARIATIONAL = _Field(
+    (*_REDUCED.inputs, "fa", "ga", "ra", "sa", None, "fb", "gb", "rb", "sb", None),
+    (*_REDUCED.lines, "r3 = r2 * r", "r4 = r2 * r2", "h5 = h3 * h2",
+     "Gf = -mu * (h2 - 3.0 * kap2 * f * f) / h5", "Gr = 3.0 * mu * f * r / h5", "Sf = 3.0 * M * kap2 * f * r / h5",
+     "Sr = -3.0 * C2 / r4 + 2.0 * lam_m / r3 - M * (h2 - 3.0 * r2) / h5",
+     "Sa = 2.0 * r0 * C / r3", "Qr = -2.0 * C / r3", "Qa = r0 / r2"),
+    (*_REDUCED.outputs, "ga", "Gf * fa + Gr * ra", "sa", "Sf * fa + Sr * ra + Sa", "Qr * ra + Qa",
+     "gb", "Gf * fb + Gr * rb", "sb", "Sf * fb + Sr * rb", "Qr * rb"),
+)
+
+
+@lru_cache(maxsize=None)
+def _field_maker(field: _Field):
+    """make(*constants), the rhs(t, y) of field, compiled on first use and
+    shown by tracebacks; rhs carries field and constants for `integrate`."""
+    n = len(field.inputs)
+    unpack = "".join(f"{name or '_'}, " for name in field.inputs)
+    source = "\n".join([
+        f"def make({field.constants}):",
+        "    def rhs(t, y):",
+        f"        {unpack}= y",
+        f"        if {field.floor}:",
+        f"            return (nan,) * {n}",
+        *(f"        {line}" for line in field.lines),
+        f"        return ({', '.join(field.outputs)},)",
+        f"    rhs.field, rhs.constants = field, ({field.constants})",
+        "    return rhs\n",
+    ])
+    filename = f"<ringorbits.model field n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(keepends=True), filename)
+    namespace = {"field": field, "sqrt": math.sqrt, "nan": math.nan}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
 
 
 def make_reduced_rhs(params: SystemParams, C: float):
@@ -173,21 +231,9 @@ def make_reduced_rhs(params: SystemParams, C: float):
     C is the angular momentum r^2 * thetadot = r0 * a.  Returns NaN in every
     component when the ring radius is at or below the collision floor (at
     r = 0 the equations would divide by zero), and otherwise a tuple of
-    Python floats (`_field_constants`).
+    Python floats.  rhs is compiled from `_REDUCED`, which `flow` fuses.
     """
-    lam_m, mu, kap2, M, _, C, C2, r_floor = _field_constants(params, C)
-    sqrt, nan = math.sqrt, math.nan
-
-    def rhs(t, y):
-        f, fdot, r, rdot, _ = y
-        if r <= r_floor:
-            return (nan,) * 5
-        h2 = r * r + kap2 * f * f
-        h3 = h2 * sqrt(h2)
-        r2 = r * r
-        return (fdot, -mu * f / h3, rdot, C2 / (r2 * r) - lam_m / r2 - M * r / h3, C / r2)
-
-    return rhs
+    return _field_maker(_REDUCED)(*_field_constants(params, C))
 
 
 def make_variational_rhs(params: SystemParams, C: float):
@@ -196,52 +242,9 @@ def make_variational_rhs(params: SystemParams, C: float):
     Layout: base reduced state (5), then the a-sensitivity column (5), then
     the b-sensitivity column (5).  The a-column carries the explicit
     dependence of the equations on a through C = r0*a.  Returns a tuple of
-    floats, NaN below the collision floor, as `make_reduced_rhs` does.
+    floats, NaN below the collision floor, compiled from `_VARIATIONAL`.
     """
-    lam_m, mu, kap2, M, r0, C, C2, r_floor = _field_constants(params, C)
-    sqrt, nan = math.sqrt, math.nan
-
-    def rhs(t, y):
-        (f, fdot, r, rdot, _th,
-         fa, ga, ra, sa, _tha,
-         fb, gb, rb, sb, _thb) = y
-        if r <= r_floor:
-            return (nan,) * 15
-        r2 = r * r
-        r3 = r2 * r
-        r4 = r2 * r2
-        h2 = r2 + kap2 * f * f
-        h = sqrt(h2)
-        h3 = h2 * h
-        h5 = h3 * h2
-        # Jacobian of the (fdot, rdot) equations w.r.t. (f, r).
-        Gf = -mu * (h2 - 3.0 * kap2 * f * f) / h5
-        Gr = 3.0 * mu * f * r / h5
-        Sf = 3.0 * M * kap2 * f * r / h5
-        Sr = -3.0 * C2 / r4 + 2.0 * lam_m / r3 - M * (h2 - 3.0 * r2) / h5
-        # Explicit a-derivatives through C = r0*a.
-        Sa = 2.0 * r0 * C / r3
-        Qr = -2.0 * C / r3
-        Qa = r0 / r2
-        return (
-            fdot,
-            -mu * f / h3,
-            rdot,
-            C2 / r3 - lam_m / r2 - M * r / h3,
-            C / r2,
-            ga,
-            Gf * fa + Gr * ra,
-            sa,
-            Sf * fa + Sr * ra + Sa,
-            Qr * ra + Qa,
-            gb,
-            Gf * fb + Gr * rb,
-            sb,
-            Sf * fb + Sr * rb,
-            Qr * rb,
-        )
-
-    return rhs
+    return _field_maker(_VARIATIONAL)(*_field_constants(params, C))
 
 
 def reduced_energy(y, params: SystemParams, C: float) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ringorbits import integrate as ig
+from ringorbits import model
 from ringorbits.integrate import (
     BUDGET,
     OK,
@@ -24,6 +25,7 @@ from ringorbits.integrate import (
     flow,
 )
 from ringorbits.model import (
+    SystemParams,
     augmented_initial,
     make_reduced_rhs,
     make_variational_rhs,
@@ -395,6 +397,106 @@ class TestGeneratedStep:
         assert source.startswith("def step(rhs, t, h, y, k1, atol, rtol):")
         assert "    y0, y1, y2, y3, y4, = y\n" in source
 
+    def test_fused_source_is_shown(self, params_p):
+        # the step of a model field has its own file name; a step size of
+        # None fails in the first stage sum it writes out
+        rhs = make_reduced_rhs(params_p, params_p.r0 * params_p.a0)
+        y = reduced_initial(0.1, params_p).tolist()
+        step = _step_function(5, rhs.field)
+        with pytest.raises(TypeError) as info:
+            step(*rhs.constants, rhs, 0.0, None, y, rhs(0.0, y), 1e-12, 1e-12)
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.filename == "<ringorbits.integrate step n=5 fused>"
+        assert frame.line.startswith("f = y0 + h * (0.05260015195876773 * k1_0)")
+        source = inspect.getsource(step)
+        assert source.startswith("def step(lam_m, mu, kap2, M, r0, C, C2, r_floor, rhs, t, h, y, k1, atol, rtol):")
+        assert "    if r <= r_floor:\n        return None, nan, None\n" in source
+        assert "rhs(" not in source and "theta" not in source
+
+    @pytest.mark.parametrize("system", ["p", "q"])
+    @pytest.mark.parametrize("make", [make_reduced_rhs, make_variational_rhs], ids=["reduced", "variational"])
+    def test_fused_step_matches_arrays_bitwise(self, request, system, make):
+        # the field written into the step against the called field in the
+        # array form, at random states of both systems
+        params = request.getfixturevalue(f"params_{system}")
+        rng = np.random.default_rng(20261020)
+        for _ in range(10):
+            rhs = make(params, params.r0 * params.a0 * rng.uniform(0.5, 1.5))
+            y = random_state(rng, params, len(rhs.field.inputs))
+            t, h = rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-3.0, -0.5)
+            k1 = rhs(t, y)
+            ynew, err, stages = _step_function(len(y), rhs.field)(*rhs.constants, rhs, t, h, y, k1, 1e-12, 1e-12)
+            want_y, want_err, want_stages = reference_step(rhs, t, h, y, k1, 1e-12, 1e-12)
+            assert bits(ynew) == bits(want_y)
+            assert [bits(k) for k in stages] == [bits(k) for k in want_stages]
+            assert err == want_err and 0.0 < err < math.inf
+
+    @pytest.mark.parametrize("make", [make_reduced_rhs, make_variational_rhs], ids=["reduced", "variational"])
+    def test_fused_stage_below_the_floor_gives_a_nan_error(self, params_p, make):
+        # the ring falls through the collision floor within the step
+        rhs = make(params_p, 1e-5)
+        y = random_state(np.random.default_rng(7), params_p, len(rhs.field.inputs))
+        y[2], y[3] = 2.0 * model.R_FLOOR_FRACTION * params_p.r0, -1.0
+        args = (rhs, 0.0, 1.0, y, rhs(0.0, y), 1e-12, 1e-12)
+        assert math.isnan(_step_function(len(y), rhs.field)(*rhs.constants, *args)[1])
+        assert math.isnan(reference_step(*args)[1])
+
+
+def random_state(rng, params, n):
+    """A state of n components of a field of params, far above the collision floor."""
+    y = rng.standard_normal(n)
+    y[0] *= 0.3 * params.r0
+    y[2] = params.r0 * rng.uniform(0.5, 1.5)
+    return y.tolist()
+
+
+def flow_hex(rhs, y0, T):
+    """Everything a dense flow returns, as hex strings."""
+    res = flow(rhs, y0, T, IntegratorConfig(dense=True))
+    grid = res.dense.grid
+    samples = res.dense.sample(np.concatenate([grid, (grid[1:] + grid[:-1]) / 2]))
+    hexes = [[v.hex() for v in np.ravel(a).tolist()] for a in (res.y, res.dy, samples)]
+    return res.status, res.t.hex(), res.n_steps, res.n_rejected, hexes
+
+
+class TestFusedField:
+    """A field of `model` is written into the step; the same field behind any
+    other callable is called, and both flows give the same floats."""
+
+    @pytest.mark.parametrize(
+        "case, augmented",
+        [("p1", False), ("p1", True), ("near-collision", True), ("collapse", False), ("collapse", True)],
+    )
+    def test_fused_flow_is_the_called_flow(self, request, params_p, params_q, case, augmented):
+        if case == "p1":
+            pt = request.getfixturevalue("p1_corrected")
+            params, (a, b, T) = params_p, (pt.a, pt.b, pt.T)
+        elif case == "near-collision":
+            params, (a, b, T) = params_q, NEAR_COLLISION
+        else:
+            params, (a, b, T) = params_p, (params_p.a0 * 1e-5, 0.0, 100.0)
+        make, initial = (make_variational_rhs, augmented_initial) if augmented else (make_reduced_rhs, reduced_initial)
+        rhs, y0 = make(params, params.r0 * a), initial(b, params)
+
+        def called(t, y):
+            return rhs(t, y)
+
+        fused = flow_hex(rhs, y0, T)
+        assert fused == flow_hex(called, y0, T)
+        assert fused[0] == (SINGULAR if case == "collapse" else OK)
+        assert rhs.field is not None and not hasattr(called, "field")
+
+    def test_one_step_per_field(self, params_p, params_q):
+        # three systems share the compiled field and the compiled step of
+        # each field: the constants are arguments, not literals
+        for cache in (_step_function, model._field_maker):
+            cache.cache_clear()
+        for params in (params_p, params_q, SystemParams(n=2, m=2.0, M=10.0, r0=3.0)):
+            for augmented in (False, True):
+                eval_at(params.a0, 0.1, 1.0, params, augmented=augmented)
+        for cache in (_step_function, model._field_maker):
+            assert (cache.cache_info().misses, cache.cache_info().currsize) == (2, 2)
+
 
 def tableau():
     """The pair on 1-based stages: A (17 x 17), nodes c and the weight rows.
@@ -508,17 +610,18 @@ def test_endpoint_at_least_as_close_as_dp54(request, system, point, part, dp54):
 
 
 def test_import_generates_no_step_and_loads_no_new_module():
-    # set-up cost: importing the package compiles no step and loads no
-    # module beyond numpy's but these
+    # set-up cost: importing the package compiles no step and no field, and
+    # loads no module beyond numpy's but these
     allowed = {
         "__future__", "_blake2", "_hashlib", "_json", "array", "copy",
         "dataclasses", "hashlib", "json", "ringorbits",
     }
     probe = (
         "import sys, numpy; before = set(sys.modules); import ringorbits; "
-        "from ringorbits import integrate; "
+        "from ringorbits import integrate, model; "
         "new = sorted({m.split('.')[0] for m in set(sys.modules) - before}); "
-        "import json; print(json.dumps(new)); print(integrate._step_function.cache_info().currsize)"
+        "import json; print(json.dumps(new)); "
+        "print(integrate._step_function.cache_info().currsize + model._field_maker.cache_info().currsize)"
     )
     src = os.path.dirname(os.path.dirname(ig.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

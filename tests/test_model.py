@@ -178,6 +178,20 @@ class TestReducedRhs:
     @pytest.mark.parametrize(
         "make, initial", [(make_reduced_rhs, reduced_initial), (make_variational_rhs, augmented_initial)]
     )
+    def test_field_never_reads_the_phases(self, params_q, make, initial):
+        # theta, theta_a and theta_b (components 4, 9 and 14) leave every
+        # component unchanged to the bit: the fused step skips their stage sums
+        rng = np.random.default_rng(20261020)
+        for _ in range(20):
+            rhs = make(params_q, params_q.r0 * params_q.a0 * rng.uniform(0.5, 1.5))
+            y = initial(rng.normal(), params_q) + rng.normal(size=len(initial(0.0, params_q)))
+            moved = y.copy()
+            moved[[4, 9, 14][: len(y) // 5]] = rng.normal(scale=1e3, size=len(y) // 5)
+            assert [v.hex() for v in rhs(0.0, y.tolist())] == [v.hex() for v in rhs(0.0, moved.tolist())]
+
+    @pytest.mark.parametrize(
+        "make, initial", [(make_reduced_rhs, reduced_initial), (make_variational_rhs, augmented_initial)]
+    )
     def test_factories_return_python_floats(self, make, initial):
         # numpy scalars in the parameters or in C must not reach the step loop
         p = SystemParams(n=3, m=np.float64(3.0), M=np.float64(7.0), r0=np.float64(11.0))
