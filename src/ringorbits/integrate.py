@@ -13,18 +13,18 @@ The step runs on Python floats, not on numpy arrays: the systems here have
 5 or 15 components, and at that size numpy's per-call overhead costs more
 than the arithmetic.  The trial step is generated as source on first use
 (`_step_function`), with every component of every stage written out on
-local variables: a third cheaper per step than loops over lists.  The step
-of a state dimension calls the right-hand side at each stage; the step of a
-`model` field, generated once per field, writes stages 2 to 12 inline on
-the components the field reads, its constants passed as arguments.  Each
-component is computed with the operations numpy applies to whole vectors,
-in the same order (left-to-right stage sums, then the product with h, then
-the sum with y), and the error norms add their squares left to right, so
-the floats are those of the array form in the tests bit for bit, inline or
-called.  The generated source is registered in linecache, so tracebacks
-and inspect show its lines.  Dense output keeps each accepted state, step
-size and stage as raw doubles and builds the interpolants of all steps
-when the flow ends.
+local variables: a third cheaper per step than loops over lists.  Each
+stage's sums are written once: the step of a state dimension passes them
+to rhs in one call, and the step of a `model` field (rhs.func.field, its
+constants rhs.args) assigns them to the field's inputs and writes its lines
+inline in stages 2 to 12.  Each component is computed with the operations
+numpy applies to whole vectors, in the same order (left-to-right stage
+sums, then the product with h, then the sum with y), and the error norms
+add their squares left to right, so the floats are those of the array form
+in the tests bit for bit, inline or called.  `model._compile` registers
+the generated source in linecache, so tracebacks and inspect show it.
+Dense output keeps each accepted state, step size and stage as raw doubles
+and builds the interpolants of all steps when the flow ends.
 
 `flow` integrates forward from t = 0 and clamps the final step onto t_end
 exactly.  A trial step fails when its error estimate, its new state or the
@@ -39,7 +39,6 @@ falls below 1e-14*max(1, t_end); the flow then stops with status
 from __future__ import annotations
 
 import functools
-import linecache
 import math
 from array import array
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ import numpy as np
 
 from .model import (
     SystemParams,
+    _compile,
     augmented_initial,
     make_reduced_rhs,
     make_variational_rhs,
@@ -313,15 +313,14 @@ def _step_source(n: int, field=None) -> str:
     constants = f"{field.constants}, " if field else ""
     lines = [f"def step({constants}rhs, t, h, y, k1, atol, rtol):", unpack("y", "y"), unpack("k1_", "k1")]
     for s, (c, row) in enumerate(_STAGE_ROWS, start=2):
+        sums = [f"y{i} + h * ({combo(row, i)})" for i in range(n)]
         if field:
-            lines += [f"    {v} = y{i} + h * ({combo(row, i)})" for i, v in enumerate(field.inputs) if v]
+            lines += [f"    {v} = {x}" for v, x in zip(field.inputs, sums) if v]
             lines += [f"    if {field.floor}:", "        return None, nan, None"]
             lines += [f"    {line}" for line in field.lines]
             lines += [f"    k{s}_{i} = {v}" for i, v in enumerate(field.outputs)]
-            continue
-        lines.append(f"    k{s} = rhs(t + {c!r} * h, [")
-        lines += [f"        y{i} + h * ({combo(row, i)})," for i in range(n)]
-        lines += ["    ])", unpack(f"k{s}_", f"k{s}")]
+        else:
+            lines.append(unpack(f"k{s}_", f"rhs(t + {c!r} * h, [{', '.join(sums)}])"))
     # d is the eighth-order increment; e and g are the differences to the
     # fifth- and third-order solutions, over atol + rtol * max(|y|, |ynew|)
     for i in range(n):
@@ -334,7 +333,7 @@ def _step_source(n: int, field=None) -> str:
         ]
     for total, v in (("err5", "e"), ("err3", "g")):
         lines.append(f"    {total} = {' + '.join(f'{v}{i} * {v}{i}' for i in range(n))}")
-    kept = [f"({''.join(f'k{s}_{i}, ' for i in range(n))})" if field else f"k{s}" for s in range(6, 13)]
+    kept = [f"({''.join(f'k{s}_{i}, ' for i in range(n))})" for s in range(6, 13)]
     lines += [
         "    deno = (err5 + 0.01 * err3) or 1.0",
         f"    err = h * err5 / sqrt({n} * deno)",
@@ -348,17 +347,12 @@ def _step_function(n: int, field=None):
     """The generated trial step for n components, compiled on first use.
 
     step(rhs, t, h, y, k1, atol, rtol) returns (ynew, err, (k6, ..., k12)),
-    with the stages that dense output keeps; a non-finite stage makes err
-    non-finite, and an exception of rhs propagates.  The step of a `model`
-    field takes the field's constants first and never calls rhs.  Its source
-    is registered in linecache, so tracebacks and inspect.getsource show it.
+    the stages that dense output keeps, each a tuple of components; a
+    non-finite stage makes err non-finite, and an exception of rhs
+    propagates.  The step of a `model` field takes its constants first, as
+    the field's function does, and never calls rhs.
     """
-    source = _step_source(n, field)
-    filename = f"<ringorbits.integrate step n={n}{' fused' if field else ''}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(keepends=True), filename)
-    namespace = {"__name__": __name__, "sqrt": math.sqrt, "nan": math.nan}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["step"]
+    return _compile(_step_source(n, field), f"<ringorbits.integrate step n={n}{' fused' if field else ''}>", "step")
 
 
 def _dense_output(rhs, grid, states, steps, stages) -> DenseOutput:
@@ -416,8 +410,8 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
     whose values at accepted step times equal the stored states exactly.
     rhs receives the state as a list of floats and returns a sequence of
     the same length, non-finite where the state is out of its domain.  A
-    negative end time, or a non-finite end time, initial state or initial
-    derivative, raises ValueError before any step.
+    negative end time, a non-finite end time, initial state or initial
+    derivative, or one of another length, raises ValueError before any step.
     """
     config = config or IntegratorConfig()
     t_end = float(t_end)
@@ -428,6 +422,8 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
         raise ValueError("flow integrates forward only (t_end < 0)")
     t = 0.0
     k1 = rhs(t, y)  # an invalid initial state is the caller's error: let it raise
+    if len(k1) != len(y):
+        raise ValueError(f"vector field has {len(k1)} components at a state of {len(y)}")
     if not all(map(math.isfinite, k1)):
         raise ValueError(f"vector field is not finite at the initial state: {list(k1)!r}")
     grid, states, steps, stages = [t], array("d", y), array("d"), array("d")  # for dense output
@@ -445,8 +441,8 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
     h_max = float(config.h_max) if config.h_max is not None else t_end / 16.0
     h_max = min(h_max, t_end)
     h_floor = 1e-14 * max(t_end, 1.0)
-    field = getattr(rhs, "field", None)  # a field of `model` is written into the step
-    step = functools.partial(_step_function(len(y), field), *rhs.constants) if field else _step_function(len(y))
+    field = getattr(getattr(rhs, "func", None), "field", None)  # a field of `model` is written into the step
+    step = functools.partial(_step_function(len(y), field), *rhs.args) if field else _step_function(len(y))
     h = _initial_step(rhs, y, k1, t_end, atol, rtol, h_max)
 
     facold = 1e-4

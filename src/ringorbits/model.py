@@ -10,11 +10,11 @@ the dynamical core is the (f, r) system plus a quadrature for theta.
 
 from __future__ import annotations
 
+import functools
 import json
 import linecache
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +41,7 @@ __all__ = [
 R_FLOOR_FRACTION = 1e-8
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def lambda_n(n: int) -> float:
     """Ring interaction constant (1/4) * sum_{k=1..n-1} csc(k*pi/n).
 
@@ -172,7 +172,7 @@ class _Field:
     """A vector field written once as source: the state components it reads
     (None for one it never reads), the lines that compute it from them and
     from `constants`, and the expression of each component, all NaN where
-    `floor` holds.  `_field_maker` compiles it; `integrate` writes it inline."""
+    `floor` holds.  `_field_function` compiles it; `integrate` writes it inline."""
 
     inputs: tuple[str | None, ...]
     lines: tuple[str, ...]
@@ -201,28 +201,29 @@ _VARIATIONAL = _Field(
 )
 
 
-@lru_cache(maxsize=None)
-def _field_maker(field: _Field):
-    """make(*constants), the rhs(t, y) of field, compiled on first use and
-    shown by tracebacks; rhs carries field and constants for `integrate`."""
+def _compile(source: str, filename: str, name: str):
+    """The function `name` of source, compiled as filename and shown by tracebacks and inspect."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(keepends=True), filename)
+    namespace = {"sqrt": math.sqrt, "nan": math.nan}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _field_function(field: _Field):
+    """rhs(*constants, t, y) of field, compiled on first use; rhs.field is field, for `integrate`."""
     n = len(field.inputs)
     unpack = "".join(f"{name or '_'}, " for name in field.inputs)
-    source = "\n".join([
-        f"def make({field.constants}):",
-        "    def rhs(t, y):",
-        f"        {unpack}= y",
-        f"        if {field.floor}:",
-        f"            return (nan,) * {n}",
-        *(f"        {line}" for line in field.lines),
-        f"        return ({', '.join(field.outputs)},)",
-        f"    rhs.field, rhs.constants = field, ({field.constants})",
-        "    return rhs\n",
-    ])
-    filename = f"<ringorbits.model field n={n}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(keepends=True), filename)
-    namespace = {"field": field, "sqrt": math.sqrt, "nan": math.nan}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["make"]
+    rhs = _compile("\n".join([
+        f"def rhs({field.constants}, t, y):",
+        f"    {unpack}= y",
+        f"    if {field.floor}:",
+        f"        return (nan,) * {n}",
+        *(f"    {line}" for line in field.lines),
+        f"    return ({', '.join(field.outputs)},)\n",
+    ]), f"<ringorbits.model field n={n}>", "rhs")
+    rhs.field = field
+    return rhs
 
 
 def make_reduced_rhs(params: SystemParams, C: float):
@@ -231,9 +232,9 @@ def make_reduced_rhs(params: SystemParams, C: float):
     C is the angular momentum r^2 * thetadot = r0 * a.  Returns NaN in every
     component when the ring radius is at or below the collision floor (at
     r = 0 the equations would divide by zero), and otherwise a tuple of
-    Python floats.  rhs is compiled from `_REDUCED`, which `flow` fuses.
+    Python floats: the function of `_REDUCED`, its constants bound by functools.partial.
     """
-    return _field_maker(_REDUCED)(*_field_constants(params, C))
+    return functools.partial(_field_function(_REDUCED), *_field_constants(params, C))
 
 
 def make_variational_rhs(params: SystemParams, C: float):
@@ -242,9 +243,9 @@ def make_variational_rhs(params: SystemParams, C: float):
     Layout: base reduced state (5), then the a-sensitivity column (5), then
     the b-sensitivity column (5).  The a-column carries the explicit
     dependence of the equations on a through C = r0*a.  Returns a tuple of
-    floats, NaN below the collision floor, compiled from `_VARIATIONAL`.
+    floats, NaN below the collision floor: the function of `_VARIATIONAL`, bound alike.
     """
-    return _field_maker(_VARIATIONAL)(*_field_constants(params, C))
+    return functools.partial(_field_function(_VARIATIONAL), *_field_constants(params, C))
 
 
 def reduced_energy(y, params: SystemParams, C: float) -> float:

@@ -57,8 +57,10 @@ class ResonanceTarget:
     n2: int
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"resonance integers must be positive, got {self.n1}/{self.n2}")
+        if not all(float(v).is_integer() and v >= 1 for v in (self.n1, self.n2)):
+            raise ValueError(f"resonance integers must be positive integers, got {self.n1}/{self.n2}")
+        object.__setattr__(self, "n1", int(self.n1))  # 3.0 as 3, for gcd and the tag
+        object.__setattr__(self, "n2", int(self.n2))
         if math.gcd(self.n1, self.n2) != 1:
             raise ValueError(f"resonance fraction {self.n1}/{self.n2} is not in lowest terms")
 

@@ -61,3 +61,16 @@ def test_every_private_name_of_the_package_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def test_generated_code_has_one_compile_path():
+    # steps and fields are compiled by one helper: the only exec( and
+    # compile( calls of the package, attributed to their top-level definition
+    calls = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.name}:{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "compile"):
+                    calls.append((node.func.id, owner))
+    assert sorted(calls) == [("compile", "model.py:_compile"), ("exec", "model.py:_compile")]

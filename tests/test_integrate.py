@@ -95,6 +95,23 @@ class TestFlow:
         with pytest.raises(ValueError, match="vector field is not finite"):
             flow(nan_field, [1.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize(
+        "field, length",
+        [(lambda t, y: [y[1], -y[0], 0.0], 3), (lambda t, y: [y[1]], 1)],
+        ids=["too-long", "too-short"],
+    )
+    def test_field_of_another_length_rejected(self, field, length):
+        # at the initial state, before the generated step could fail to unpack it
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return field(t, y)
+
+        with pytest.raises(ValueError, match=f"vector field has {length} components at a state of 2"):
+            flow(counted, [1.0, 0.0], 1.0)
+        assert calls == [0.0]
+
     @pytest.mark.parametrize("t_end", [0.0, 2.5])
     def test_endpoint_derivative_is_the_field_there(self, t_end):
         res = flow(harmonic, [1.0, 0.0], t_end)
@@ -392,7 +409,8 @@ class TestGeneratedStep:
             flow(fails_in_k4, [1.0, 0.0], 1.0, IntegratorConfig())
         frames = traceback.extract_tb(info.value.__traceback__)
         step_frame = next(f for f in frames if f.filename == "<ringorbits.integrate step n=2>")
-        assert step_frame.line.startswith("k4 = rhs(t + 0.1183503419072274 * h, [")
+        # one line per stage: its sums are the arguments, its components the targets
+        assert step_frame.line.startswith("k4_0, k4_1, = rhs(t + 0.1183503419072274 * h, [y0 + h * (")
         source = inspect.getsource(_step_function(5))
         assert source.startswith("def step(rhs, t, h, y, k1, atol, rtol):")
         assert "    y0, y1, y2, y3, y4, = y\n" in source
@@ -402,9 +420,9 @@ class TestGeneratedStep:
         # None fails in the first stage sum it writes out
         rhs = make_reduced_rhs(params_p, params_p.r0 * params_p.a0)
         y = reduced_initial(0.1, params_p).tolist()
-        step = _step_function(5, rhs.field)
+        step = _step_function(5, rhs.func.field)
         with pytest.raises(TypeError) as info:
-            step(*rhs.constants, rhs, 0.0, None, y, rhs(0.0, y), 1e-12, 1e-12)
+            step(*rhs.args, rhs, 0.0, None, y, rhs(0.0, y), 1e-12, 1e-12)
         frame = traceback.extract_tb(info.value.__traceback__)[-1]
         assert frame.filename == "<ringorbits.integrate step n=5 fused>"
         assert frame.line.startswith("f = y0 + h * (0.05260015195876773 * k1_0)")
@@ -422,10 +440,10 @@ class TestGeneratedStep:
         rng = np.random.default_rng(20261020)
         for _ in range(10):
             rhs = make(params, params.r0 * params.a0 * rng.uniform(0.5, 1.5))
-            y = random_state(rng, params, len(rhs.field.inputs))
+            y = random_state(rng, params, len(rhs.func.field.inputs))
             t, h = rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-3.0, -0.5)
             k1 = rhs(t, y)
-            ynew, err, stages = _step_function(len(y), rhs.field)(*rhs.constants, rhs, t, h, y, k1, 1e-12, 1e-12)
+            ynew, err, stages = _step_function(len(y), rhs.func.field)(*rhs.args, rhs, t, h, y, k1, 1e-12, 1e-12)
             want_y, want_err, want_stages = reference_step(rhs, t, h, y, k1, 1e-12, 1e-12)
             assert bits(ynew) == bits(want_y)
             assert [bits(k) for k in stages] == [bits(k) for k in want_stages]
@@ -435,10 +453,10 @@ class TestGeneratedStep:
     def test_fused_stage_below_the_floor_gives_a_nan_error(self, params_p, make):
         # the ring falls through the collision floor within the step
         rhs = make(params_p, 1e-5)
-        y = random_state(np.random.default_rng(7), params_p, len(rhs.field.inputs))
+        y = random_state(np.random.default_rng(7), params_p, len(rhs.func.field.inputs))
         y[2], y[3] = 2.0 * model.R_FLOOR_FRACTION * params_p.r0, -1.0
         args = (rhs, 0.0, 1.0, y, rhs(0.0, y), 1e-12, 1e-12)
-        assert math.isnan(_step_function(len(y), rhs.field)(*rhs.constants, *args)[1])
+        assert math.isnan(_step_function(len(y), rhs.func.field)(*rhs.args, *args)[1])
         assert math.isnan(reference_step(*args)[1])
 
 
@@ -484,17 +502,21 @@ class TestFusedField:
         fused = flow_hex(rhs, y0, T)
         assert fused == flow_hex(called, y0, T)
         assert fused[0] == (SINGULAR if case == "collapse" else OK)
-        assert rhs.field is not None and not hasattr(called, "field")
+        assert rhs.func.field is not None and not hasattr(called, "func")
 
     def test_one_step_per_field(self, params_p, params_q):
         # three systems share the compiled field and the compiled step of
         # each field: the constants are arguments, not literals
-        for cache in (_step_function, model._field_maker):
+        for cache in (_step_function, model._field_function):
             cache.cache_clear()
         for params in (params_p, params_q, SystemParams(n=2, m=2.0, M=10.0, r0=3.0)):
             for augmented in (False, True):
                 eval_at(params.a0, 0.1, 1.0, params, augmented=augmented)
-        for cache in (_step_function, model._field_maker):
+            # each factory binds the system's constants to its field's function
+            C = params.r0 * params.a0
+            for make in (make_reduced_rhs, make_variational_rhs):
+                assert make(params, C).args == model._field_constants(params, C)
+        for cache in (_step_function, model._field_function):
             assert (cache.cache_info().misses, cache.cache_info().currsize) == (2, 2)
 
 
@@ -621,7 +643,7 @@ def test_import_generates_no_step_and_loads_no_new_module():
         "from ringorbits import integrate, model; "
         "new = sorted({m.split('.')[0] for m in set(sys.modules) - before}); "
         "import json; print(json.dumps(new)); "
-        "print(integrate._step_function.cache_info().currsize + model._field_maker.cache_info().currsize)"
+        "print(integrate._step_function.cache_info().currsize + model._field_function.cache_info().currsize)"
     )
     src = os.path.dirname(os.path.dirname(ig.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

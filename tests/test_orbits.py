@@ -47,10 +47,14 @@ class TestResonanceTarget:
         assert abs(t.angle - 3.0 * math.pi / 4.0) < 1e-15
         assert t.tag == "3pi4"
 
-    @pytest.mark.parametrize("n1,n2", [(0, 1), (1, 0), (-1, 2), (2, 4), (6, 3)])
+    @pytest.mark.parametrize("n1,n2", [(0, 1), (1, 0), (-1, 2), (2, 4), (6, 3), (1.5, 4), (3, 4.5), (6.0, 3)])
     def test_validation(self, n1, n2):
         with pytest.raises(ValueError):
             ResonanceTarget(n1, n2)
+
+    def test_integral_float_is_stored_as_int(self):
+        t = ResonanceTarget(3.0, 4)
+        assert t == ResonanceTarget(3, 4) and type(t.n1) is int and t.tag == "3pi4"
 
     def test_whole_pi_is_valid(self):
         assert ResonanceTarget(1, 1).angle == math.pi
