@@ -23,7 +23,7 @@ from pathlib import Path
 from . import continuation as cont
 from .bifurcate import bifurcation_point
 from .integrate import FlowError, IntegratorConfig, eval_at
-from .model import SystemParams, lambda_n, write_json
+from .model import SystemParams, _count, lambda_n, write_json
 from .orbits import (
     ResonanceNotFound,
     ResonanceTarget,
@@ -288,8 +288,7 @@ def _cmd_resonance(args) -> int:
         raise ValueError(
             f"system {params.to_dict()} differs from the branch file's {branch.params.to_dict()}"
         )
-    if args.samples < 2:
-        raise ValueError("need at least two samples per period")
+    _count("--samples", args.samples, 2)  # reconstruct's check, before find_resonance runs a flow
     _check_out(args)
     point = find_resonance(branch, target, config)
     k_strict, k_relabel = closure_order(target, params.n)

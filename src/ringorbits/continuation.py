@@ -35,7 +35,7 @@ import numpy as np
 
 from .bifurcate import bifurcation_point
 from .integrate import SINGULAR, FlowError, IntegratorConfig
-from .model import SystemParams, write_json
+from .model import SystemParams, _count, write_json
 from .shoot import (
     OLD_KIND_HINT,
     T_LOWER,
@@ -114,14 +114,13 @@ class StepControl:
 
 @dataclass(frozen=True)
 class StopRules:
-    """Termination thresholds for `continue_branch`; T_max defaults to T_UPPER*T0."""
+    """Termination thresholds for `continue_branch`: max_points a whole number >= 1, T_max by default T_UPPER*T0."""
 
     max_points: int = 20000
     T_max: float | None = None
 
     def __post_init__(self):
-        if self.max_points < 1:
-            raise ValueError(f"max_points must be positive, got {self.max_points!r}")
+        object.__setattr__(self, "max_points", _count("max_points", self.max_points, 1))
         if self.T_max is not None and not (math.isfinite(self.T_max) and self.T_max >= 0):
             raise ValueError(f"T_max must be finite and nonnegative, got {self.T_max!r}")
 

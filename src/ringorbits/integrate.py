@@ -410,14 +410,14 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
     whose values at accepted step times equal the stored states exactly.
     rhs receives the state as a list of floats and returns a sequence of
     the same length, non-finite where the state is out of its domain.  A
-    negative end time, a non-finite end time, initial state or initial
-    derivative, or one of another length, raises ValueError before any step.
+    negative or non-finite end time, an empty or non-finite initial state, or
+    an initial derivative not finite or of another length raises ValueError before any step.
     """
     config = config or IntegratorConfig()
     t_end = float(t_end)
     y = np.asarray(y0, dtype=float).tolist()
-    if not all(map(math.isfinite, (t_end, *y))):
-        raise ValueError(f"flow needs a finite end time and state, got t_end={t_end!r}, y0={y!r}")
+    if not y or not all(map(math.isfinite, (t_end, *y))):
+        raise ValueError(f"flow needs a finite end time and a nonempty finite state, got t_end={t_end!r}, y0={y!r}")
     if t_end < 0:
         raise ValueError("flow integrates forward only (t_end < 0)")
     t = 0.0

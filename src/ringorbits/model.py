@@ -41,16 +41,27 @@ __all__ = [
 R_FLOOR_FRACTION = 1e-8
 
 
+def _count(name: str, value, floor: int) -> int:
+    """value as an int if it is a whole number >= floor (3.0 and np.int64(3) are 3), else
+    ValueError naming name: the one check of n, n1/n2, periods, samples, max_points and max_flows."""
+    try:
+        whole = float(value).is_integer() and value >= floor
+    except (TypeError, ValueError, OverflowError):  # not a number, or an int beyond the float range
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    return int(value)
+
+
 @functools.cache
 def lambda_n(n: int) -> float:
     """Ring interaction constant (1/4) * sum_{k=1..n-1} csc(k*pi/n).
 
     Collects the mutual attraction of the n ring bodies into a single
     coefficient of 1/r^2.  Strictly increasing in n; lambda_n(2) = 1/4.
+    n must be a whole number >= 2 (`_count`); the sum takes O(n) time.
     """
-    if n != int(n) or n < 2:
-        raise ValueError(f"need an integer number of ring bodies >= 2, got n={n!r}")
-    n = int(n)
+    n = _count("n", n, 2)
     return 0.25 * math.fsum(1.0 / math.sin(k * math.pi / n) for k in range(1, n))
 
 
@@ -79,9 +90,7 @@ class SystemParams:
     r0: float
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))  # not 3.0 or np.int64(3): range() and JSON need an int
+        object.__setattr__(self, "n", _count("n", self.n, 2))  # an int: range() and JSON need one
         for name in ("m", "M", "r0"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -136,10 +145,8 @@ class SystemParams:
         missing = {"n", "m", "M", "r0"} - set(d)
         if missing:
             raise ValueError(f"missing parameter keys: {sorted(missing)}")
-        n = d["n"]
-        if not float(n).is_integer():
-            raise ValueError(f"n must be an integer >= 2, got {n!r}")
-        return cls(n=int(n), m=float(d["m"]), M=float(d["M"]), r0=float(d["r0"]))
+        # every value read as a float, so "3" is 3; the constructor checks n
+        return cls(n=float(d["n"]), m=float(d["m"]), M=float(d["M"]), r0=float(d["r0"]))
 
 
 def write_json(obj, fh) -> None:

@@ -22,6 +22,7 @@ from .integrate import IntegratorConfig, flow
 from .model import (
     CartesianState,
     SystemParams,
+    _count,
     cartesian_energy,
     cartesian_lift,
     center_of_mass,
@@ -57,10 +58,8 @@ class ResonanceTarget:
     n2: int
 
     def __post_init__(self):
-        if not all(float(v).is_integer() and v >= 1 for v in (self.n1, self.n2)):
-            raise ValueError(f"resonance integers must be positive integers, got {self.n1}/{self.n2}")
-        object.__setattr__(self, "n1", int(self.n1))  # 3.0 as 3, for gcd and the tag
-        object.__setattr__(self, "n2", int(self.n2))
+        for name in ("n1", "n2"):  # 3.0 as 3, for gcd and the tag
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         if math.gcd(self.n1, self.n2) != 1:
             raise ValueError(f"resonance fraction {self.n1}/{self.n2} is not in lowest terms")
 
@@ -80,11 +79,9 @@ def closure_order(target: ResonanceTarget, n: int) -> tuple[int, int]:
     2*n1*pi/n2.  Strict closure needs k*n1/n2 to be an integer, so k = n2
     as n1/n2 is in lowest terms; with the n identical ring bodies
     relabeled, a turn by any multiple of 2*pi/n also closes, so
-    k = n2/gcd(n, n2).
+    k = n2/gcd(n, n2).  n must be a whole number >= 2.
     """
-    if n < 2:
-        raise ValueError(f"need at least two ring bodies, got n={n}")
-    return target.n2, target.n2 // math.gcd(n, target.n2)
+    return target.n2, target.n2 // math.gcd(_count("n", n, 2), target.n2)
 
 
 def find_resonance(
@@ -191,16 +188,12 @@ def reconstruct(
       lz_drift         relative drift of the z angular momentum
       closure_error    max over bodies of |dx| + |dv| between endpoints
       closure_error_relabel  same, minimized over ring relabelings
-    A point with T <= T_LOWER*T0, or periods or samples_per_period that is
-    not a whole number of at least 1 or 2, raises ValueError before any
-    flow, and an orbit with a diagnostic that is not finite raises ValueError.
+    A point with T <= T_LOWER*T0, or periods or samples_per_period not a
+    whole number >= 1 or >= 2 (3.0 is 3), raises ValueError before any flow,
+    and an orbit with a diagnostic that is not finite raises ValueError.
     """
     require_above_floor(point.T, params)
-    if not (float(periods).is_integer() and periods >= 1):
-        raise ValueError(f"periods must be a positive integer, got {periods!r}")
-    if not (float(samples_per_period).is_integer() and samples_per_period >= 2):
-        raise ValueError(f"need at least two samples per period, got {samples_per_period!r}")
-    periods, samples_per_period = int(periods), int(samples_per_period)
+    periods, samples_per_period = _count("periods", periods, 1), _count("samples_per_period", samples_per_period, 2)
     config = config or IntegratorConfig()
     t_end = periods * point.period
     cfg = replace(config, dense=True, h_max=config.h_max if config.h_max is not None else point.T / 16.0)
@@ -311,7 +304,7 @@ def load_trajectory(path) -> Trajectory:
         masses=np.array(payload["masses"]),
         params=SystemParams.from_dict(payload["params"]),
         source=SeedPoint.from_dict(payload["source"]),
-        periods=int(payload["periods"]),
+        periods=_count("periods", payload["periods"], 1),
         diagnostics=dict(payload["diagnostics"]),
     )
 

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .integrate import FlowError, IntegratorConfig, eval_at
-from .model import SystemParams
+from .model import SystemParams, _count
 
 __all__ = [
     "SymmetryKind",
@@ -118,7 +118,8 @@ class SeedPoint:
 
     `residual` stores the max-norm of the desingularized residual pair at
     the point, `theta` the accumulated ring phase over [0, T].  Both are
-    NaN for points that have not been evaluated.
+    NaN for points that have not been evaluated.  `kind` takes a
+    SymmetryKind or its value ("odd", "double") and is stored as the enum.
     """
 
     a: float
@@ -136,6 +137,12 @@ class SeedPoint:
             raise ValueError(f"angular parameter a must be positive, got {self.a!r}")
         if not (self.T > 0):
             raise ValueError(f"return time T must be positive, got {self.T!r}")
+        try:
+            object.__setattr__(self, "kind", SymmetryKind(self.kind))
+        except ValueError:
+            raise ValueError(
+                f"unknown symmetry kind {self.kind!r}; expected 'odd' or 'double' ({OLD_KIND_HINT})"
+            ) from None
 
     def vector(self) -> np.ndarray:
         return np.array([self.a, self.b, self.T])
@@ -149,17 +156,11 @@ class SeedPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SeedPoint":
-        try:
-            kind = SymmetryKind(d["kind"] if "kind" in d else "odd")
-        except ValueError:
-            raise ValueError(
-                f"unknown symmetry kind {d['kind']!r}; expected 'odd' or 'double' ({OLD_KIND_HINT})"
-            ) from None
         return cls(
             a=float(d["a"]),
             b=float(d["b"]),
             T=float(d["T"]),
-            kind=kind,
+            kind=d.get("kind", "odd"),
             residual=float(d.get("residual", math.nan)),
             theta=float(d.get("theta", math.nan)),
         )
@@ -282,7 +283,7 @@ def newton_correct(
     after the initial evaluation.  max_flows bounds the flows the call runs.
 
     Raises ValueError before any flow unless tol is finite and positive,
-    max_flows >= 1 and guess.T > T_LOWER*T0; ConvergenceError with `reason`
+    max_flows a whole number >= 1 and guess.T > T_LOWER*T0; ConvergenceError with `reason`
     "budget", "line-search" or "singular-jacobian"; and FlowError from the
     initial evaluation.
     """
@@ -306,8 +307,7 @@ def newton_correct_full(
     contraction |dx_1|/|dx_0| of its first two full updates (0.0 if fewer ran)."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_flows < 1:
-        raise ValueError(f"max_flows must be at least 1, got {max_flows!r}")
+    max_flows = _count("max_flows", max_flows, 1)
     kind = guess.kind
     if constraint is None:
         constraint = fixed_b(guess.b)

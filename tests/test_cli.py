@@ -408,9 +408,10 @@ class TestTrace:
     @pytest.mark.parametrize(
         "flag,message",
         [
-            (["--max-points", "0"], "max_points must be positive"),
-            (["--max-points=-3"], "max_points must be positive"),
+            (["--max-points", "0"], "max_points must be an integer >= 1, got 0"),
+            (["--max-points=-3"], "max_points must be an integer >= 1, got -3"),
         ],
+        ids=["zero", "negative"],
     )
     def test_bad_stop_rule_exits_before_any_flow(self, capsys, tmp_path, monkeypatch, flag, message):
         def no_flow(*args, **kwargs):
@@ -515,7 +516,7 @@ class TestResonance:
         ]
         code, _, err = run(capsys, argv)
         assert code == EXIT_CONFIG
-        assert "need at least two samples per period" in err
+        assert "--samples must be an integer >= 2, got 1" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_branch_file(self, capsys, tmp_path):

@@ -393,6 +393,7 @@ class TestStepAndStopDefaults:
     def test_stop_rules_resolution(self):
         rules = StopRules()
         assert (rules.max_points, rules.T_max) == (20000, None)
+        assert [type(StopRules(max_points=v).max_points) for v in (3.0, np.int64(3))] == [int, int]
         # multiples of a0 and T0: a_min, a_max, T_min and the default of T_max
         assert (A_COLLISION, A_BOUND, T_LOWER, T_UPPER) == (1e-3, 1e3, 1e-3, 50.0)
 
@@ -404,9 +405,10 @@ class TestStepAndStopDefaults:
             dict(T_max=-1.0),
             dict(T_max=math.nan),
             dict(T_max=math.inf),
+            *(dict(max_points=v) for v in (math.nan, math.inf, -math.inf, 2.5)),
         ],
         # kw2-kw4 were the cases of the removed b_tol; the others keep their ids
-        ids=["kw0", "kw1", "kw5", "kw6", "kw7"],
+        ids=["kw0", "kw1", "kw5", "kw6", "kw7", "kw8", "kw9", "kw10", "kw11"],
     )
     def test_stop_rules_are_validated(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):

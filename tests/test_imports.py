@@ -74,3 +74,23 @@ def test_generated_code_has_one_compile_path():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "compile"):
                     calls.append((node.func.id, owner))
     assert sorted(calls) == [("compile", "model.py:_compile"), ("exec", "model.py:_compile")]
+
+
+def test_one_rule_decides_what_a_count_is():
+    # "a whole number at or above a floor" is decided by model._count alone:
+    # the package's only is_integer call and only comparison against int(x),
+    # attributed to their top-level definition.  bifurcate._fmt_number
+    # compares too, but decides how a float prints, not what a count may be.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.name}:{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "is_integer":
+                    found.append(("is_integer", owner))
+                elif isinstance(node, ast.Compare) and any(
+                    isinstance(x, ast.Call) and getattr(x.func, "id", None) == "int"
+                    for x in (node.left, *node.comparators)
+                ):
+                    found.append(("int comparison", owner))
+    assert sorted(found) == [("int comparison", "bifurcate.py:_fmt_number"), ("is_integer", "model.py:_count")]

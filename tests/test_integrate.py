@@ -96,11 +96,16 @@ class TestFlow:
             flow(nan_field, [1.0, 0.0], 1.0)
 
     @pytest.mark.parametrize(
-        "field, length",
-        [(lambda t, y: [y[1], -y[0], 0.0], 3), (lambda t, y: [y[1]], 1)],
-        ids=["too-long", "too-short"],
+        "field, y0, message",
+        [
+            (lambda t, y: [y[1], -y[0], 0.0], [1.0, 0.0], "vector field has 3 components at a state of 2"),
+            (lambda t, y: [y[1]], [1.0, 0.0], "vector field has 1 components at a state of 2"),
+            # no step is generated for a state of no components: it would not compile
+            (lambda t, y: [], [], "a nonempty finite state"),
+        ],
+        ids=["too-long", "too-short", "empty"],
     )
-    def test_field_of_another_length_rejected(self, field, length):
+    def test_field_of_another_length_rejected(self, field, y0, message):
         # at the initial state, before the generated step could fail to unpack it
         calls = []
 
@@ -108,9 +113,9 @@ class TestFlow:
             calls.append(t)
             return field(t, y)
 
-        with pytest.raises(ValueError, match=f"vector field has {length} components at a state of 2"):
-            flow(counted, [1.0, 0.0], 1.0)
-        assert calls == [0.0]
+        with pytest.raises(ValueError, match=message):
+            flow(counted, y0, 1.0)
+        assert calls == ([0.0] if y0 else [])
 
     @pytest.mark.parametrize("t_end", [0.0, 2.5])
     def test_endpoint_derivative_is_the_field_there(self, t_end):

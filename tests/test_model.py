@@ -2,6 +2,7 @@
 against the pairwise Newtonian field `full_rhs` defined here."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ class TestLambda:
 
     def test_three_ring_bodies(self):
         assert abs(lambda_n(3) - 3.0 ** -0.5) < 1e-12
+        assert lambda_n(3.0) == lambda_n(np.int64(3)) == lambda_n(3)
 
     def test_four_ring_bodies(self):
         assert abs(lambda_n(4) - (1.0 + 2.0 * math.sqrt(2.0)) / 4.0) < 1e-12
@@ -45,9 +47,9 @@ class TestLambda:
         vals = [lambda_n(n) for n in range(2, 101)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("bad", [1, 0, -3])
+    @pytest.mark.parametrize("bad", [1, 0, -3, math.nan, math.inf, -math.inf, 2.5])
     def test_domain_error(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 2, got {bad!r}")):
             lambda_n(bad)
 
     def test_non_integer_rejected(self):
@@ -74,6 +76,8 @@ class TestSystemParams:
             dict(n=3, m=1.0, M=1.0, r0=0.0),
             dict(n=3, m=math.nan, M=1.0, r0=1.0),
             dict(n=3, m=1.0, M=math.inf, r0=1.0),
+            # n = inf once raised OverflowError, from int(inf)
+            *(dict(n=n, m=1.0, M=1.0, r0=1.0) for n in (math.inf, -math.inf, math.nan, 2.5)),
         ],
     )
     def test_validation(self, kw):
@@ -117,7 +121,7 @@ class TestSystemParams:
         again = SystemParams.from_dict(params_q.to_dict())
         assert again == params_q
 
-    @pytest.mark.parametrize("n", [3.7, "3.5", math.nan, math.inf])
+    @pytest.mark.parametrize("n", [3.7, "3.5", math.nan, math.inf, -math.inf, 1])
     def test_from_dict_rejects_a_non_integer_n(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             SystemParams.from_dict({"n": n, "m": 1.0, "M": 1.0, "r0": 1.0})
@@ -127,8 +131,9 @@ class TestSystemParams:
             SystemParams.from_dict({"n": 3, "m": 1.0})
 
     def test_from_dict_normalises_an_integral_n(self):
-        p = SystemParams.from_dict({"n": 3.0, "m": 1.0, "M": 1.0, "r0": 1.0})
-        assert type(p.n) is int and p.n == 3
+        for n in (3.0, "3", np.int64(3)):
+            p = SystemParams.from_dict({"n": n, "m": 1.0, "M": 1.0, "r0": 1.0})
+            assert type(p.n) is int and p.n == 3
 
 
 class TestReducedRhs:

@@ -47,14 +47,20 @@ class TestResonanceTarget:
         assert abs(t.angle - 3.0 * math.pi / 4.0) < 1e-15
         assert t.tag == "3pi4"
 
-    @pytest.mark.parametrize("n1,n2", [(0, 1), (1, 0), (-1, 2), (2, 4), (6, 3), (1.5, 4), (3, 4.5), (6.0, 3)])
+    @pytest.mark.parametrize(
+        "n1,n2",
+        [(0, 1), (1, 0), (-1, 2), (2, 4), (6, 3), (1.5, 4), (3, 4.5), (6.0, 3)]
+        + [(math.nan, 4), (math.inf, 4), (3, -math.inf), (2.5, 4)],
+    )
     def test_validation(self, n1, n2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"n[12] must be an integer >= 1, got |not in lowest terms"):
             ResonanceTarget(n1, n2)
 
     def test_integral_float_is_stored_as_int(self):
         t = ResonanceTarget(3.0, 4)
         assert t == ResonanceTarget(3, 4) and type(t.n1) is int and t.tag == "3pi4"
+        t = ResonanceTarget(3, np.int64(4))
+        assert t == ResonanceTarget(3, 4) and type(t.n2) is int
 
     def test_whole_pi_is_valid(self):
         assert ResonanceTarget(1, 1).angle == math.pi
@@ -66,6 +72,11 @@ class TestClosureOrder:
     def test_against_brute_force(self, n1, n2, n):
         target = ResonanceTarget(n1, n2)
         assert closure_order(target, n) == brute_force_orders(n1, n2, n)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5, 1])
+    def test_bad_ring_count_rejected(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 2, got {n!r}")):
+            closure_order(ResonanceTarget(3, 4), n)
 
     def test_printed_cases(self):
         assert closure_order(ResonanceTarget(1, 1), 3) == (1, 1)
@@ -228,24 +239,35 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(q0_corrected, params_q, samples_per_period=1)
 
-    @pytest.mark.parametrize("kw", [{"periods": 2.5}, {"samples_per_period": 64.5}, {"periods": math.nan}])
+    @pytest.mark.parametrize(
+        "kw",
+        [{"periods": 2.5}, {"samples_per_period": 64.5}, {"periods": math.nan}]
+        + [{"periods": v} for v in (math.inf, -math.inf, 0)]
+        + [{"samples_per_period": v} for v in (math.nan, math.inf, -math.inf, 2.5, 1)],
+    )
     def test_non_integer_counts_rejected_before_any_flow(self, q0_corrected, params_q, monkeypatch, kw):
         flows = []
         monkeypatch.setattr(orbits, "flow", lambda *a, **k: flows.append(a))
-        with pytest.raises(ValueError, match="periods must be a positive integer|samples per period"):
+        ((name, value),) = kw.items()
+        floor = 1 if name == "periods" else 2
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {floor}, got {value!r}")):
             reconstruct(q0_corrected, params_q, **kw)
         assert flows == []
 
     @pytest.mark.parametrize("n", [3.0, np.int64(3)], ids=["float", "int64"])
     def test_an_integral_n_reconstructs_and_exports_as_an_int(self, n, cfg, tmp_path):
-        # range() in the lift and in closure_order, and the JSON writers, need an int
+        # range() in the lift and in closure_order, and the JSON writers, need an int;
+        # so do the counts of periods and samples
         params = SystemParams(n=n, m=3.0, M=7.0, r0=11.0)
         assert type(params.n) is int and params == SystemParams(n=3, m=3.0, M=7.0, r0=11.0)
-        assert closure_order(ResonanceTarget(3, 4), params.n) == (4, 4)
-        traj = reconstruct(SeedPoint(a=params.a0, b=0.0, T=params.T0), params, samples_per_period=8, config=cfg)
-        assert traj.positions.shape == (9, 4, 3)
+        assert closure_order(ResonanceTarget(3, 4), n) == closure_order(ResonanceTarget(3, 4), params.n) == (4, 4)
+        seed = SeedPoint(a=params.a0, b=0.0, T=params.T0)
+        traj = reconstruct(seed, params, periods=n, samples_per_period=2 * n, config=cfg)
+        assert traj.positions.shape == (19, 4, 3) and type(traj.periods) is int
         export(traj, "json", tmp_path / "orbit.json")
-        assert '"n": 3,' in (tmp_path / "orbit.json").read_text()
+        text = (tmp_path / "orbit.json").read_text()
+        assert '"n": 3,' in text and '"periods": 3,' in text
+        assert orbits.load_trajectory(tmp_path / "orbit.json").periods == 3
 
     @pytest.mark.filterwarnings("error")
     def test_orbit_out_of_float_range_raises_without_warnings(self, params_p, cfg):

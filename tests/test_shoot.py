@@ -35,9 +35,12 @@ class TestSymmetryKind:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="expected 'odd' or 'double'"):
             SeedPoint.from_dict({"a": 1.0, "b": 0.0, "T": 2.0, "kind": "even"})
-        # the odd/even kind is refused with its conversion to the doubly symmetric form
+        # the odd/even kind is refused with its conversion to the doubly symmetric form,
+        # by the constructor as by from_dict
         with pytest.raises(ValueError, match=r"point \(a, b, 2T\) of kind 'double'"):
             SeedPoint.from_dict({"a": 1.0, "b": 0.0, "T": 2.0, "kind": "odd_even"})
+        with pytest.raises(ValueError, match=r"'double' \(an 'odd_even' point"):
+            SeedPoint(a=1.0, b=0.0, T=2.0, kind="odd_even")
 
     def test_period_multiples(self):
         # both forms name the odd return time: the period is 2T, the residuals
@@ -326,6 +329,9 @@ class TestNewton:
             newton_correct_full(seed, params_p, cfg, tol=1e-12, max_flows=3)
         assert info.value.reason == "budget"
         assert len(flows) == 3
+        for k in (3.0, np.int64(3)):  # the same budget, reported as the int 3
+            with pytest.raises(ConvergenceError, match="budget spent: 3 flows without"):
+                newton_correct_full(seed, params_p, cfg, tol=1e-12, max_flows=k)
 
     def test_flow_budget_counts_two_flows_per_evaluation_at_b_zero(self, params_p, cfg, monkeypatch):
         # the bifurcation point already solves the b = 0 correction, but its
@@ -379,7 +385,8 @@ class TestNewton:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1.0), ("max_flows", 0)],
+        [("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1.0), ("max_flows", 0)]
+        + [("max_flows", v) for v in (math.nan, math.inf, -math.inf, 2.5)],
     )
     def test_bad_setting_raises_before_any_flow(self, params_p, cfg, monkeypatch, name, value):
         flows = count_flows(monkeypatch)
@@ -450,6 +457,12 @@ class TestNewton:
             "0x1.d76cacbf072a5p+0", "0x1.d44b3955778e8p+2"
         )
         assert q0_corrected.b == 3.79392
+
+    @pytest.mark.parametrize("kind", list(SymmetryKind))
+    def test_a_kind_given_by_its_value_corrects_as_the_enum(self, params_p, cfg, kind):
+        seed = dict(a=params_p.a0, b=0.02, T=params_p.T0)
+        point = newton_correct(SeedPoint(**seed, kind=kind.value), params_p, cfg)
+        assert point.kind is kind and point == newton_correct(SeedPoint(**seed, kind=kind), params_p, cfg)
 
     @pytest.mark.parametrize("kind", [SymmetryKind.ODD, SymmetryKind.DOUBLE])
     def test_circular_family_keeps_b_exactly_zero(self, params_p, cfg, kind):
