@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -23,7 +22,7 @@ from pathlib import Path
 from . import continuation as cont
 from .bifurcate import bifurcation_point
 from .integrate import FlowError, IntegratorConfig, eval_at
-from .model import SystemParams, _count, lambda_n, write_json
+from .model import SystemParams, _count, _real, lambda_n, write_json
 from .orbits import (
     ResonanceNotFound,
     ResonanceTarget,
@@ -321,8 +320,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_verify(args) -> int:
     params, config = _system_from(args)
     point = _seed_from_args(args)
-    if not (math.isfinite(args.res_tol) and args.res_tol > 0):
-        raise ValueError(f"--res-tol must be finite and positive, got {args.res_tol!r}")
+    _real("--res-tol", args.res_tol, "positive")
     traj = reconstruct(point, params, periods=1, samples_per_period=256, config=config)
     e = eval_at(point.a, point.b, point.T, params, config)
     d = traj.diagnostics

@@ -28,14 +28,13 @@ or budget if its points run out first.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bifurcate import bifurcation_point
 from .integrate import SINGULAR, FlowError, IntegratorConfig
-from .model import SystemParams, _count, write_json
+from .model import SystemParams, _count, _real, write_json
 from .shoot import (
     OLD_KIND_HINT,
     T_LOWER,
@@ -98,31 +97,30 @@ _ON_FAMILY_TOL = 1e-6  # a start with larger desingularized residuals is off its
 
 @dataclass(frozen=True)
 class StepControl:
-    """Arclength step bounds for `continue_branch`; ds_max defaults to 0.05*max(1, T0)."""
+    """Arclength step bounds for `continue_branch` as positive floats; ds_max by default 0.05*max(1, T0)."""
 
     ds_min: float = 1e-8
     ds_max: float | None = None
 
     def __post_init__(self):
-        for name in ("ds_min", "ds_max"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        if self.ds_max is not None and self.ds_min > self.ds_max:
-            raise ValueError(f"ds_min {self.ds_min!r} exceeds ds_max {self.ds_max!r}")
+        object.__setattr__(self, "ds_min", _real("ds_min", self.ds_min, "positive"))
+        if self.ds_max is not None:
+            object.__setattr__(self, "ds_max", _real("ds_max", self.ds_max, "positive"))
+            if self.ds_min > self.ds_max:
+                raise ValueError(f"ds_min {self.ds_min!r} exceeds ds_max {self.ds_max!r}")
 
 
 @dataclass(frozen=True)
 class StopRules:
-    """Termination thresholds for `continue_branch`: max_points a whole number >= 1, T_max by default T_UPPER*T0."""
+    """Stop thresholds for `continue_branch`: max_points a whole number >= 1, T_max >= 0 (default T_UPPER*T0)."""
 
     max_points: int = 20000
     T_max: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "max_points", _count("max_points", self.max_points, 1))
-        if self.T_max is not None and not (math.isfinite(self.T_max) and self.T_max >= 0):
-            raise ValueError(f"T_max must be finite and nonnegative, got {self.T_max!r}")
+        if self.T_max is not None:
+            object.__setattr__(self, "T_max", _real("T_max", self.T_max, "nonnegative"))
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,7 @@ def continue_branch(
         try:
             if pred[0] <= 0 or pred[2] <= T_min:
                 raise ConvergenceError("predictor left the parameter domain", "domain")
-            guess = SeedPoint(a=float(pred[0]), b=float(pred[1]), T=float(pred[2]), kind=kind)
+            guess = SeedPoint(*pred, kind=kind)
             corrected, dcorr, contraction = newton_correct_full(
                 guess, params, config,
                 constraint=hyperplane(pred, prev_bp.tangent),

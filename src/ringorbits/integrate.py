@@ -48,6 +48,7 @@ import numpy as np
 from .model import (
     SystemParams,
     _compile,
+    _real,
     augmented_initial,
     make_reduced_rhs,
     make_variational_rhs,
@@ -198,11 +199,10 @@ _MAX_STEPS = 2_000_000
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, step ceiling and dense output for `flow`.
+    """Tolerances, step ceiling and dense output for `flow`; each real is stored as a float (`model._real`).
 
-    h_max defaults to one sixteenth of the integration span when left None,
-    which keeps the controller from striding over a full oscillation of the
-    axial mode.
+    rel_tol and abs_tol lie in (0, 1e-3].  h_max, finite and positive, defaults to one sixteenth of the
+    span when left None, which keeps the controller from striding over a full oscillation of the axial mode.
     """
 
     rel_tol: float = 1e-12
@@ -212,11 +212,12 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1e-3):
+            v = _real(name, getattr(self, name), "positive")
+            if v > 1e-3:
                 raise ValueError(f"{name} must lie in (0, 1e-3], got {v!r}")
-        if self.h_max is not None and not self.h_max > 0:
-            raise ValueError(f"h_max must be positive when given, got {self.h_max!r}")
+            object.__setattr__(self, name, v)
+        if self.h_max is not None:
+            object.__setattr__(self, "h_max", _real("h_max", self.h_max, "positive"))
 
 
 class DenseOutput:
@@ -437,9 +438,8 @@ def flow(rhs, y0, t_end: float, config: IntegratorConfig | None = None) -> FlowR
     if t_end == 0:
         return finish(OK)
 
-    atol, rtol = float(config.abs_tol), float(config.rel_tol)
-    h_max = float(config.h_max) if config.h_max is not None else t_end / 16.0
-    h_max = min(h_max, t_end)
+    atol, rtol = config.abs_tol, config.rel_tol
+    h_max = min(config.h_max if config.h_max is not None else t_end / 16.0, t_end)
     h_floor = 1e-14 * max(t_end, 1.0)
     field = getattr(getattr(rhs, "func", None), "field", None)  # a field of `model` is written into the step
     step = functools.partial(_step_function(len(y), field), *rhs.args) if field else _step_function(len(y))

@@ -14,6 +14,7 @@ import functools
 import json
 import linecache
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ __all__ = [
 # which `flow` rejects like any trial step whose error is not finite.
 R_FLOOR_FRACTION = 1e-8
 
+N_MAX = 10**6  # the largest ring `lambda_n` sums (O(n)); `reconstruct`'s pair energy is O(n^2) a sample
+
 
 def _count(name: str, value, floor: int) -> int:
     """value as an int if it is a whole number >= floor (3.0 and np.int64(3) are 3), else
@@ -53,25 +56,39 @@ def _count(name: str, value, floor: int) -> int:
     return int(value)
 
 
+def _real(name: str, value, bound: str = "") -> float:
+    """value as a float if it is a finite real, positive or nonnegative as bound says (np.float32(0.5) is 0.5,
+    "0.5" and None are not), else ValueError naming name: the one check of every real input."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and {"": True, "positive": x > 0, "nonnegative": x >= 0}[bound]):
+        raise ValueError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value!r}")
+    return x
+
+
 @functools.cache
 def lambda_n(n: int) -> float:
     """Ring interaction constant (1/4) * sum_{k=1..n-1} csc(k*pi/n).
 
     Collects the mutual attraction of the n ring bodies into a single
     coefficient of 1/r^2.  Strictly increasing in n; lambda_n(2) = 1/4.
-    n must be a whole number >= 2 (`_count`); the sum takes O(n) time.
+    n must be a whole number >= 2 (`_count`) and at most N_MAX; the sum takes O(n) time.
     """
     n = _count("n", n, 2)
+    if n > N_MAX:
+        raise ValueError(f"n must be at most N_MAX = {N_MAX}, got {n}")
     return 0.25 * math.fsum(1.0 / math.sin(k * math.pi / n) for k in range(1, n))
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Masses and seed radius of the configuration, with derived constants.
+    """Masses and seed radius of the configuration, stored as floats by `_real`, with derived constants.
 
     Attributes
     ----------
-    n : number of ring bodies (>= 2)
+    n : number of ring bodies (a whole number in [2, N_MAX], stored as an int)
     m : mass of each ring body (> 0)
     M : mass of the axial body (>= 0)
     r0 : radius of the seeding circular solution (> 0)
@@ -91,16 +108,8 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _count("n", self.n, 2))  # an int: range() and JSON need one
-        for name in ("m", "M", "r0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.m <= 0:
-            raise ValueError(f"ring mass m must be positive, got {self.m!r}")
-        if self.M < 0:
-            raise ValueError(f"axial mass M must be nonnegative, got {self.M!r}")
-        if self.r0 <= 0:
-            raise ValueError(f"seed radius r0 must be positive, got {self.r0!r}")
+        for name, bound in (("m", "positive"), ("M", "nonnegative"), ("r0", "positive")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), bound))
         try:
             derived = (self.a0, self.T0, self.kappa, self.kappa**2)
         except OverflowError:  # r0**3 or kappa**2 beyond the float range
@@ -168,10 +177,10 @@ def augmented_initial(b: float, params: SystemParams) -> np.ndarray:
 
 
 def _field_constants(params: SystemParams, C: float) -> tuple[float, ...]:
-    """The constants of `_Field` as Python floats: no numpy scalar enters the integrator's loop."""
+    """The constants of `_Field` as Python floats, as params stores them and C is converted to."""
     C = float(C)
-    return (float(params.lam * params.m), float(params.mass_sum), float(params.kappa**2),
-            float(params.M), float(params.r0), C, C * C, float(R_FLOOR_FRACTION * params.r0))
+    return (params.lam * params.m, params.mass_sum, params.kappa**2,
+            params.M, params.r0, C, C * C, R_FLOOR_FRACTION * params.r0)
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def find_resonance(
     chord = pts[idx + 1].point.vector() - x_lo
     x0 = x_lo + gap[idx] / (gap[idx] - gap[idx + 1]) * chord
     lo, hi = pts[idx].point.kind, pts[idx + 1].point.kind  # their form, or odd where they differ
-    guess = SeedPoint(a=float(x0[0]), b=float(x0[1]), T=float(x0[2]), kind=lo if lo is hi else SymmetryKind.ODD)
+    guess = SeedPoint(*x0, kind=lo if lo is hi else SymmetryKind.ODD)
     pt = newton_correct(guess, params, config, constraint=phase(angle))
     w = float(np.dot(pt.vector() - x_lo, chord) / np.dot(chord, chord))
     if not 0.0 <= w <= 1.0:

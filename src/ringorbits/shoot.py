@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .integrate import FlowError, IntegratorConfig, eval_at
-from .model import SystemParams, _count
+from .model import SystemParams, _count, _real
 
 __all__ = [
     "SymmetryKind",
@@ -116,10 +116,10 @@ class SymmetryKind(enum.Enum):
 class SeedPoint:
     """One member of a symmetric periodic family: parameters (a, b, T).
 
-    `residual` stores the max-norm of the desingularized residual pair at
-    the point, `theta` the accumulated ring phase over [0, T].  Both are
-    NaN for points that have not been evaluated.  `kind` takes a
-    SymmetryKind or its value ("odd", "double") and is stored as the enum.
+    a > 0, b and T > 0 are stored as floats (`model._real`), so a point of numpy scalars
+    writes as one of floats.  `residual` stores the max-norm of the desingularized residual pair
+    at the point, `theta` the accumulated ring phase over [0, T], both NaN for points that have
+    not been evaluated.  `kind` takes a SymmetryKind or its value ("odd", "double"), stored as the enum.
     """
 
     a: float
@@ -130,13 +130,8 @@ class SeedPoint:
     theta: float = math.nan
 
     def __post_init__(self):
-        for name in ("a", "b", "T"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.a > 0):
-            raise ValueError(f"angular parameter a must be positive, got {self.a!r}")
-        if not (self.T > 0):
-            raise ValueError(f"return time T must be positive, got {self.T!r}")
+        for name, bound in (("a", "positive"), ("b", ""), ("T", "positive")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), bound))
         try:
             object.__setattr__(self, "kind", SymmetryKind(self.kind))
         except ValueError:
@@ -282,8 +277,8 @@ def newton_correct(
     halved without a flow).  A guess that already meets `tol` is returned
     after the initial evaluation.  max_flows bounds the flows the call runs.
 
-    Raises ValueError before any flow unless tol is finite and positive,
-    max_flows a whole number >= 1 and guess.T > T_LOWER*T0; ConvergenceError with `reason`
+    Raises ValueError before any flow unless tol is finite and positive
+    (`model._real`), max_flows a whole number >= 1 and guess.T > T_LOWER*T0; ConvergenceError with `reason`
     "budget", "line-search" or "singular-jacobian"; and FlowError from the
     initial evaluation.
     """
@@ -305,8 +300,7 @@ def newton_correct_full(
     """Like `newton_correct` but also returns the residual data at the
     corrected point, gradients included, so callers can reuse them, and the
     contraction |dx_1|/|dx_0| of its first two full updates (0.0 if fewer ran)."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    tol = _real("tol", tol, "positive")
     max_flows = _count("max_flows", max_flows, 1)
     kind = guess.kind
     if constraint is None:
@@ -356,13 +350,6 @@ def newton_correct_full(
                 f"line search stalled after {_MAX_HALVINGS} halvings; residual {norm:.3e}",
                 "line-search",
             )
-    point = SeedPoint(
-        a=float(x[0]),
-        b=float(x[1]),
-        T=float(x[2]),
-        kind=kind,
-        residual=d.residual,
-        theta=d.theta,
-    )
+    point = SeedPoint(*x, kind=kind, residual=d.residual, theta=d.theta)
     contraction = update_norms[1] / update_norms[0] if len(update_norms) >= 2 else 0.0
     return point, d, contraction

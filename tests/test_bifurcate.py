@@ -1,6 +1,7 @@
 """Branching seeds on the circular family and their nondegeneracy data."""
 import math
 
+import numpy as np
 import pytest
 
 from ringorbits.bifurcate import (
@@ -112,6 +113,11 @@ class TestBifurcationPoint:
         assert abs(rep.T_star - 5.03586) < 1e-4
         assert rep.T_exact == "11*sqrt(11/518)*pi"
         assert abs(rep.T_star - 11.0 * math.sqrt(11.0 / 518.0) * math.pi) < 1e-12
+
+    def test_exact_form_of_a_numpy_radius(self):
+        # r0 given as np.float64 once printed as "np.float64(11.5)*sqrt(np.float64(11.5)/16)*pi"
+        rep = bifurcation_point(SystemParams(3, 3.0, 7.0, np.float64(11.5)))
+        assert rep.T_exact == "11.5*sqrt(11.5/16)*pi"
 
     def test_one_seed_carries_both_margins(self, params_p):
         # the odd/even seed (a0, 0, T0/2) is the doubly symmetric form of (a0, 0, T0)

@@ -53,6 +53,10 @@ class TestLambda:
         code, _, err = run(capsys, ["lambda", "--n", "1"])
         assert code == EXIT_CONFIG
         assert "error" in err
+        # above model.N_MAX: refused before the O(n) sum
+        code, _, err = run(capsys, ["lambda", "--n", "1000001"])
+        assert code == EXIT_CONFIG
+        assert "n must be at most N_MAX" in err
 
 
 class TestBifurcate:
@@ -617,7 +621,8 @@ class TestVerify:
         assert "verdict       FAIL" in out
         assert "residual" in out
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    # argparse refuses a string that is not a number, and no flag value is None
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
     def test_bad_residual_bound_exits_before_any_flow(self, capsys, monkeypatch, q0_corrected, tol):
         def no_flow(*args, **kwargs):
             raise AssertionError("a flow ran before --res-tol was checked")

@@ -369,8 +369,11 @@ class TestStepAndStopDefaults:
         assert abs(4.0 * br.stats["ds_final"] - 0.05 * params_p.T0) < 1e-12
         assert (continuation._GROW, continuation._GROW_AFTER, continuation._MAX_CONTRACTION) == (1.3, 4, 0.25)
 
-    @pytest.mark.parametrize("field", ["ds_min", "ds_max"])
-    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "value, field",  # ds_max=None is its default
+        [(v, f) for v in (0.0, -0.1, math.inf, math.nan, -math.inf, "x") for f in ("ds_min", "ds_max")]
+        + [(None, "ds_min")],
+    )
     def test_step_lengths_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
             StepControl(**{field: value})
@@ -394,6 +397,9 @@ class TestStepAndStopDefaults:
         rules = StopRules()
         assert (rules.max_points, rules.T_max) == (20000, None)
         assert [type(StopRules(max_points=v).max_points) for v in (3.0, np.int64(3))] == [int, int]
+        assert type(StopRules(T_max=np.float32(42.0)).T_max) is float
+        step = StepControl(ds_min=np.float32(1e-8), ds_max=np.float64(0.5))
+        assert [type(step.ds_min), type(step.ds_max)] == [float, float]
         # multiples of a0 and T0: a_min, a_max, T_min and the default of T_max
         assert (A_COLLISION, A_BOUND, T_LOWER, T_UPPER) == (1e-3, 1e3, 1e-3, 50.0)
 
@@ -406,9 +412,12 @@ class TestStepAndStopDefaults:
             dict(T_max=math.nan),
             dict(T_max=math.inf),
             *(dict(max_points=v) for v in (math.nan, math.inf, -math.inf, 2.5)),
+            dict(T_max=-math.inf),
+            dict(T_max="42"),
         ],
-        # kw2-kw4 were the cases of the removed b_tol; the others keep their ids
-        ids=["kw0", "kw1", "kw5", "kw6", "kw7", "kw8", "kw9", "kw10", "kw11"],
+        # kw2-kw4 were the cases of the removed b_tol; the others keep their ids.
+        # T_max=None is its default
+        ids=["kw0", "kw1", "kw5", "kw6", "kw7", "kw8", "kw9", "kw10", "kw11", "kw12", "kw13"],
     )
     def test_stop_rules_are_validated(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
@@ -601,6 +610,15 @@ class TestSerialization:
         assert int(first[0]) == 0
         assert float(first[1]) == p_branch.start.a
         assert float(first[3]) == p_branch.start.T
+
+    def test_csv_cells_are_floats_for_a_start_of_numpy_scalars(self, p1_corrected, params_p, cfg, tmp_path):
+        # such a start once wrote row 0 as "0,np.float64(0.8892810633285759),np.float64(0.05),..."
+        start = SeedPoint(*p1_corrected.vector())
+        br = continue_branch(start, 1, params_p, cfg, stop=StopRules(max_points=1))
+        path = tmp_path / "branch.csv"
+        branch_to_csv(br, path)
+        (row,) = [[float(cell) for cell in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        assert row[:4] == [0.0, p1_corrected.a, p1_corrected.b, p1_corrected.T]
 
     def test_files_with_the_old_labels_still_load(self, p_branch, tmp_path):
         # before the TERM_* labels were renamed, "termination" held "b-zero"

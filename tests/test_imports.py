@@ -63,34 +63,59 @@ def test_every_private_name_of_the_package_is_read():
     assert unread == []
 
 
-def test_generated_code_has_one_compile_path():
-    # steps and fields are compiled by one helper: the only exec( and
-    # compile( calls of the package, attributed to their top-level definition
-    calls = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = f"{path.name}:{getattr(top, 'name', top.lineno)}"
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "compile"):
-                    calls.append((node.func.id, owner))
-    assert sorted(calls) == [("compile", "model.py:_compile"), ("exec", "model.py:_compile")]
-
-
-def test_one_rule_decides_what_a_count_is():
-    # "a whole number at or above a floor" is decided by model._count alone:
-    # the package's only is_integer call and only comparison against int(x),
-    # attributed to their top-level definition.  bifurcate._fmt_number
-    # compares too, but decides how a float prints, not what a count may be.
+def owned_nodes(label) -> list[tuple[str, str]]:
+    """(label(node), owner) for every node of src/ that label names (returns
+    a non-empty string for), the owner being its top-level definition."""
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = f"{path.name}:{getattr(top, 'name', top.lineno)}"
-            for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "is_integer":
-                    found.append(("is_integer", owner))
-                elif isinstance(node, ast.Compare) and any(
-                    isinstance(x, ast.Call) and getattr(x.func, "id", None) == "int"
-                    for x in (node.left, *node.comparators)
-                ):
-                    found.append(("int comparison", owner))
+            found += [(name, owner) for node in ast.walk(top) if (name := label(node))]
+    return found
+
+
+def test_generated_code_has_one_compile_path():
+    # steps and fields are compiled by one helper: the only exec( and
+    # compile( calls of the package
+    def label(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "compile"):
+            return node.func.id
+
+    assert sorted(owned_nodes(label)) == [("compile", "model.py:_compile"), ("exec", "model.py:_compile")]
+
+
+def test_one_rule_decides_what_a_count_is():
+    # "a whole number at or above a floor" is decided by model._count alone:
+    # the package's only is_integer call and only comparison against int(x).
+    # bifurcate._fmt_number compares too, but decides how a float prints,
+    # not what a count may be.
+    def label(node):
+        if isinstance(node, ast.Attribute) and node.attr == "is_integer":
+            return "is_integer"
+        if isinstance(node, ast.Compare) and any(
+            isinstance(x, ast.Call) and getattr(x.func, "id", None) == "int" for x in (node.left, *node.comparators)
+        ):
+            return "int comparison"
+
+    found = owned_nodes(label)
     assert sorted(found) == [("int comparison", "bifurcate.py:_fmt_number"), ("is_integer", "model.py:_count")]
+
+
+def test_one_rule_decides_what_a_real_input_is():
+    # "a finite real inside its bound" is decided for every input by
+    # model._real alone; the other owners of a math.isfinite check values
+    # they compute: SystemParams its derived constants, flow its state and
+    # field, _initial_step its probe, xi_second_derivative and reconstruct
+    # their results
+    def label(node):
+        if isinstance(node, ast.Attribute) and node.attr == "isfinite" and getattr(node.value, "id", None) == "math":
+            return "math.isfinite"
+
+    assert sorted({owner for _, owner in owned_nodes(label)}) == [
+        "bifurcate.py:xi_second_derivative",
+        "integrate.py:_initial_step",
+        "integrate.py:flow",
+        "model.py:SystemParams",
+        "model.py:_real",
+        "orbits.py:reconstruct",
+    ]

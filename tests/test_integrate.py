@@ -46,6 +46,14 @@ class TestConfig:
             dict(abs_tol=-1e-12),
             dict(h_max=math.nan),
             dict(h_max=0.0),
+            dict(rel_tol=math.nan),
+            dict(abs_tol=math.inf),
+            dict(rel_tol=-math.inf),
+            dict(rel_tol="1e-9"),
+            dict(abs_tol=None),
+            dict(h_max=math.inf),
+            dict(h_max=-math.inf),
+            dict(h_max="1.0"),
         ],
     )
     def test_validation(self, kw):
@@ -56,6 +64,8 @@ class TestConfig:
         cfg = IntegratorConfig()
         assert cfg.rel_tol == 1e-12 and cfg.abs_tol == 1e-12
         assert cfg.h_max is None and cfg.dense is False
+        cfg = IntegratorConfig(rel_tol=np.float32(1e-9), abs_tol=np.float64(1e-12), h_max=np.int64(2))
+        assert [type(v) for v in (cfg.rel_tol, cfg.abs_tol, cfg.h_max)] == [float, float, float]
 
 
 class TestFlow:

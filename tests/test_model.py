@@ -56,6 +56,14 @@ class TestLambda:
         with pytest.raises(ValueError):
             lambda_n(2.5)
 
+    def test_ring_above_the_cap_rejected_before_the_sum(self):
+        # the O(n) csc sum would stall every command for an n such as 1e11
+        assert model.N_MAX == 10**6
+        with pytest.raises(ValueError, match=re.escape("n must be at most N_MAX = 1000000, got 1000001")):
+            lambda_n(model.N_MAX + 1)
+        with pytest.raises(ValueError, match="N_MAX"):
+            SystemParams(n=model.N_MAX + 1, m=1.0, M=1.0, r0=1.0)
+
 
 def test_json_format(tmp_path):
     obj = {"b": [1.0, 0.1], "a": {"z": 1, "y": None}}
@@ -78,11 +86,23 @@ class TestSystemParams:
             dict(n=3, m=1.0, M=math.inf, r0=1.0),
             # n = inf once raised OverflowError, from int(inf)
             *(dict(n=n, m=1.0, M=1.0, r0=1.0) for n in (math.inf, -math.inf, math.nan, 2.5)),
+            dict(n=3, m=-math.inf, M=1.0, r0=1.0),
+            dict(n=3, m=1.0, M=math.nan, r0=1.0),
+            dict(n=3, m=1.0, M=-math.inf, r0=1.0),
+            dict(n=3, m=1.0, M=1.0, r0=math.inf),
+            dict(n=3, m="3", M=1.0, r0=1.0),
+            dict(n=3, m=1.0, M=None, r0=1.0),
+            dict(n=3, m=1.0, M=1.0, r0="11"),
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SystemParams(**kw)
+
+    def test_reals_are_stored_as_floats(self):
+        p = SystemParams(n=3, m=np.float32(3.0), M=np.float64(7.0), r0=11)
+        assert [type(v) for v in (p.m, p.M, p.r0)] == [float, float, float]
+        assert p == SystemParams(n=3, m=3.0, M=7.0, r0=11.0)
 
     @pytest.mark.parametrize(
         "kw",

@@ -76,11 +76,25 @@ class TestSeedPoint:
             dict(a=1.0, b=math.inf, T=1.0),
             dict(a=1.0, b=-math.inf, T=1.0),
             dict(a=1.0, b=0.0, T=math.inf),
+            dict(a=math.nan, b=0.0, T=1.0),
+            dict(a=-math.inf, b=0.0, T=1.0),
+            dict(a=1.0, b=0.0, T=-math.inf),
+            dict(a="1.0", b=0.0, T=1.0),
+            dict(a=1.0, b=None, T=1.0),
+            dict(a=1.0, b=0.0, T="2"),
+            dict(a=None, b=0.0, T=1.0),
         ],
     )
     def test_non_finite_parameters_rejected(self, kw):
         with pytest.raises(ValueError, match="must be finite"):
             SeedPoint(**kw)
+
+    def test_numpy_scalars_are_stored_as_floats(self):
+        # a np.float32 point once failed to write: "Object of type float32 is not JSON serializable"
+        p = SeedPoint(a=np.float32(0.75), b=np.float64(0.05), T=np.float32(28.5))
+        assert [type(v) for v in (p.a, p.b, p.T)] == [float, float, float]
+        q = self.roundtrip(p)
+        assert (q.a, q.b, q.T) == (0.75, 0.05, 28.5)
 
     def test_negative_b_allowed(self):
         SeedPoint(a=1.0, b=-0.3, T=1.0)
@@ -386,6 +400,7 @@ class TestNewton:
     @pytest.mark.parametrize(
         "name, value",
         [("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1.0), ("max_flows", 0)]
+        + [("tol", v) for v in (-math.inf, "1e-9", None)]
         + [("max_flows", v) for v in (math.nan, math.inf, -math.inf, 2.5)],
     )
     def test_bad_setting_raises_before_any_flow(self, params_p, cfg, monkeypatch, name, value):
